@@ -17,7 +17,13 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .annulus import coupling_sign
-from .mesh import GeometryPair, TriMesh, point_to_triangles_distance, scale_signed
+from .mesh import (
+    GeometryPair,
+    TriMesh,
+    pairs_within,
+    point_to_triangles_distance,
+    scale_signed,
+)
 
 DIM = 3  # collocation path is three-dimensional only
 
@@ -102,19 +108,24 @@ class DensityPair:
 
 def _triangle_quad(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # corners (T,3,3) -> quadrature points (T,7,3) and weights*areas (T,7)
-    pts = np.einsum("qb,tbc->tqc", _TRI_BARY, corners)
+    # barycentric combination summed in the order einsum("qb,tbc->tqc") uses
+    pts = _TRI_BARY[:, 0, None] * corners[:, None, 0]
+    pts += _TRI_BARY[:, 1, None] * corners[:, None, 1]
+    pts += _TRI_BARY[:, 2, None] * corners[:, None, 2]
     cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
     areas = 0.5 * np.linalg.norm(cross, axis=1)
     return pts, _TRI_W[None, :] * areas[:, None]
 
 
 def _kernel_sums(targets: np.ndarray, pts: np.ndarray, wts: np.ndarray,
-                 chunk_bytes: int = 1 << 27) -> np.ndarray:
-    # sum_q wts[t,q] * S3(|x_p - pts[t,q]|) for all (p, t), chunked over p
+                 chunk_bytes: int = 1 << 18) -> np.ndarray:
+    # sum_q wts[t,q] * S3(|x_p - pts[t,q]|) for all (p, t), chunked over p;
+    # small chunks keep the (rows, T*Q) temporaries in cache
     n_t = pts.shape[0]
     out = np.empty((len(targets), n_t))
-    rows = max(1, int(chunk_bytes // max(n_t * pts.shape[1] * 3 * 8, 1)))
+    rows = max(1, int(chunk_bytes // max(n_t * pts.shape[1] * 8, 1)))
     flat_pts = pts.reshape(-1, 3)
+    px, py, pz = (np.ascontiguousarray(flat_pts[:, c]) for c in range(3))
     flat_w = wts.reshape(-1)
     # Targets may coincide with quadrature nodes (own-triangle centroids);
     # those entries come out infinite here and are replaced by the analytic
@@ -122,9 +133,17 @@ def _kernel_sums(targets: np.ndarray, pts: np.ndarray, wts: np.ndarray,
     with np.errstate(divide="ignore"):
         for start in range(0, len(targets), rows):
             block = targets[start : start + rows]
-            diff = block[:, None, :] - flat_pts[None, :, :]
-            r = np.sqrt(np.einsum("ptc,ptc->pt", diff, diff))
-            contrib = (flat_w[None, :] / r).reshape(len(block), n_t, -1).sum(axis=2)
+            # (x^2 + z^2) + y^2: the order of einsum("ptc,ptc->pt") on
+            # numpy 2, so the entries match a plain einsum bit for bit
+            d = block[:, 0:1] - px
+            r = d * d
+            d = block[:, 2:3] - pz
+            r += d * d
+            d = block[:, 1:2] - py
+            r += d * d
+            np.sqrt(r, out=r)
+            np.divide(flat_w, r, out=r)
+            contrib = r.reshape(len(block), n_t, -1).sum(axis=2)
             out[start : start + rows] = _KERNEL_SCALE * contrib
     return out
 
@@ -145,6 +164,9 @@ def _split4(corners: np.ndarray) -> np.ndarray:
     return children.reshape(-1, 3, 3)
 
 
+_NEAR_CHUNK = 8192  # near pairs refined together
+
+
 def _integrate_near(points: np.ndarray, corners: np.ndarray,
                     near_factor: float, max_depth: int) -> np.ndarray:
     """Single-layer integrals for target/triangle pairs flagged as near.
@@ -153,26 +175,30 @@ def _integrate_near(points: np.ndarray, corners: np.ndarray,
     near_factor times the current piece's diameter, down to max_depth levels.
     """
     values = np.zeros(len(points))
-    idx = np.arange(len(points))
-    pts = points
-    tris = corners
-    for depth in range(max_depth + 1):
-        if len(idx) == 0:
-            break
-        edges = tris - np.roll(tris, -1, axis=1)
-        diam = np.linalg.norm(edges, axis=2).max(axis=1)
-        cent = tris.mean(axis=1)
-        dist = np.linalg.norm(pts - cent, axis=1)
-        leaf = (dist >= near_factor * diam) | (depth == max_depth)
-        if np.any(leaf):
-            qp, qw = _triangle_quad(tris[leaf])
-            diff = pts[leaf][:, None, :] - qp
-            r = np.sqrt(np.einsum("mqc,mqc->mq", diff, diff))
-            np.add.at(values, idx[leaf], _KERNEL_SCALE * np.einsum("mq,mq->m", qw, 1.0 / r))
-        keep = ~leaf
-        idx = np.repeat(idx[keep], 4)
-        pts = np.repeat(pts[keep], 4, axis=0)
-        tris = _split4(tris[keep])
+    # Pairs are refined a chunk at a time, which keeps the subdivided pieces
+    # in cache; every pair's own sum is unchanged by the chunking.
+    for start in range(0, len(points), _NEAR_CHUNK):
+        pts = points[start : start + _NEAR_CHUNK]
+        tris = corners[start : start + _NEAR_CHUNK]
+        idx = np.arange(start, start + len(pts))
+        for depth in range(max_depth + 1):
+            if len(idx) == 0:
+                break
+            edges = tris - np.roll(tris, -1, axis=1)
+            diam = np.linalg.norm(edges, axis=2).max(axis=1)
+            cent = tris.mean(axis=1)
+            dist = np.linalg.norm(pts - cent, axis=1)
+            leaf = (dist >= near_factor * diam) | (depth == max_depth)
+            if np.any(leaf):
+                qp, qw = _triangle_quad(tris[leaf])
+                diff = pts[leaf][:, None, :] - qp
+                r = np.sqrt(np.einsum("mqc,mqc->mq", diff, diff))
+                np.add.at(values, idx[leaf],
+                          _KERNEL_SCALE * np.einsum("mq,mq->m", qw, 1.0 / r))
+            keep = ~leaf
+            idx = np.repeat(idx[keep], 4)
+            pts = np.repeat(pts[keep], 4, axis=0)
+            tris = _split4(tris[keep])
     return values
 
 
@@ -201,6 +227,22 @@ def _self_integrals(mesh: TriMesh) -> np.ndarray:
     return _KERNEL_SCALE * total
 
 
+def _near_pairs(targets: np.ndarray, mesh: TriMesh,
+                near_factor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Target/triangle pairs closer than near_factor triangle diameters.
+
+    A tree search within the largest such radius proposes the pairs; each is
+    then kept by the comparison |target - centroid| < near_factor * diameter.
+    """
+    limit = near_factor * mesh.diameters
+    p_parts, t_parts = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for p, t, _ in pairs_within(targets, mesh.centroids, float(limit.max())):
+        near = np.linalg.norm(targets[p] - mesh.centroids[t], axis=1) < limit[t]
+        p_parts.append(p[near])
+        t_parts.append(t[near])
+    return np.concatenate(p_parts), np.concatenate(t_parts)
+
+
 def single_layer_matrix(targets, mesh: TriMesh, *, self_mesh: bool = False,
                         near_factor: float = NEAR_FIELD_FACTOR,
                         max_depth: int = NEAR_FIELD_MAX_DEPTH) -> np.ndarray:
@@ -217,14 +259,11 @@ def single_layer_matrix(targets, mesh: TriMesh, *, self_mesh: bool = False,
     pts, wts = _triangle_quad(corners)
     matrix = _kernel_sums(targets, pts, wts)
 
-    dist = np.linalg.norm(
-        targets[:, None, :] - mesh.centroids[None, :, :], axis=2
-    )
-    near = dist < near_factor * mesh.diameters[None, :]
+    p_idx, t_idx = _near_pairs(targets, mesh, near_factor)
     if self_mesh:
         diag = np.arange(len(targets))
-        near[diag, diag] = False
-    p_idx, t_idx = np.nonzero(near)
+        off_diag = p_idx != t_idx
+        p_idx, t_idx = p_idx[off_diag], t_idx[off_diag]
     if len(p_idx):
         matrix[p_idx, t_idx] = _integrate_near(
             targets[p_idx], corners[t_idx], near_factor, max_depth
@@ -273,12 +312,30 @@ class AssembledSystem:
         return float(np.max(np.abs(trace - self.rhs[: self.n_inner])))
 
 
+@dataclass(frozen=True)
+class SelfBlocks:
+    """On-surface single layers V_ii (unit-scale hole) and V_oo; eps-independent."""
+
+    v_ii: np.ndarray
+    v_oo: np.ndarray
+
+
+def self_blocks(pair: GeometryPair) -> SelfBlocks:
+    """Build V_ii and V_oo once, for reuse by ``assemble`` across an eps sweep."""
+    return SelfBlocks(
+        single_layer_matrix(pair.inner.centroids, pair.inner, self_mesh=True),
+        single_layer_matrix(pair.outer.centroids, pair.outer, self_mesh=True),
+    )
+
+
 def assemble(pair: GeometryPair, data: CartesianDataFamily, eps: float,
-             sign: float | None = None) -> AssembledSystem:
+             sign: float | None = None, *, blocks: SelfBlocks | None = None) -> AssembledSystem:
     """Assemble the coupled collocation system at eps != 0.
 
     ``sign`` overrides the coupling sign in the inner self block (diagnostic
     use); the default follows the sign rule for n = 3, i.e. sgn(eps).
+    ``blocks`` are prebuilt self blocks of this pair (see ``self_blocks``);
+    without them both are built here and dropped once copied in.
     """
     if eps == 0:
         raise AssemblyError("eps = 0 is not a perforated geometry")
@@ -288,45 +345,61 @@ def assemble(pair: GeometryPair, data: CartesianDataFamily, eps: float,
     inner, outer = pair.inner, pair.outer
     hole = scale_signed(inner, eps)
 
-    v_ii = single_layer_matrix(inner.centroids, inner, self_mesh=True)
-    v_oo = single_layer_matrix(outer.centroids, outer, self_mesh=True)
-    k_io = single_layer_matrix(hole.centroids, outer)
-    # Integral over the unit-scale inner surface of the kernel at x - eps*y
-    # equals eps^-2 times the integral over the physically scaled hole.
-    k_oi = single_layer_matrix(outer.centroids, hole) / eps**2
-
     n_i = inner.n_triangles
     n_o = outer.n_triangles
     matrix = np.empty((n_i + n_o, n_i + n_o))
-    matrix[:n_i, :n_i] = sign_asm * v_ii
-    matrix[:n_i, n_i:] = k_io
-    matrix[n_i:, :n_i] = eps ** (DIM - 2) * k_oi
-    matrix[n_i:, n_i:] = v_oo
+    v_ii = (blocks.v_ii if blocks is not None
+            else single_layer_matrix(inner.centroids, inner, self_mesh=True))
+    np.multiply(sign_asm, v_ii, out=matrix[:n_i, :n_i])
+    del v_ii
+    matrix[n_i:, n_i:] = (blocks.v_oo if blocks is not None
+                          else single_layer_matrix(outer.centroids, outer, self_mesh=True))
+    matrix[:n_i, n_i:] = single_layer_matrix(hole.centroids, outer)
+    # Integral over the unit-scale inner surface of the kernel at x - eps*y
+    # equals eps^-2 times the integral over the physically scaled hole.
+    k_oi = matrix[n_i:, :n_i]
+    k_oi[...] = single_layer_matrix(outer.centroids, hole)
+    k_oi /= eps**2
+    k_oi *= eps ** (DIM - 2)
     rhs = np.concatenate(
         [data.eval_inner(inner.centroids, eps), data.eval_outer(outer.centroids, eps)]
     )
     return AssembledSystem(pair, eps, sign_asm, matrix, rhs, n_i)
 
 
-def solve(system: AssembledSystem) -> DensityPair:
-    """Dense LU solve with a 1-norm condition estimate and residual check."""
-    a = system.matrix
-    anorm = np.linalg.norm(a, 1)
-    lu, piv = lu_factor(a)
-    gecon = get_lapack_funcs(("gecon",), (a,))[0]
+def _checked_lu_solve(matrix: np.ndarray, rhs: np.ndarray, label: str,
+                      hint: str = "") -> tuple[np.ndarray, float, float]:
+    """Dense LU solve with a 1-norm condition estimate and a residual check.
+
+    Returns (solution, condition estimate, relative residual); raises
+    SolverError when rcond < 1e-14 or the residual exceeds SOLVE_RESIDUAL_RTOL.
+    """
+    anorm = np.linalg.norm(matrix, 1)
+    lu, piv = lu_factor(matrix)
+    gecon = get_lapack_funcs(("gecon",), (matrix,))[0]
     rcond, _ = gecon(lu, anorm, norm="1")
     if rcond < 1e-14:
         raise SolverError(
-            f"system is singular to working precision (rcond={rcond:.2e}); "
-            "check admissibility and the coupling sign"
+            f"{label} is singular to working precision (rcond={rcond:.2e}){hint}"
         )
-    x = lu_solve((lu, piv), system.rhs)
-    scale = max(float(np.max(np.abs(system.rhs))), 1e-300)
-    residual = float(np.max(np.abs(a @ x - system.rhs))) / scale
+    x = lu_solve((lu, piv), rhs)
+    scale = max(float(np.max(np.abs(rhs))), 1e-300)
+    residual = float(np.max(np.abs(matrix @ x - rhs))) / scale
     if residual > SOLVE_RESIDUAL_RTOL:
-        raise SolverError(f"solve residual {residual:.2e} exceeds {SOLVE_RESIDUAL_RTOL:.0e}")
+        raise SolverError(
+            f"{label} residual {residual:.2e} exceeds {SOLVE_RESIDUAL_RTOL:.0e}"
+        )
+    return x, 1.0 / rcond, residual
+
+
+def solve(system: AssembledSystem) -> DensityPair:
+    """Dense LU solve with a 1-norm condition estimate and residual check."""
+    x, cond, residual = _checked_lu_solve(
+        system.matrix, system.rhs, "system",
+        "; check admissibility and the coupling sign",
+    )
     pairdens = system.split(x)
-    return DensityPair(pairdens.mu_inner, pairdens.mu_outer, 1.0 / rcond, residual)
+    return DensityPair(pairdens.mu_inner, pairdens.mu_outer, cond, residual)
 
 
 def _clearance_guard(points: np.ndarray, meshes: tuple[TriMesh, ...],
@@ -411,20 +484,11 @@ def direct_solve(pair: GeometryPair, data: CartesianDataFamily, eps: float) -> D
     v_oo = single_layer_matrix(outer.centroids, outer, self_mesh=True)
     n_h = hole.n_triangles
     matrix = np.block([[v_hh, v_ho], [v_oh, v_oo]])
+    del v_hh, v_ho, v_oh, v_oo
     # The hole datum is prescribed in the rescaled variable: value at hole
     # point x is the inner datum at x/eps, which is the unit-mesh centroid.
     rhs = np.concatenate(
         [data.eval_inner(pair.inner.centroids, eps), data.eval_outer(outer.centroids, eps)]
     )
-    anorm = np.linalg.norm(matrix, 1)
-    lu, piv = lu_factor(matrix)
-    gecon = get_lapack_funcs(("gecon",), (matrix,))[0]
-    rcond, _ = gecon(lu, anorm, norm="1")
-    if rcond < 1e-14:
-        raise SolverError(f"direct system singular to working precision (rcond={rcond:.2e})")
-    x = lu_solve((lu, piv), rhs)
-    scale = max(float(np.max(np.abs(rhs))), 1e-300)
-    residual = float(np.max(np.abs(matrix @ x - rhs))) / scale
-    if residual > SOLVE_RESIDUAL_RTOL:
-        raise SolverError(f"direct solve residual {residual:.2e}")
-    return DirectSolution(hole, outer, x[:n_h], x[n_h:], 1.0 / rcond, residual)
+    x, cond, residual = _checked_lu_solve(matrix, rhs, "direct system")
+    return DirectSolution(hole, outer, x[:n_h], x[n_h:], cond, residual)

@@ -314,12 +314,15 @@ def _run_sweeps(cfg, problem, data, targets, signs):
     grid, _ = _parse_grid(cfg)
     _check_grid_admissible(problem, grid)
     clearance = float(cfg.get("eval_clearance_factor", DEFAULT_EVAL_CLEARANCE))
-    pos = neg = None
-    if signs in ("both", "positive"):
-        pos = cont.sweep(problem, data, grid, targets, eval_clearance_factor=clearance)
-    if signs in ("both", "negative"):
-        neg = cont.sweep(problem, data, -grid[::-1], targets, eval_clearance_factor=clearance)
-    return pos, neg
+    if signs == "positive":
+        return cont.sweep(problem, data, grid, targets, eval_clearance_factor=clearance), None
+    if signs == "negative":
+        return None, cont.sweep(problem, data, -grid[::-1], targets,
+                                eval_clearance_factor=clearance)
+    # one signed sweep, so a mesh pair's self blocks are built once
+    signed = cont.sweep(problem, data, np.concatenate([-grid[::-1], grid]), targets,
+                        eval_clearance_factor=clearance)
+    return signed.subset(signed.grid > 0), signed.subset(signed.grid < 0)
 
 
 def _sweep_command(cfg, problem, data, targets, out_dir):
@@ -423,6 +426,14 @@ def _symmetry_command(cfg, problem, data, targets, out_dir):
     }, EXIT_OK
 
 
+def _summed_coeffs(terms) -> tuple:
+    """The eps-polynomial of a sum of constant terms: their coefficients added."""
+    total = np.zeros(max(len(coeffs) for _, coeffs in terms))
+    for _, coeffs in terms:
+        total[: len(coeffs)] += coeffs
+    return tuple(float(c) for c in total)
+
+
 def _convergence_command(cfg, problem, data, targets, out_dir):
     if isinstance(problem, SphereProblem):
         raise ConfigError("field geometry: convergence study needs mesh geometry")
@@ -476,8 +487,8 @@ def _convergence_command(cfg, problem, data, targets, out_dir):
             n, float(inner_spec.get("radius", 1.0)), float(outer_spec.get("radius", 1.0))
         )
         zonal = ZonalDataFamily(
-            inner={0: tuple(data.inner[0][1])} if data.inner else {},
-            outer={0: tuple(data.outer[0][1])} if data.outer else {},
+            inner={0: _summed_coeffs(data.inner)} if data.inner else {},
+            outer={0: _summed_coeffs(data.outer)} if data.outer else {},
         )
         sol = solve_densities(prob, zonal, eps)
         oracle = np.array(

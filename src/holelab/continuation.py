@@ -133,10 +133,19 @@ class SweepResult:
     conds: np.ndarray
     meta: dict = field(default_factory=dict)
 
+    def subset(self, mask) -> "SweepResult":
+        """The rows of the grid points selected by a boolean mask."""
+        return SweepResult(self.grid[mask], self.values[mask], self.frame,
+                           self.conds[mask], self.meta)
+
 
 def sweep(problem, data, grid, targets: TargetSet, *,
           eval_clearance_factor: float = bem_mod.EVAL_CLEARANCE_FACTOR) -> SweepResult:
-    """One solve per eps; spectral for sphere problems, collocation for meshes."""
+    """One solve per eps; spectral for sphere problems, collocation for meshes.
+
+    The grid may hold both signs; a signed sweep of a mesh pair builds the
+    eps-independent self blocks only once.
+    """
     grid = np.asarray(grid, dtype=float)
     if np.any(grid == 0.0):
         raise GridError("sweep grids must not contain eps = 0")
@@ -153,8 +162,12 @@ def sweep(problem, data, grid, targets: TargetSet, *,
                 values[i, j] = eval_solution(sol, p, targets.frame)
         meta = {"solver": "spectral-modal", "dimension": problem.n}
     elif isinstance(problem, GeometryPair):
+        # V_ii and V_oo do not depend on eps: built once, shared by every
+        # solve.  A single solve builds them inside assemble, which drops
+        # each once copied, so they do not stay alive through its LU.
+        blocks = bem_mod.self_blocks(problem) if len(grid) > 1 else None
         for i, eps in enumerate(grid):
-            system = bem_mod.assemble(problem, data, eps)
+            system = bem_mod.assemble(problem, data, eps, blocks=blocks)
             dens = bem_mod.solve(system)
             conds[i] = dens.cond
             values[i, :] = bem_mod.eval_field(

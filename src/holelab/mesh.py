@@ -271,47 +271,48 @@ def load_off(path) -> TriMesh:
     return TriMesh(verts, np.array(faces, dtype=int))
 
 
-def points_to_triangles_distance(points, corners: np.ndarray,
-                                 chunk: int = 256) -> np.ndarray:
-    """Exact distances from points (P, 3) to triangles (T, 3, 3), shape (P, T).
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("...c,...c->...", x, y)
+
+
+def _triangle_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray,
+                       c: np.ndarray) -> np.ndarray:
+    """Exact distances from points p to triangles (a, b, c), broadcast over leading axes.
 
     Projects onto each triangle plane; where the projection's barycentric
     coordinates leave the triangle, the nearest edge segment wins.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    a = corners[:, 0]
-    ab = corners[:, 1] - a
-    ac = corners[:, 2] - a
-    d00 = np.einsum("ij,ij->i", ab, ab)
-    d01 = np.einsum("ij,ij->i", ab, ac)
-    d11 = np.einsum("ij,ij->i", ac, ac)
+    ab = b - a
+    ac = c - a
+    d00 = _dot(ab, ab)
+    d01 = _dot(ab, ac)
+    d11 = _dot(ac, ac)
     denom = d00 * d11 - d01 * d01
+    ap = p - a
+    d20 = _dot(ap, ab)
+    d21 = _dot(ap, ac)
+    v = (d11 * d20 - d01 * d21) / denom
+    w = (d00 * d21 - d01 * d20) / denom
+    inside = (v >= 0) & (w >= 0) & (v + w <= 1)
+    proj = a + v[..., None] * ab + w[..., None] * ac
+    best = np.where(inside, np.linalg.norm(p - proj, axis=-1), np.inf)
+    for s0, d_edge in ((a, ab), (b, c - b), (c, a - c)):
+        t = _dot(p - s0, d_edge) / np.maximum(_dot(d_edge, d_edge), 1e-300)
+        t = np.clip(t, 0.0, 1.0)
+        closest = s0 + t[..., None] * d_edge
+        best = np.minimum(best, np.linalg.norm(p - closest, axis=-1))
+    return best
+
+
+def points_to_triangles_distance(points, corners: np.ndarray,
+                                 chunk: int = 256) -> np.ndarray:
+    """Exact distances from points (P, 3) to triangles (T, 3, 3), shape (P, T)."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
     out = np.empty((len(points), len(corners)))
     for start in range(0, len(points), chunk):
-        p = points[start : start + chunk]  # (m, 3)
-        ap = p[:, None, :] - a[None, :, :]  # (m, T, 3)
-        d20 = np.einsum("mtc,tc->mt", ap, ab)
-        d21 = np.einsum("mtc,tc->mt", ap, ac)
-        v = (d11 * d20 - d01 * d21) / denom
-        w = (d00 * d21 - d01 * d20) / denom
-        inside = (v >= 0) & (w >= 0) & (v + w <= 1)
-        proj = a[None] + v[..., None] * ab[None] + w[..., None] * ac[None]
-        best = np.where(
-            inside, np.linalg.norm(p[:, None, :] - proj, axis=2), np.inf
-        )
-        for s0, d_edge in ((corners[:, 0], ab),
-                           (corners[:, 1], corners[:, 2] - corners[:, 1]),
-                           (corners[:, 2], corners[:, 0] - corners[:, 2])):
-            ps = p[:, None, :] - s0[None, :, :]
-            t = np.einsum("mtc,tc->mt", ps, d_edge) / np.maximum(
-                np.einsum("ij,ij->i", d_edge, d_edge), 1e-300
-            )
-            t = np.clip(t, 0.0, 1.0)
-            closest = s0[None] + t[..., None] * d_edge[None]
-            best = np.minimum(
-                best, np.linalg.norm(p[:, None, :] - closest, axis=2)
-            )
-        out[start : start + chunk] = best
+        p = points[start : start + chunk, None, :]
+        out[start : start + chunk] = _triangle_distance(p, a, b, c)
     return out
 
 
@@ -324,15 +325,76 @@ def point_to_mesh_distance(point, mesh: TriMesh) -> float:
     return float(point_to_triangles_distance(point, mesh.corner_array()).min())
 
 
-def mesh_to_mesh_distance(mesh_a: TriMesh, mesh_b: TriMesh) -> float:
-    """Minimum surface-to-surface distance, sampled at vertices and centroids."""
-    best = np.inf
-    for src, dst in ((mesh_a, mesh_b), (mesh_b, mesh_a)):
-        corners = dst.corner_array()
-        samples = np.vstack([src.vertices, src.centroids])
-        d = points_to_triangles_distance(samples, corners).min()
-        best = min(best, float(d))
+_PAIR_BLOCK = 1 << 20  # point-center pairs a chunk may hold at most
+
+
+def pairs_within(points: np.ndarray, centers: np.ndarray, radius: float):
+    """Yield (i, j, dist) arrays of all pairs with dist = |points[i] - centers[j]| <= radius.
+
+    Chunked over the points so that no chunk holds more than about
+    ``_PAIR_BLOCK`` pairs, whatever the radius.  The search radius carries a
+    relative slack of 1e-9 and dist is the tree's own rounding, so callers
+    that need an exact comparison recompute it on the pairs.
+    """
+    from scipy.spatial import cKDTree
+
+    centers_tree = cKDTree(centers)
+    reach = radius * (1.0 + 1e-9)
+    rows = max(1, _PAIR_BLOCK // max(len(centers), 1))
+    for start in range(0, len(points), rows):
+        found = cKDTree(points[start : start + rows]).sparse_distance_matrix(
+            centers_tree, reach, output_type="ndarray"
+        )
+        yield found["i"].astype(np.intp) + start, found["j"].astype(np.intp), found["v"]
+
+
+_UPPER_BOUND_NEIGHBOURS = 4
+
+
+def _sampled_distance(src: TriMesh, dst: TriMesh) -> float:
+    """Min exact distance from src's vertices and centroids to dst's triangles.
+
+    Equal to the brute-force minimum over all sample/triangle pairs: the exact
+    distances to each sample's nearest centroids give an upper bound U, and
+    a pair can only go below U if both lower bounds |p - c_t| - R_t (R_t the
+    triangle's centroid radius) and |n_t . (p - c_t)| (distance to its plane)
+    do.  Only those pairs are evaluated exactly.
+    """
+    from scipy.spatial import cKDTree
+
+    samples = np.vstack([src.vertices, src.centroids])
+    corners = dst.corner_array()
+    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+    cent = dst.centroids
+    reach = np.linalg.norm(corners - cent[:, None, :], axis=2).max(axis=1)
+    # rounding slack on the bounds, so the minimising pair is never dropped
+    slack = 1e-9 * max(float(np.abs(samples).max()), float(np.abs(corners).max()))
+
+    k = min(_UPPER_BOUND_NEIGHBOURS, len(cent))
+    _, nearest = cKDTree(cent).query(samples, k=k)
+    p_idx = np.repeat(np.arange(len(samples)), k)
+    t_idx = np.reshape(nearest, -1)
+    best = float(_triangle_distance(samples[p_idx], a[t_idx], b[t_idx], c[t_idx]).min())
+
+    for p_idx, t_idx, dist in pairs_within(samples, cent, best + float(reach.max()) + slack):
+        keep = dist - reach[t_idx] <= best + slack
+        p_idx, t_idx = p_idx[keep], t_idx[keep]
+        plane = np.abs(_dot(samples[p_idx] - cent[t_idx], dst.normals[t_idx]))
+        keep = plane <= best + slack
+        if np.any(keep):
+            p_idx, t_idx = p_idx[keep], t_idx[keep]
+            d = _triangle_distance(samples[p_idx], a[t_idx], b[t_idx], c[t_idx])
+            best = min(best, float(d.min()))
     return best
+
+
+def mesh_to_mesh_distance(mesh_a: TriMesh, mesh_b: TriMesh) -> float:
+    """Minimum surface-to-surface distance, sampled at vertices and centroids.
+
+    The minimum over both meshes' vertex and centroid samples of the exact
+    point-to-triangle distance to the other mesh.
+    """
+    return min(_sampled_distance(mesh_a, mesh_b), _sampled_distance(mesh_b, mesh_a))
 
 
 DEFAULT_CLEARANCE_FRACTION = 0.02

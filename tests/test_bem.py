@@ -4,19 +4,24 @@ from math import factorial, pi
 
 from holelab.annulus import SphereProblem, ZonalDataFamily, closed_form_annulus, eval_solution, solve_modes
 from holelab.bem import (
+    NEAR_FIELD_FACTOR,
+    NEAR_FIELD_MAX_DEPTH,
     AssemblyError,
     CartesianDataFamily,
     EvaluationTooCloseError,
     _TRI_BARY,
     _TRI_W,
+    _integrate_near,
+    _kernel_sums,
     _self_integrals,
+    _triangle_quad,
     assemble,
     direct_solve,
     eval_field,
     single_layer_matrix,
     solve,
 )
-from holelab.mesh import AdmissibilityError, GeometryPair, ellipsoid, icosphere
+from holelab.mesh import AdmissibilityError, GeometryPair, ellipsoid, icosphere, scale_signed
 
 HOLE_EPS_DATA = CartesianDataFamily(inner=(((0, 0, 0), (0.0, 1.0)),))
 
@@ -274,3 +279,56 @@ def test_wrong_sign_inner_residual(unit_pair_s2):
     bad = assemble(unit_pair_s2, data, eps, sign=+1.0)
     res_bad = bad.inner_residual(solve(bad))
     assert res_bad > 10 * max(res_good, 1e-14)
+
+
+# ---------------------------------------------------------------------------
+# near-field pairs against the dense distance mask
+# ---------------------------------------------------------------------------
+
+def _dense_mask_single_layer(targets, mesh, self_mesh=False):
+    """Reference assembly that flags near pairs with the full N x T distance tensor."""
+    corners = mesh.corner_array()
+    matrix = _kernel_sums(targets, *_triangle_quad(corners))
+    dist = np.linalg.norm(targets[:, None, :] - mesh.centroids[None, :, :], axis=2)
+    near = dist < NEAR_FIELD_FACTOR * mesh.diameters[None, :]
+    if self_mesh:
+        np.fill_diagonal(near, False)
+    p_idx, t_idx = np.nonzero(near)
+    matrix[p_idx, t_idx] = _integrate_near(
+        targets[p_idx], corners[t_idx], NEAR_FIELD_FACTOR, NEAR_FIELD_MAX_DEPTH
+    )
+    if self_mesh:
+        np.fill_diagonal(matrix, _self_integrals(mesh))
+    return matrix
+
+
+def test_quadrature_points_and_kernel_sums_match_einsum_reference():
+    m = icosphere(1.0, 2)
+    corners = m.corner_array()
+    pts, wts = _triangle_quad(corners)
+    np.testing.assert_allclose(pts, np.einsum("qb,tbc->tqc", _TRI_BARY, corners),
+                               rtol=0, atol=1e-15)
+    targets = scale_signed(m, 0.4).centroids
+    diff = targets[:, None, :] - pts.reshape(-1, 3)[None]
+    r = np.sqrt(np.einsum("ptc,ptc->pt", diff, diff))
+    ref = (wts.reshape(-1) / r).reshape(len(targets), m.n_triangles, -1).sum(axis=2)
+    np.testing.assert_allclose(_kernel_sums(targets, pts, wts), -ref / (4 * pi), rtol=1e-14)
+
+
+def test_near_field_chunks_do_not_change_entries(unit_pair_s2, monkeypatch):
+    mesh = unit_pair_s2.outer
+    whole = single_layer_matrix(mesh.centroids, mesh, self_mesh=True)
+    monkeypatch.setattr("holelab.bem._NEAR_CHUNK", 7)
+    assert np.array_equal(single_layer_matrix(mesh.centroids, mesh, self_mesh=True), whole)
+
+
+@pytest.mark.parametrize("eps", [0.3, -0.8])
+def test_single_layer_near_pairs_match_dense_mask(eps):
+    outer = icosphere(1.0, 2)
+    hole = scale_signed(ellipsoid(1.0, 0.6, 0.4, 2), eps)
+    for targets, mesh in ((hole.centroids, outer), (outer.centroids, hole)):
+        ref = _dense_mask_single_layer(targets, mesh)
+        assert np.array_equal(single_layer_matrix(targets, mesh), ref)
+    for mesh in (outer, hole):
+        ref = _dense_mask_single_layer(mesh.centroids, mesh, self_mesh=True)
+        assert np.array_equal(single_layer_matrix(mesh.centroids, mesh, self_mesh=True), ref)

@@ -158,6 +158,37 @@ def test_convergence_icospheres_spectral_oracle(tmp_path):
     assert report["observed_order"] >= 1.0
 
 
+def test_convergence_oracle_sums_split_constant_terms(tmp_path):
+    cfg = {
+        "dimension": 3,
+        "geometry": {
+            "kind": "meshes",
+            "inner": {"builtin": "icosphere", "radius": 1.0},
+            "outer": {"builtin": "icosphere", "radius": 1.0},
+            "subdivisions": 1,
+        },
+        "data": {"cartesian": {"inner": [{"exponents": [0, 0, 0], "coeffs": ["0", "1"]}],
+                               "outer": [{"exponents": [0, 0, 0], "coeffs": ["0.25"]}]}},
+        "targets": {"frame": "macroscopic", "radii": [0.6]},
+        "eps": 0.25,
+        "subdivision_levels": [1, 2],
+    }
+    code, single, _ = run_cli(tmp_path / "single", "convergence", cfg)
+    assert code == EXIT_OK
+    split = json.loads(json.dumps(cfg))
+    split["data"]["cartesian"] = {
+        "inner": [{"exponents": [0, 0, 0], "coeffs": ["0", "0.5"]},
+                  {"exponents": [0, 0, 0], "coeffs": ["0", "0.5"]}],
+        "outer": [{"exponents": [0, 0, 0], "coeffs": ["0.125"]},
+                  {"exponents": [0, 0, 0], "coeffs": ["0.125"]}],
+    }
+    code, report, _ = run_cli(tmp_path / "split", "convergence", split)
+    assert code == EXIT_OK
+    assert report["oracle"] == "spectral"
+    assert report["oracle_values"] == pytest.approx(single["oracle_values"], rel=1e-12)
+    assert report["relative_errors"] == pytest.approx(single["relative_errors"], rel=1e-9)
+
+
 def test_convergence_richardson_for_ellipsoid(tmp_path):
     cfg = {
         "dimension": 3,

@@ -337,3 +337,47 @@ def test_frames_consistent_along_sweep():
     for eps, value in zip(grid, micro.values[:, 0]):
         sol = solve_densities(prob, HOLE_EPS_DATA, eps)
         assert eval_solution(sol, eps * q, "macroscopic") == pytest.approx(value, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# BEM sweeps share the eps-independent self blocks
+# ---------------------------------------------------------------------------
+
+def test_bem_sweep_matches_per_eps_solves_and_builds_self_blocks_once(monkeypatch):
+    from holelab import bem
+    from holelab.mesh import GeometryPair, icosphere
+
+    pair = GeometryPair(icosphere(1.0, 2), icosphere(1.0, 2))
+    data = bem.CartesianDataFamily(inner=(((0, 0, 0), (0.0, 1.0)),))
+    targets = TargetSet("macroscopic", [[0.0, 0.0, 0.6], [0.5, 0.0, 0.0]])
+    grid = np.array([-0.3, -0.1, 0.1, 0.3])
+
+    built = []
+    original = bem.single_layer_matrix
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("self_mesh", False))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bem, "single_layer_matrix", counting)
+    result = sweep(pair, data, grid, targets, eval_clearance_factor=0.5)
+    monkeypatch.undo()
+    assert built.count(True) == 2
+
+    for i, eps in enumerate(grid):
+        dens = bem.solve(bem.assemble(pair, data, eps))
+        want = bem.eval_field(pair, dens, eps, targets.points, clearance_factor=0.5)
+        np.testing.assert_allclose(result.values[i], want, rtol=1e-12, atol=0)
+        assert result.conds[i] == pytest.approx(dens.cond, rel=1e-12)
+
+
+def test_sweep_subset_splits_a_signed_sweep():
+    prob = SphereProblem(3)
+    targets = axis_targets(prob, [0.75], "macroscopic")
+    grid = default_grid()
+    signed = sweep(prob, HOLE_EPS_DATA, np.concatenate([-grid[::-1], grid]), targets)
+    pos = sweep(prob, HOLE_EPS_DATA, grid, targets)
+    part = signed.subset(signed.grid > 0)
+    assert np.array_equal(part.grid, pos.grid)
+    assert np.array_equal(part.values, pos.values)
+    assert np.array_equal(part.conds, pos.conds)

@@ -199,3 +199,93 @@ def test_eps_max_bisection():
     assert 0.8 < pair.eps_max < 1.0
     assert pair.admissibility(0.95 * pair.eps_max).ok
     assert not pair.admissibility(1.1 * pair.eps_max).ok
+
+
+# ---------------------------------------------------------------------------
+# pruned sampled distance against brute force
+# ---------------------------------------------------------------------------
+
+def _brute_points_to_triangles(points, corners):
+    """Independent reference: exact distance of every point to every triangle."""
+    a = corners[:, 0]
+    ab = corners[:, 1] - a
+    ac = corners[:, 2] - a
+    d00 = np.einsum("ij,ij->i", ab, ab)
+    d01 = np.einsum("ij,ij->i", ab, ac)
+    d11 = np.einsum("ij,ij->i", ac, ac)
+    denom = d00 * d11 - d01 * d01
+    ap = points[:, None, :] - a[None]
+    d20 = np.einsum("mtc,tc->mt", ap, ab)
+    d21 = np.einsum("mtc,tc->mt", ap, ac)
+    v = (d11 * d20 - d01 * d21) / denom
+    w = (d00 * d21 - d01 * d20) / denom
+    inside = (v >= 0) & (w >= 0) & (v + w <= 1)
+    proj = a[None] + v[..., None] * ab[None] + w[..., None] * ac[None]
+    best = np.where(inside, np.linalg.norm(points[:, None, :] - proj, axis=2), np.inf)
+    for s0, d_edge in ((corners[:, 0], ab),
+                       (corners[:, 1], corners[:, 2] - corners[:, 1]),
+                       (corners[:, 2], corners[:, 0] - corners[:, 2])):
+        t = np.einsum("mtc,tc->mt", points[:, None, :] - s0[None], d_edge)
+        t = np.clip(t / np.einsum("ij,ij->i", d_edge, d_edge), 0.0, 1.0)
+        closest = s0[None] + t[..., None] * d_edge[None]
+        best = np.minimum(best, np.linalg.norm(points[:, None, :] - closest, axis=2))
+    return best
+
+
+def _brute_mesh_distance(mesh_a, mesh_b):
+    return min(
+        float(_brute_points_to_triangles(np.vstack([src.vertices, src.centroids]),
+                                         dst.corner_array()).min())
+        for src, dst in ((mesh_a, mesh_b), (mesh_b, mesh_a))
+    )
+
+
+def _dented_sphere(subdivisions, depth=0.4, width=0.3):
+    # radial dent at the north pole: star-shaped, so winding stays outward
+    base = icosphere(1.0, subdivisions)
+    z = base.vertices[:, 2]
+    radius = 1.0 - depth * np.exp(-(1.0 - z) / width)
+    return TriMesh(base.vertices * radius[:, None], base.triangles)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.3, 0.9])
+def test_pruned_distance_concentric_spheres(eps):
+    outer = icosphere(1.0, 2)
+    hole = scale_signed(icosphere(1.0, 2), eps)
+    assert mesh_to_mesh_distance(hole, outer) == pytest.approx(
+        _brute_mesh_distance(hole, outer), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("eps", [0.4, -0.4, -0.85])
+def test_pruned_distance_ellipsoid_pair_and_reflected_hole(eps):
+    outer = ellipsoid(1.3, 1.0, 0.8, 2)
+    hole = scale_signed(ellipsoid(1.0, 0.6, 0.4, 2), eps)
+    assert mesh_to_mesh_distance(hole, outer) == pytest.approx(
+        _brute_mesh_distance(hole, outer), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.55, -0.55])
+def test_pruned_distance_dented_meshes(eps):
+    dented = _dented_sphere(2)
+    assert dented.signed_volume > 0
+    for hole, outer in ((scale_signed(icosphere(1.0, 2), eps), dented),
+                        (scale_signed(dented, eps), icosphere(1.0, 2))):
+        assert mesh_to_mesh_distance(hole, outer) == pytest.approx(
+            _brute_mesh_distance(hole, outer), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.2])
+def test_pruned_distance_when_nearest_centroids_miss_the_closest_triangle(eps):
+    # Long flat facets: the triangles with the nearest centroids are not the
+    # closest ones, so only the pruned pass finds the minimum.
+    outer = ellipsoid(1.5, 1.5, 0.3, 1)
+    hole = scale_signed(icosphere(1.0, 2), eps)
+    assert mesh_to_mesh_distance(hole, outer) == pytest.approx(
+        _brute_mesh_distance(hole, outer), rel=1e-14, abs=0)
+
+
+def test_pruned_distance_is_symmetric_and_zero_on_contact():
+    m = icosphere(1.0, 2)
+    hole = scale_signed(ellipsoid(1.0, 0.6, 0.4, 2), 0.5)
+    assert mesh_to_mesh_distance(hole, m) == mesh_to_mesh_distance(m, hole)
+    assert mesh_to_mesh_distance(m, m) == 0.0
