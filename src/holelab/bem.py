@@ -28,7 +28,6 @@ from .mesh import (
 DIM = 3  # collocation path is three-dimensional only
 
 NEAR_FIELD_FACTOR = 3.0
-NEAR_FIELD_MAX_DEPTH = 4
 SOLVE_RESIDUAL_RTOL = 1e-10
 EVAL_CLEARANCE_FACTOR = 2.0
 
@@ -128,8 +127,8 @@ def _kernel_sums(targets: np.ndarray, pts: np.ndarray, wts: np.ndarray,
     px, py, pz = (np.ascontiguousarray(flat_pts[:, c]) for c in range(3))
     flat_w = wts.reshape(-1)
     # Targets may coincide with quadrature nodes (own-triangle centroids);
-    # those entries come out infinite here and are replaced by the analytic
-    # or subdivided values in single_layer_matrix.
+    # those entries come out infinite here and are replaced by the closed
+    # form in single_layer_matrix.
     with np.errstate(divide="ignore"):
         for start in range(0, len(targets), rows):
             block = targets[start : start + rows]
@@ -148,93 +147,66 @@ def _kernel_sums(targets: np.ndarray, pts: np.ndarray, wts: np.ndarray,
     return out
 
 
-def _split4(corners: np.ndarray) -> np.ndarray:
-    # one level of midpoint subdivision: (m,3,3) -> (4m,3,3)
-    v0, v1, v2 = corners[:, 0], corners[:, 1], corners[:, 2]
-    m01, m12, m20 = 0.5 * (v0 + v1), 0.5 * (v1 + v2), 0.5 * (v2 + v0)
-    children = np.stack(
-        [
-            np.stack([v0, m01, m20], axis=1),
-            np.stack([m01, v1, m12], axis=1),
-            np.stack([m20, m12, v2], axis=1),
-            np.stack([m01, m12, m20], axis=1),
-        ],
-        axis=1,
-    )
-    return children.reshape(-1, 3, 3)
+def _triangle_integrals(points: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Exact single-layer integral of a unit density over flat triangles.
 
-
-_NEAR_CHUNK = 8192  # near pairs refined together
-
-
-def _integrate_near(points: np.ndarray, corners: np.ndarray,
-                    near_factor: float, max_depth: int) -> np.ndarray:
-    """Single-layer integrals for target/triangle pairs flagged as near.
-
-    Each triangle is recursively quartered while the target sits closer than
-    near_factor times the current piece's diameter, down to max_depth levels.
+    Entry m integrates the kernel over triangle corners[m] (M,3,3) at target
+    points[m] (M,3), for a target anywhere, on the triangle included.  Each
+    edge a -> b contributes, with |d| the target's height over the plane,
+    t0 the signed distance from its projection to the edge line (positive
+    on the triangle's side), l-/l+ the positions of a/b along the edge from
+    the foot of that distance, R-/R+ the distances to a/b, R0^2 = t0^2 + d^2,
+    t0 log((R+ + l+)/(R- + l-)) - |d| [atan2(t0 l+, R0^2 + |d| R+)
+    - atan2(t0 l-, R0^2 + |d| R-)] (Wilton et al., IEEE TAP 32, 1984).
     """
-    values = np.zeros(len(points))
-    # Pairs are refined a chunk at a time, which keeps the subdivided pieces
-    # in cache; every pair's own sum is unchanged by the chunking.
-    for start in range(0, len(points), _NEAR_CHUNK):
-        pts = points[start : start + _NEAR_CHUNK]
-        tris = corners[start : start + _NEAR_CHUNK]
-        idx = np.arange(start, start + len(pts))
-        for depth in range(max_depth + 1):
-            if len(idx) == 0:
-                break
-            edges = tris - np.roll(tris, -1, axis=1)
-            diam = np.linalg.norm(edges, axis=2).max(axis=1)
-            cent = tris.mean(axis=1)
-            dist = np.linalg.norm(pts - cent, axis=1)
-            leaf = (dist >= near_factor * diam) | (depth == max_depth)
-            if np.any(leaf):
-                qp, qw = _triangle_quad(tris[leaf])
-                diff = pts[leaf][:, None, :] - qp
-                r = np.sqrt(np.einsum("mqc,mqc->mq", diff, diff))
-                np.add.at(values, idx[leaf],
-                          _KERNEL_SCALE * np.einsum("mq,mq->m", qw, 1.0 / r))
-            keep = ~leaf
-            idx = np.repeat(idx[keep], 4)
-            pts = np.repeat(pts[keep], 4, axis=0)
-            tris = _split4(tris[keep])
-    return values
-
-
-def _self_integrals(mesh: TriMesh) -> np.ndarray:
-    """Analytic integral of the kernel over each flat triangle from its centroid.
-
-    For a point in the triangle plane, the integral of 1/r over the triangle
-    splits into one fan sub-triangle per edge, each with the closed form
-    h * log((t2 + l2)/(t1 + l1)) in edge-aligned coordinates.
-    """
-    corners = mesh.corner_array()
-    c = mesh.centroids
-    total = np.zeros(len(corners))
+    a_all = corners - points[:, None, :]  # corners relative to the target
+    normal = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    normal /= _norm(normal)[:, None]
+    height = np.abs(_dot(a_all[:, 0], normal))
+    total = np.zeros(len(points))
     for i in range(3):
-        a = corners[:, i]
-        b = corners[:, (i + 1) % 3]
-        u = b - a
-        u = u / np.linalg.norm(u, axis=1)[:, None]
-        t1 = np.einsum("ij,ij->i", a - c, u)
-        t2 = np.einsum("ij,ij->i", b - c, u)
-        perp = (a - c) - t1[:, None] * u
-        h = np.linalg.norm(perp, axis=1)
-        l1 = np.linalg.norm(a - c, axis=1)
-        l2 = np.linalg.norm(b - c, axis=1)
-        total += h * np.log((t2 + l2) / (t1 + l1))
+        a, b = a_all[:, i], a_all[:, (i + 1) % 3]
+        tangent = b - a
+        tangent /= _norm(tangent)[:, None]
+        t0 = _dot(a, np.cross(tangent, normal))
+        l_minus, l_plus = _dot(a, tangent), _dot(b, tangent)
+        r_minus, r_plus = _norm(a), _norm(b)
+        r0_sq = t0 * t0 + height * height
+        # R + l, or R0^2 / (R - l) where l < 0 would cancel it; this is the
+        # reflected form log((R- - l-)/(R+ - l+)) when l+ + l- < 0.
+        s_plus = _edge_sum(r_plus, l_plus, r0_sq)
+        s_minus = _edge_sum(r_minus, l_minus, r0_sq)
+        # A target on the edge's line (at a vertex too) has t0 = 0 and
+        # possibly s = 0; the log term's limit there is 0.
+        ratio = np.divide(s_plus, s_minus, out=np.ones(len(points)),
+                          where=(s_plus > 0) & (s_minus > 0))
+        total += t0 * np.log(ratio)
+        total -= height * (np.arctan2(t0 * l_plus, r0_sq + height * r_plus)
+                           - np.arctan2(t0 * l_minus, r0_sq + height * r_minus))
     return _KERNEL_SCALE * total
 
 
-def _near_pairs(targets: np.ndarray, mesh: TriMesh,
-                near_factor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Target/triangle pairs closer than near_factor triangle diameters.
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x[:, 0] * y[:, 0] + x[:, 1] * y[:, 1] + x[:, 2] * y[:, 2]
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot(x, x))
+
+
+def _edge_sum(r: np.ndarray, l: np.ndarray, r0_sq: np.ndarray) -> np.ndarray:
+    # R + l without cancellation: R^2 - l^2 = R0^2, so R + l = R0^2 / (R - l)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(l >= 0, r + l, r0_sq / (r - l))
+
+
+def _near_pairs(targets: np.ndarray, mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Target/triangle pairs closer than NEAR_FIELD_FACTOR triangle diameters.
 
     A tree search within the largest such radius proposes the pairs; each is
-    then kept by the comparison |target - centroid| < near_factor * diameter.
+    then kept by the comparison |target - centroid| < factor * diameter.
     """
-    limit = near_factor * mesh.diameters
+    limit = NEAR_FIELD_FACTOR * mesh.diameters
     p_parts, t_parts = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for p, t, _ in pairs_within(targets, mesh.centroids, float(limit.max())):
         near = np.linalg.norm(targets[p] - mesh.centroids[t], axis=1) < limit[t]
@@ -243,35 +215,25 @@ def _near_pairs(targets: np.ndarray, mesh: TriMesh,
     return np.concatenate(p_parts), np.concatenate(t_parts)
 
 
-def single_layer_matrix(targets, mesh: TriMesh, *, self_mesh: bool = False,
-                        near_factor: float = NEAR_FIELD_FACTOR,
-                        max_depth: int = NEAR_FIELD_MAX_DEPTH) -> np.ndarray:
+def single_layer_matrix(targets, mesh: TriMesh, *, self_mesh: bool = False) -> np.ndarray:
     """Matrix of single-layer integrals over mesh triangles at target points.
 
-    Entry (p, t) approximates the integral of the free-space kernel over
-    triangle t against a unit density, evaluated at target p.  Entries whose
-    target lies within near_factor triangle diameters are recomputed with
-    recursive subdivision; with self_mesh=True the targets are the mesh's own
-    centroids and the diagonal uses the analytic in-plane formula.
+    Entry (p, t) is the integral of the free-space kernel over triangle t
+    against a unit density, evaluated at target p.  Targets within
+    NEAR_FIELD_FACTOR triangle diameters get the exact flat-triangle integral
+    (``_triangle_integrals``), the others the 7-point rule.  self_mesh=True
+    marks an on-surface block, whose targets are the mesh's own centroids.
+    It changes no entry, since the diagonal is in the near set; it labels
+    self blocks apart from coupling blocks for callers that count them.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     corners = mesh.corner_array()
     pts, wts = _triangle_quad(corners)
     matrix = _kernel_sums(targets, pts, wts)
-
-    p_idx, t_idx = _near_pairs(targets, mesh, near_factor)
-    if self_mesh:
-        diag = np.arange(len(targets))
-        off_diag = p_idx != t_idx
-        p_idx, t_idx = p_idx[off_diag], t_idx[off_diag]
-    if len(p_idx):
-        matrix[p_idx, t_idx] = _integrate_near(
-            targets[p_idx], corners[t_idx], near_factor, max_depth
-        )
-    if self_mesh:
-        matrix[diag, diag] = _self_integrals(mesh)
+    p_idx, t_idx = _near_pairs(targets, mesh)
+    matrix[p_idx, t_idx] = _triangle_integrals(targets[p_idx], corners[t_idx])
     if not np.all(np.isfinite(matrix)):
-        raise AssemblyError("non-finite single-layer entries (target on a source triangle?)")
+        raise AssemblyError("non-finite single-layer entries")
     return matrix
 
 

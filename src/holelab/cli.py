@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -50,9 +51,15 @@ def _require(cfg: dict, field: str, kind=None):
     if field not in cfg:
         raise ConfigError(f"missing required field {field!r}")
     value = cfg[field]
-    if kind is not None and not isinstance(value, kind):
+    # bool is an int subclass, but no field takes true/false
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise ConfigError(f"field {field!r} has wrong type {type(value).__name__}")
     return value
+
+
+def _optional(cfg: dict, field: str, default, kind):
+    """cfg[field] checked as in _require when present, else default."""
+    return _require(cfg, field, kind) if field in cfg else default
 
 
 def _parse_decimal(value, field: str) -> float:
@@ -60,12 +67,16 @@ def _parse_decimal(value, field: str) -> float:
     # parsed to binary floats exactly once; the config echo keeps the source.
     if isinstance(value, str):
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
             raise ConfigError(f"field {field!r}: {value!r} is not a decimal number") from None
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise ConfigError(f"field {field!r}: expected a decimal string or number")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        number = float(value)
+    else:
+        raise ConfigError(f"field {field!r}: expected a decimal string or number")
+    if not math.isfinite(number):
+        raise ConfigError(f"field {field!r}: {value!r} is not finite")
+    return number
 
 
 def _parse_zonal(data_cfg: dict) -> ZonalDataFamily:
@@ -96,6 +107,8 @@ def _parse_cartesian(data_cfg: dict) -> CartesianDataFamily:
             raise ConfigError(f"field data.cartesian.{name} must be a list of terms")
         terms = []
         for i, term in enumerate(raw):
+            if not isinstance(term, dict):
+                raise ConfigError(f"field data.cartesian.{name}[{i}] must be an object")
             exps = term.get("exponents")
             coeffs = term.get("coeffs")
             if not (isinstance(exps, list) and len(exps) == 3):
@@ -118,7 +131,10 @@ def _parse_cartesian(data_cfg: dict) -> CartesianDataFamily:
 
 def _build_mesh(spec, subdivisions: int, field: str) -> TriMesh:
     if isinstance(spec, dict) and "path" in spec:
-        return load_off(spec["path"])
+        try:
+            return load_off(spec["path"])
+        except (OSError, MeshError) as exc:
+            raise ConfigError(f"field {field}.path: {exc}") from None
     if isinstance(spec, dict) and "builtin" in spec:
         kind = spec["builtin"]
         if kind == "icosphere":
@@ -149,7 +165,7 @@ def _parse_problem(cfg: dict):
             raise ConfigError("field dimension: mesh geometry requires n = 3")
         if "cartesian" not in data_cfg:
             raise ConfigError("field data: mesh geometry requires cartesian data")
-        subdivisions = int(geom.get("subdivisions", 3))
+        subdivisions = _optional(geom, "subdivisions", 3, int)
         pair = GeometryPair(
             _build_mesh(_require(geom, "inner"), subdivisions, "geometry.inner"),
             _build_mesh(_require(geom, "outer"), subdivisions, "geometry.outer"),
@@ -195,7 +211,7 @@ def _parse_targets(cfg: dict, problem) -> cont.TargetSet:
 
 
 def _thresholds(cfg: dict) -> dict:
-    raw = cfg.get("thresholds", {})
+    raw = _optional(cfg, "thresholds", {}, dict)
     out = {
         "atol": cont.DEFAULT_ATOL_SPECTRAL,
         "rtol_break": cont.DEFAULT_RTOL_BREAK,
@@ -204,24 +220,29 @@ def _thresholds(cfg: dict) -> dict:
     }
     for key in out:
         if key in raw:
-            out[key] = float(raw[key])
+            out[key] = float(_require(raw, key, (int, float)))
     unknown = set(raw) - set(out)
     if unknown:
         raise ConfigError(f"field thresholds: unknown keys {sorted(unknown)}")
     return out
 
 
-def _fit_params(cfg: dict, problem) -> tuple[int, str]:
-    fcfg = cfg.get("fit", {})
+def _fit_params(cfg: dict, problem, grid: np.ndarray) -> tuple[int, str]:
+    """Fit degree and basis, checked against the positive grid before any solve."""
+    fcfg = _optional(cfg, "fit", {}, dict)
     default_degree = (
         cont.DEFAULT_DEGREE_SPECTRAL
         if isinstance(problem, SphereProblem)
         else cont.DEFAULT_DEGREE_BEM
     )
-    degree = int(fcfg.get("degree", default_degree))
+    degree = fcfg.get("degree", default_degree)
+    if isinstance(degree, bool) or not isinstance(degree, int):
+        raise ConfigError(f"field fit.degree: {degree!r} is not an integer")
     basis = fcfg.get("basis", "auto")
-    if basis not in ("full", "even", "odd", "auto"):
-        raise ConfigError(f"field fit.basis: unknown basis {basis!r}")
+    try:
+        cont.check_fit(grid, degree, basis)
+    except cont.FitError as exc:
+        raise ConfigError(f"field fit: {exc}") from None
     return degree, basis
 
 
@@ -251,10 +272,23 @@ def _write_csv(path: str, rows) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+COND_DIGITS = 6
+
+
+def _conds(conds) -> list[float]:
+    """Condition estimates rounded to COND_DIGITS significant digits.
+
+    The dense-LU estimate differs between processes in its last digits, so
+    sweep.csv and report.json carry only the digits that repeat.
+    """
+    return [float(f"{c:.{COND_DIGITS}g}") for c in conds]
+
+
 def _sweep_rows(result: cont.SweepResult):
+    conds = _conds(result.conds)
     for i, eps in enumerate(result.grid):
         for j in range(result.values.shape[1]):
-            yield float(eps), result.frame, j, float(result.values[i, j]), float(result.conds[i])
+            yield float(eps), result.frame, j, float(result.values[i, j]), conds[i]
 
 
 def _provenance(cfg: dict, problem) -> dict:
@@ -305,7 +339,7 @@ def _solve_command(cfg, problem, data, targets, out_dir):
         "command": "solve",
         "eps": eps,
         "values": result.values[0],
-        "cond_estimate": result.conds[0],
+        "cond_estimate": _conds(result.conds)[0],
         "provenance": _provenance(cfg, problem),
     }, EXIT_OK
 
@@ -337,17 +371,14 @@ def _sweep_command(cfg, problem, data, targets, out_dir):
     report = {"command": "sweep", "provenance": _provenance(cfg, problem)}
     for name, res in (("positive", pos), ("negative", neg)):
         if res is not None:
-            report[name] = {"grid": res.grid, "cond_estimates": res.conds}
+            report[name] = {"grid": res.grid, "cond_estimates": _conds(res.conds)}
     return report, EXIT_OK
 
 
 def _fit_command(cfg, problem, data, targets, out_dir):
+    degree, basis = _fit_params(cfg, problem, _parse_grid(cfg)[0])
     pos, _ = _run_sweeps(cfg, problem, data, targets, "positive")
-    degree, basis = _fit_params(cfg, problem)
-    try:
-        fit = cont.fit_series(pos, degree, basis)
-    except cont.FitError as exc:
-        raise ConfigError(f"field fit: {exc}") from None
+    fit = cont.fit_series(pos, degree, basis)
     _write_csv(os.path.join(out_dir, "sweep.csv"), _sweep_rows(pos))
     return {
         "command": "fit",
@@ -363,15 +394,12 @@ def _fit_command(cfg, problem, data, targets, out_dir):
 
 
 def _continuation_command(cfg, problem, data, targets, out_dir, strict):
-    pos, neg = _run_sweeps(cfg, problem, data, targets, "both")
-    degree, basis = _fit_params(cfg, problem)
+    degree, basis = _fit_params(cfg, problem, _parse_grid(cfg)[0])
     thresholds = _thresholds(cfg)
     if "atol" not in cfg.get("thresholds", {}) and not isinstance(problem, SphereProblem):
         thresholds["atol"] = cont.DEFAULT_ATOL_BEM
-    try:
-        fit = cont.fit_series(pos, degree, basis)
-    except cont.FitError as exc:
-        raise ConfigError(f"field fit: {exc}") from None
+    pos, neg = _run_sweeps(cfg, problem, data, targets, "both")
+    fit = cont.fit_series(pos, degree, basis)
     report = cont.test_continuation(fit, neg, **thresholds)
     _write_csv(
         os.path.join(out_dir, "sweep.csv"),
@@ -401,8 +429,8 @@ def _symmetry_command(cfg, problem, data, targets, out_dir):
     zeta = int(_require(cfg, "zeta", int))
     if zeta not in (-1, 1):
         raise ConfigError("field zeta: must be +1 or -1")
+    degree, _ = _fit_params(cfg, problem, _parse_grid(cfg)[0])
     pos, _ = _run_sweeps(cfg, problem, data, targets, "positive")
-    degree, _ = _fit_params(cfg, problem)
     fit = cont.fit_series(pos, degree, basis="full")
     if isinstance(problem, SphereProblem):
         hypothesis = cont.zonal_symmetry_hypothesis(data, zeta)
@@ -443,7 +471,7 @@ def _convergence_command(cfg, problem, data, targets, out_dir):
     if "path" in inner_spec or "path" in outer_spec:
         raise ConfigError("field geometry: convergence study needs builtin generators")
     eps = float(_require(cfg, "eps", (int, float)))
-    base = int(geom.get("subdivisions", 2))
+    base = _optional(geom, "subdivisions", 2, int)
     levels = [int(s) for s in cfg.get("subdivision_levels", [base, base + 1, base + 2])]
     if len(levels) < 2:
         raise ConfigError("field subdivision_levels: need at least two levels")

@@ -232,22 +232,23 @@ class PowerSeriesFit:
         return v @ self.coeffs.T
 
 
-def fit_series(sweep_result: SweepResult, degree: int, basis: str = "full") -> PowerSeriesFit:
-    """Least-squares polynomial fits of a positive sweep, one per target.
+def check_fit(grid: np.ndarray, degree: int, basis: str) -> float:
+    """Check a fit of this degree and basis on a positive grid; no values needed.
 
-    basis: 'full' (default), 'even', 'odd', or 'auto' (per-target risk-based
-    selection among the three; see the module docstring).
+    Returns the full-basis design condition; raises FitError for a grid
+    that is not positive, a degree below 0 or too high for the grid, an
+    unknown basis, or a condition above FIT_CONDITION_LIMIT.
     """
-    grid = sweep_result.grid
+    grid = np.asarray(grid, dtype=float)
     if np.any(grid <= 0):
         raise FitError("fit_series requires an entirely positive grid")
+    if degree < 0:
+        raise FitError(f"degree {degree} is negative")
     if degree + 2 > len(grid):
         raise FitError(f"degree {degree} too high for {len(grid)} grid points")
     if basis not in (*_BASES, "auto"):
         raise FitError(f"unknown basis {basis!r}")
-    eps_scale = float(grid.max())
-    t = grid / eps_scale
-    v_full, _ = _design(t, degree, "full")
+    v_full, _ = _design(grid / grid.max(), degree, "full")
     sv = np.linalg.svd(v_full, compute_uv=False)
     cond = sv[0] / sv[-1]
     if cond > FIT_CONDITION_LIMIT:
@@ -255,6 +256,19 @@ def fit_series(sweep_result: SweepResult, degree: int, basis: str = "full") -> P
             f"design matrix condition {cond:.2e} exceeds {FIT_CONDITION_LIMIT:.0e} "
             "(degree too high for grid)"
         )
+    return float(cond)
+
+
+def fit_series(sweep_result: SweepResult, degree: int, basis: str = "full") -> PowerSeriesFit:
+    """Least-squares polynomial fits of a positive sweep, one per target.
+
+    basis: 'full' (default), 'even', 'odd', or 'auto' (per-target risk-based
+    selection among the three; see the module docstring).
+    """
+    grid = sweep_result.grid
+    cond = check_fit(grid, degree, basis)
+    eps_scale = float(grid.max())
+    t = grid / eps_scale
     y = sweep_result.values
     fits = {}
     for b in _BASES:

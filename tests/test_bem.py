@@ -5,15 +5,13 @@ from math import factorial, pi
 from holelab.annulus import SphereProblem, ZonalDataFamily, closed_form_annulus, eval_solution, solve_modes
 from holelab.bem import (
     NEAR_FIELD_FACTOR,
-    NEAR_FIELD_MAX_DEPTH,
     AssemblyError,
     CartesianDataFamily,
     EvaluationTooCloseError,
     _TRI_BARY,
     _TRI_W,
-    _integrate_near,
     _kernel_sums,
-    _self_integrals,
+    _triangle_integrals,
     _triangle_quad,
     assemble,
     direct_solve,
@@ -48,17 +46,62 @@ def test_triangle_rule_integrates_degree_five():
 
 def duffy_self_integral(tri, c, nodes=200):
     # Independent oracle for the in-plane 1/r integral: fan split at c plus
-    # the radial substitution that cancels the singularity exactly.
+    # the radial substitution that cancels the singularity exactly.  The fan
+    # areas are signed, so c may lie on the boundary or outside.
     x, w = np.polynomial.legendre.leggauss(nodes)
     u = 0.5 * (x + 1)
     wu = 0.5 * w
+    normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+    normal /= np.linalg.norm(normal)
     total = 0.0
     for i in range(3):
         a, b = tri[i], tri[(i + 1) % 3]
-        area = 0.5 * np.linalg.norm(np.cross(a - c, b - c))
+        area = 0.5 * np.dot(np.cross(a - c, b - c), normal)
+        if area == 0:
+            continue
         ray = (1 - u)[:, None] * (a - c)[None, :] + u[:, None] * (b - c)[None, :]
         total += (2 * area * wu / np.linalg.norm(ray, axis=1)).sum()
     return total
+
+
+def gauss_triangles(tris, nodes=16):
+    # collapsed Gauss-Legendre product rule on each triangle of (m,3,3)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    u, wu = 0.5 * (x + 1), 0.5 * w
+    s, t = np.meshgrid(u, u, indexing="ij")
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    pts = (a[:, None, None] + s[None, :, :, None] * (b - a)[:, None, None]
+           + (s * t)[None, :, :, None] * (c - b)[:, None, None])
+    area2 = np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    wts = (np.outer(wu, wu) * s).reshape(-1)[None] * area2[:, None]
+    return pts.reshape(len(tris), nodes * nodes, 3), wts
+
+
+def subdivided_integral(point, tri, factor=2.0, max_depth=14):
+    # Deep reference: quarter each piece while the target is within factor
+    # piece diameters of its centroid, then apply a 256-point Gauss rule.
+    tris = tri[None]
+    total = 0.0
+    for depth in range(max_depth + 1):
+        diam = np.max(np.linalg.norm(tris - np.roll(tris, -1, axis=1), axis=2), axis=1)
+        dist = np.linalg.norm(tris.mean(axis=1) - point, axis=1)
+        leaf = (dist >= factor * diam) | (depth == max_depth)
+        pts, wts = gauss_triangles(tris[leaf])
+        total += np.sum(wts / np.linalg.norm(pts - point, axis=2))
+        v0, v1, v2 = (tris[~leaf, k] for k in range(3))
+        m01, m12, m20 = 0.5 * (v0 + v1), 0.5 * (v1 + v2), 0.5 * (v2 + v0)
+        tris = np.concatenate([np.stack(child, axis=1) for child in
+                               ((v0, m01, m20), (m01, v1, m12), (m20, m12, v2), (m01, m12, m20))])
+        if not len(tris):
+            break
+    return -total / (4 * pi)
+
+
+def random_triangle(rng):
+    tri = rng.normal(size=(3, 3))
+    while np.linalg.norm(np.cross(tri[1] - tri[0], tri[2] - tri[0])) < 0.5:
+        tri = rng.normal(size=(3, 3))
+    return tri
 
 
 def test_self_integral_matches_duffy_oracle():
@@ -66,17 +109,60 @@ def test_self_integral_matches_duffy_oracle():
     from holelab.mesh import TriMesh
     # random well-shaped triangles, embedded in closed tetrahedra for TriMesh
     for _ in range(5):
-        tri = rng.normal(size=(3, 3))
-        while np.linalg.norm(np.cross(tri[1] - tri[0], tri[2] - tri[0])) < 0.5:
-            tri = rng.normal(size=(3, 3))
+        tri = random_triangle(rng)
         apex = tri.mean(axis=0) + np.cross(tri[1] - tri[0], tri[2] - tri[0])
         verts = np.vstack([tri, apex])
         tetra = TriMesh(verts, np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [2, 0, 3]]))
-        vals = _self_integrals(tetra)
+        vals = np.diag(single_layer_matrix(tetra.centroids, tetra, self_mesh=True))
         for k in range(4):
             corners = tetra.corner_array()[k]
             want = -duffy_self_integral(corners, tetra.centroids[k]) / (4 * pi)
             assert vals[k] == pytest.approx(want, rel=1e-12)
+
+
+def test_triangle_integrals_match_deep_subdivision_off_plane():
+    rng = np.random.default_rng(21)
+    for _ in range(4):
+        tri = random_triangle(rng)
+        diam = np.max(np.linalg.norm(tri - np.roll(tri, -1, axis=0), axis=1))
+        normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+        normal /= np.linalg.norm(normal)
+        # projections: centroid, edge midpoint, vertex, outside behind an
+        # edge, outside beyond a vertex
+        for bary in ((1 / 3, 1 / 3, 1 / 3), (0.5, 0.5, 0.0), (1.0, 0.0, 0.0),
+                     (0.9, 0.3, -0.2), (-0.4, 0.7, 0.7)):
+            for height in (0.01, 0.1, 0.5, 3.0):
+                side = rng.choice([-1.0, 1.0])
+                p = np.array(bary) @ tri + side * height * diam * normal
+                got = _triangle_integrals(p[None], tri[None])[0]
+                assert got == pytest.approx(subdivided_integral(p, tri), rel=1e-12)
+
+
+def test_triangle_integrals_on_edge_lines_vertices_and_in_plane():
+    tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    rng = np.random.default_rng(9)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    cases = (
+        ((0.3, 0.0), True),      # on an edge
+        ((0.5, 0.5), True),      # on the hypotenuse
+        ((0.0, 0.0), True),      # at a vertex
+        ((1.0, 0.0), True),      # at a vertex
+        ((0.2, 0.2), True),      # inside
+        ((-0.3, -0.5), False),   # behind two edges; l+ + l- < 0 on x = 0
+        ((0.0, -0.5), False),    # on an edge's line beyond a vertex
+        ((2.0, 0.0), False),     # on an edge's line beyond a vertex
+        ((-1e-6, -0.5), False),  # next to an edge's line beyond a vertex
+    )
+    for shift in (np.zeros(3), np.array([0.3, -1.2, 2.0])):
+        corners = tri @ rot.T + shift
+        points = np.array([[x, y, 0.0] for (x, y), _ in cases]) @ rot.T + shift
+        got = _triangle_integrals(points, np.repeat(corners[None], len(points), axis=0))
+        assert np.all(np.isfinite(got))
+        for value, p, (_, on_closure) in zip(got, points, cases):
+            assert value == pytest.approx(-duffy_self_integral(corners, p) / (4 * pi),
+                                          rel=1e-12)
+            if not on_closure:
+                assert value == pytest.approx(subdivided_integral(p, corners), rel=1e-12)
 
 
 def test_single_layer_far_field_value():
@@ -285,20 +371,13 @@ def test_wrong_sign_inner_residual(unit_pair_s2):
 # near-field pairs against the dense distance mask
 # ---------------------------------------------------------------------------
 
-def _dense_mask_single_layer(targets, mesh, self_mesh=False):
+def _dense_mask_single_layer(targets, mesh):
     """Reference assembly that flags near pairs with the full N x T distance tensor."""
     corners = mesh.corner_array()
     matrix = _kernel_sums(targets, *_triangle_quad(corners))
     dist = np.linalg.norm(targets[:, None, :] - mesh.centroids[None, :, :], axis=2)
-    near = dist < NEAR_FIELD_FACTOR * mesh.diameters[None, :]
-    if self_mesh:
-        np.fill_diagonal(near, False)
-    p_idx, t_idx = np.nonzero(near)
-    matrix[p_idx, t_idx] = _integrate_near(
-        targets[p_idx], corners[t_idx], NEAR_FIELD_FACTOR, NEAR_FIELD_MAX_DEPTH
-    )
-    if self_mesh:
-        np.fill_diagonal(matrix, _self_integrals(mesh))
+    p_idx, t_idx = np.nonzero(dist < NEAR_FIELD_FACTOR * mesh.diameters[None, :])
+    matrix[p_idx, t_idx] = _triangle_integrals(targets[p_idx], corners[t_idx])
     return matrix
 
 
@@ -315,11 +394,22 @@ def test_quadrature_points_and_kernel_sums_match_einsum_reference():
     np.testing.assert_allclose(_kernel_sums(targets, pts, wts), -ref / (4 * pi), rtol=1e-14)
 
 
-def test_near_field_chunks_do_not_change_entries(unit_pair_s2, monkeypatch):
+def test_near_field_chunks_do_not_change_entries(unit_pair_s2):
+    # a pair's value does not depend on which other pairs share its batch
     mesh = unit_pair_s2.outer
-    whole = single_layer_matrix(mesh.centroids, mesh, self_mesh=True)
-    monkeypatch.setattr("holelab.bem._NEAR_CHUNK", 7)
-    assert np.array_equal(single_layer_matrix(mesh.centroids, mesh, self_mesh=True), whole)
+    corners = mesh.corner_array()
+    dist = np.linalg.norm(mesh.centroids[:, None] - mesh.centroids[None], axis=2)
+    p_idx, t_idx = np.nonzero(dist < NEAR_FIELD_FACTOR * mesh.diameters[None, :])
+    whole = _triangle_integrals(mesh.centroids[p_idx], corners[t_idx])
+    order = np.random.default_rng(2).permutation(len(p_idx))
+    shuffled = np.empty_like(whole)
+    for start in range(0, len(order), 7):
+        part = order[start : start + 7]
+        shuffled[part] = _triangle_integrals(mesh.centroids[p_idx[part]], corners[t_idx[part]])
+    assert np.array_equal(shuffled, whole)
+    single = [_triangle_integrals(mesh.centroids[p : p + 1], corners[t : t + 1])[0]
+              for p, t in zip(p_idx[:50], t_idx[:50])]
+    assert np.array_equal(single, whole[:50])
 
 
 @pytest.mark.parametrize("eps", [0.3, -0.8])
@@ -330,5 +420,5 @@ def test_single_layer_near_pairs_match_dense_mask(eps):
         ref = _dense_mask_single_layer(targets, mesh)
         assert np.array_equal(single_layer_matrix(targets, mesh), ref)
     for mesh in (outer, hole):
-        ref = _dense_mask_single_layer(mesh.centroids, mesh, self_mesh=True)
+        ref = _dense_mask_single_layer(mesh.centroids, mesh)
         assert np.array_equal(single_layer_matrix(mesh.centroids, mesh, self_mesh=True), ref)

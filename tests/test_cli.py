@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import holelab
+from holelab import continuation as cont
 from holelab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -73,6 +79,38 @@ def test_inadmissible_grid_rejected(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def bem_sweep_config():
+    return {
+        "dimension": 3,
+        "run_id": "bem-reference-run",
+        "geometry": {"kind": "meshes",
+                     "inner": {"builtin": "icosphere", "radius": 1.0},
+                     "outer": {"builtin": "icosphere", "radius": 1.0},
+                     "subdivisions": 2},
+        "data": {"cartesian": {"inner": [{"exponents": [0, 0, 0], "coeffs": ["0", "1"]}],
+                               "outer": [{"exponents": [0, 0, 1], "coeffs": ["1"]}]}},
+        "grid": {"eps_min": 0.1, "eps_max": 0.3, "count": 3, "signs": "both"},
+        "targets": {"frame": "macroscopic", "radii": [0.6]},
+    }
+
+
+def run_cli_process(tmp_path, command, config):
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    src = str(Path(holelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run(
+        [sys.executable, "-m", "holelab.cli", command, "--config", str(cfg_path),
+         "--out-dir", str(out)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    return out
+
+
 def test_determinism(tmp_path):
     cfg = base_config(4)
     cfg["run_id"] = "reference-run"
@@ -81,6 +119,15 @@ def test_determinism(tmp_path):
     assert code1 == code2 == EXIT_OK
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    # BEM: the dense-LU condition estimate is written with fixed digits, so
+    # separate processes give identical files
+    out1 = run_cli_process(tmp_path / "bem_a", "sweep", bem_sweep_config())
+    out2 = run_cli_process(tmp_path / "bem_b", "sweep", bem_sweep_config())
+    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    report = json.loads((out1 / "report.json").read_text())
+    for cond in report["positive"]["cond_estimates"]:
+        assert cond == float(f"{cond:.6g}")
 
 
 def test_solve_command(tmp_path):
@@ -266,3 +313,66 @@ def test_solver_failure_exit_code(tmp_path):
     }
     code, _, _ = run_cli(tmp_path, "solve", cfg)
     assert code == EXIT_SOLVER
+
+
+@pytest.mark.parametrize("command, fit", [
+    ("continuation", {"degree": 10, "basis": "auto"}),
+    ("fit", {"degree": 10, "basis": "full"}),
+    ("symmetry", {"degree": 10}),
+    ("continuation", {"degree": 4, "basis": "cubic"}),
+    ("fit", {"degree": "4"}),
+    ("fit", {"degree": -1}),
+    ("fit", ["degree", 4]),
+])
+def test_fit_parameters_checked_before_any_solve(tmp_path, monkeypatch, capsys, command, fit):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran before the fit parameters were checked")
+
+    monkeypatch.setattr(cont, "sweep", no_sweep)
+    cfg = base_config(4)
+    cfg["zeta"] = 1
+    cfg["fit"] = fit
+    code, report, _ = run_cli(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and report is None
+    assert "fit" in err and "Traceback" not in err
+
+
+def test_config_errors_exit_2_naming_the_field(tmp_path, capsys):
+    mesh_cfg = {
+        "dimension": 3,
+        "geometry": {"kind": "meshes",
+                     "inner": {"builtin": "icosphere"}, "outer": {"builtin": "icosphere"},
+                     "subdivisions": 1},
+        "data": {"cartesian": {"inner": [{"exponents": [0, 0, 0], "coeffs": ["1"]}],
+                               "outer": []}},
+        "targets": {"frame": "macroscopic", "radii": [0.6]},
+        "eps": 0.25,
+    }
+    missing_off = json.loads(json.dumps(mesh_cfg))
+    missing_off["geometry"]["inner"] = {"path": str(tmp_path / "missing.off")}
+    bad_term = json.loads(json.dumps(mesh_cfg))
+    bad_term["data"]["cartesian"]["outer"] = ["z"]
+    bool_dimension = base_config(4)
+    bool_dimension["dimension"] = True
+    bool_dimension["eps"] = 0.25
+    text_subdivisions = json.loads(json.dumps(mesh_cfg))
+    text_subdivisions["geometry"]["subdivisions"] = "x"
+    nan_coeff = json.loads(json.dumps(mesh_cfg))
+    nan_coeff["data"]["cartesian"]["inner"][0]["coeffs"] = ["nan"]
+    text_threshold = base_config(4)
+    text_threshold["thresholds"] = {"atol": "small"}
+    rows = (
+        (missing_off, "geometry.inner.path"),
+        (bad_term, "data.cartesian.outer[0]"),
+        (bool_dimension, "'dimension'"),
+        (text_subdivisions, "'subdivisions'"),
+        (nan_coeff, "data.cartesian.inner[0].coeffs[0]"),
+        (text_threshold, "'atol'"),
+    )
+    for i, (cfg, field) in enumerate(rows):
+        command = "continuation" if "thresholds" in cfg else "solve"
+        code, report, _ = run_cli(tmp_path / str(i), command, cfg)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG and report is None, field
+        assert field in err and "Traceback" not in err, err
