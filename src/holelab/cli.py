@@ -79,6 +79,28 @@ def _parse_decimal(value, field: str) -> float:
     return number
 
 
+def _decimals(value, field: str) -> list[float]:
+    """A list of numbers, each parsed as in _parse_decimal."""
+    if not isinstance(value, list):
+        raise ConfigError(f"field {field!r}: expected a list of numbers")
+    return [_parse_decimal(x, f"{field}[{i}]") for i, x in enumerate(value)]
+
+
+def _integers(value, field: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ConfigError(f"field {field!r}: expected a list of integers")
+    for i, x in enumerate(value):
+        if isinstance(x, bool) or not isinstance(x, int):
+            name = f"{field}[{i}]"
+            raise ConfigError(f"field {name!r}: {x!r} is not an integer")
+    return list(value)
+
+
+def _clearance_factor(cfg: dict) -> float:
+    return _parse_decimal(cfg.get("eval_clearance_factor", DEFAULT_EVAL_CLEARANCE),
+                          "eval_clearance_factor")
+
+
 def _parse_zonal(data_cfg: dict) -> ZonalDataFamily:
     def side(name: str) -> dict:
         raw = data_cfg.get(name, {})
@@ -117,7 +139,7 @@ def _parse_cartesian(data_cfg: dict) -> CartesianDataFamily:
                 raise ConfigError(f"field data.cartesian.{name}[{i}].coeffs must be a list")
             terms.append(
                 (
-                    tuple(int(e) for e in exps),
+                    tuple(_integers(exps, f"data.cartesian.{name}[{i}].exponents")),
                     tuple(
                         _parse_decimal(c, f"data.cartesian.{name}[{i}].coeffs[{j}]")
                         for j, c in enumerate(coeffs)
@@ -138,12 +160,13 @@ def _build_mesh(spec, subdivisions: int, field: str) -> TriMesh:
     if isinstance(spec, dict) and "builtin" in spec:
         kind = spec["builtin"]
         if kind == "icosphere":
-            return icosphere(float(spec.get("radius", 1.0)), subdivisions)
+            return icosphere(_parse_decimal(spec.get("radius", 1.0), f"{field}.radius"),
+                             subdivisions)
         if kind == "ellipsoid":
             axes = spec.get("semi_axes")
             if not (isinstance(axes, list) and len(axes) == 3):
                 raise ConfigError(f"field {field}.semi_axes must have 3 entries")
-            return ellipsoid(*(float(a) for a in axes), subdivisions)
+            return ellipsoid(*_decimals(axes, f"{field}.semi_axes"), subdivisions)
         raise ConfigError(f"field {field}.builtin: unknown generator {kind!r}")
     raise ConfigError(f"field {field} must specify 'builtin' or 'path'")
 
@@ -157,7 +180,9 @@ def _parse_problem(cfg: dict):
         if "zonal" not in data_cfg:
             raise ConfigError("field data: sphere geometry requires zonal data")
         problem = SphereProblem(
-            n, float(geom.get("r_i", 1.0)), float(geom.get("r_o", 1.0))
+            n,
+            _parse_decimal(geom.get("r_i", 1.0), "geometry.r_i"),
+            _parse_decimal(geom.get("r_o", 1.0), "geometry.r_o"),
         )
         return problem, _parse_zonal(data_cfg["zonal"])
     if kind == "meshes":
@@ -195,13 +220,20 @@ def _parse_targets(cfg: dict, problem) -> cont.TargetSet:
     if frame not in ("macroscopic", "microscopic"):
         raise ConfigError(f"field targets.frame: unknown frame {frame!r}")
     if "points" in tcfg:
-        pts = np.asarray(tcfg["points"], dtype=float)
+        rows = tcfg["points"]
+        if not isinstance(rows, list):
+            raise ConfigError("field 'targets.points': expected a list of points")
+        dim = cfg["dimension"]
+        pts = [_decimals(row, f"targets.points[{i}]") for i, row in enumerate(rows)]
+        if not pts or any(len(p) != dim for p in pts):
+            raise ConfigError(f"field 'targets.points': expected points of {dim} coordinates")
+        pts = np.array(pts)
     elif "radii" in tcfg:
         if isinstance(problem, SphereProblem):
             axis = np.asarray(problem.axis)
         else:
             axis = np.array([0.0, 0.0, 1.0])
-        pts = np.array([float(r) * axis for r in tcfg["radii"]])
+        pts = np.array([r * axis for r in _decimals(tcfg["radii"], "targets.radii")])
     else:
         raise ConfigError("field targets: needs 'points' or 'radii'")
     try:
@@ -322,8 +354,27 @@ def _json_ready(obj):
 
 
 def _write_report(out_dir: str, report: dict) -> None:
-    text = json.dumps(_json_ready(report), indent=2, sort_keys=True)
+    try:
+        text = json.dumps(_json_ready(report), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"report.json would hold a non-finite number: {exc}") from None
     _atomic_write(os.path.join(out_dir, "report.json"), text + "\n")
+
+
+def _mark_undefined(payload: dict, keys) -> list[str]:
+    """Replace non-finite numbers under ``keys`` by None (JSON null).
+
+    Returns the keys that held one: an error relative to a zero oracle, or an
+    order from repeated values, is undefined rather than a number.
+    """
+    undefined = []
+    for key in keys:
+        values = np.asarray(payload[key], dtype=float)
+        finite = np.isfinite(values)
+        if not finite.all():
+            undefined.append(key)
+            payload[key] = np.where(finite, values, None).tolist()
+    return undefined
 
 
 def _solve_command(cfg, problem, data, targets, out_dir):
@@ -332,8 +383,7 @@ def _solve_command(cfg, problem, data, targets, out_dir):
         raise ConfigError("field eps: must be nonzero")
     grid = np.array([eps])
     result = cont.sweep(problem, data, grid, targets,
-                        eval_clearance_factor=float(cfg.get("eval_clearance_factor",
-                                                            DEFAULT_EVAL_CLEARANCE)))
+                        eval_clearance_factor=_clearance_factor(cfg))
     _write_csv(os.path.join(out_dir, "sweep.csv"), _sweep_rows(result))
     return {
         "command": "solve",
@@ -347,7 +397,7 @@ def _solve_command(cfg, problem, data, targets, out_dir):
 def _run_sweeps(cfg, problem, data, targets, signs):
     grid, _ = _parse_grid(cfg)
     _check_grid_admissible(problem, grid)
-    clearance = float(cfg.get("eval_clearance_factor", DEFAULT_EVAL_CLEARANCE))
+    clearance = _clearance_factor(cfg)
     if signs == "positive":
         return cont.sweep(problem, data, grid, targets, eval_clearance_factor=clearance), None
     if signs == "negative":
@@ -472,10 +522,11 @@ def _convergence_command(cfg, problem, data, targets, out_dir):
         raise ConfigError("field geometry: convergence study needs builtin generators")
     eps = float(_require(cfg, "eps", (int, float)))
     base = _optional(geom, "subdivisions", 2, int)
-    levels = [int(s) for s in cfg.get("subdivision_levels", [base, base + 1, base + 2])]
+    levels = _integers(cfg.get("subdivision_levels", [base, base + 1, base + 2]),
+                       "subdivision_levels")
     if len(levels) < 2:
         raise ConfigError("field subdivision_levels: need at least two levels")
-    clearance = float(cfg.get("eval_clearance_factor", DEFAULT_EVAL_CLEARANCE))
+    clearance = _clearance_factor(cfg)
 
     spheres = (
         inner_spec.get("builtin") == "icosphere" and outer_spec.get("builtin") == "icosphere"
@@ -512,7 +563,9 @@ def _convergence_command(cfg, problem, data, targets, out_dir):
     if use_oracle:
         n = 3
         prob = SphereProblem(
-            n, float(inner_spec.get("radius", 1.0)), float(outer_spec.get("radius", 1.0))
+            n,
+            _parse_decimal(inner_spec.get("radius", 1.0), "geometry.inner.radius"),
+            _parse_decimal(outer_spec.get("radius", 1.0), "geometry.outer.radius"),
         )
         zonal = ZonalDataFamily(
             inner={0: _summed_coeffs(data.inner)} if data.inner else {},
@@ -522,8 +575,9 @@ def _convergence_command(cfg, problem, data, targets, out_dir):
         oracle = np.array(
             [eval_solution(sol, p, targets.frame) for p in targets.points]
         )
-        errors = np.max(np.abs(values - oracle[None, :]) / np.abs(oracle[None, :]), axis=1)
-        orders = np.log(errors[:-1] / errors[1:]) / np.log(edges[:-1] / edges[1:])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            errors = np.max(np.abs(values - oracle[None, :]) / np.abs(oracle[None, :]), axis=1)
+            orders = np.log(errors[:-1] / errors[1:]) / np.log(edges[:-1] / edges[1:])
         payload.update({
             "oracle": "spectral",
             "oracle_values": oracle,
@@ -531,22 +585,27 @@ def _convergence_command(cfg, problem, data, targets, out_dir):
             "observed_orders": orders,
             "observed_order": float(np.min(orders)),
         })
+        derived = ("relative_errors", "observed_orders", "observed_order")
     else:
         if len(levels) < 3:
             raise ConfigError("field subdivision_levels: Richardson estimate needs 3 levels")
         # per-target successive differences stand in for the unknown errors;
         # the spread of the per-target order estimates is the uncertainty
         diffs = np.abs(np.diff(values, axis=0))
-        orders = np.log(diffs[:-1] / diffs[1:]) / np.log(
-            (edges[:-2] / edges[1:-1])[:, None]
-        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            orders = np.log(diffs[:-1] / diffs[1:]) / np.log(
+                (edges[:-2] / edges[1:-1])[:, None]
+            )
+            spread = float(np.ptp(orders))
         payload.update({
             "oracle": "richardson",
             "successive_differences": diffs,
             "observed_orders": orders,
             "observed_order": float(np.min(orders)),
-            "order_uncertainty": float(np.ptp(orders)),
+            "order_uncertainty": spread,
         })
+        derived = ("observed_orders", "observed_order", "order_uncertainty")
+    payload["undefined"] = _mark_undefined(payload, derived)
     return payload, EXIT_OK
 
 

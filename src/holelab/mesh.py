@@ -1,8 +1,9 @@
 """Triangulated closed surfaces for the n = 3 collocation solver.
 
 Generators (icosphere, ellipsoid), a strict ASCII OFF loader/writer, signed
-scaling (point reflection for negative scales), and admissibility checks for
-a hole mesh inside an outer mesh.  Meshes are validated on construction:
+scaling (point reflection for negative scales), and certified admissibility
+checks for a hole mesh inside an outer mesh (an enclosing-ball bound, with
+an exact surface-distance fallback).  Meshes are validated on construction:
 closed, consistently outward-oriented, no degenerate triangles.
 """
 
@@ -349,52 +350,175 @@ def pairs_within(points: np.ndarray, centers: np.ndarray, radius: float):
 
 
 _UPPER_BOUND_NEIGHBOURS = 4
+_ROUNDING_SLACK = 1e-9  # relative; keeps rounding from deciding a bound
 
 
-def _sampled_distance(src: TriMesh, dst: TriMesh) -> float:
-    """Min exact distance from src's vertices and centroids to dst's triangles.
+def _point_segment_distance(x: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """Exact distances from points x to segments s0s1, broadcast over leading axes."""
+    d = s1 - s0
+    t = np.clip(_dot(x - s0, d) / _dot(d, d), 0.0, 1.0)
+    return np.linalg.norm(x - (s0 + t[..., None] * d), axis=-1)
 
-    Equal to the brute-force minimum over all sample/triangle pairs: the exact
-    distances to each sample's nearest centroids give an upper bound U, and
+
+def _segment_segment_distance(p1: np.ndarray, q1: np.ndarray, p2: np.ndarray,
+                              q2: np.ndarray) -> np.ndarray:
+    """Exact distances between segments p1q1 and p2q2, broadcast over leading axes.
+
+    The squared distance is a convex quadratic in the two segment parameters:
+    its minimum over the unit square is the interior stationary point, when
+    the segments are not parallel and it lies inside, or else an endpoint of
+    one segment against the other segment.
+    """
+    best = np.minimum(
+        np.minimum(_point_segment_distance(p1, p2, q2), _point_segment_distance(q1, p2, q2)),
+        np.minimum(_point_segment_distance(p2, p1, q1), _point_segment_distance(q2, p1, q1)),
+    )
+    d1 = q1 - p1
+    d2 = q2 - p2
+    r = p1 - p2
+    a, b, e = _dot(d1, d1), _dot(d1, d2), _dot(d2, d2)
+    c, f = _dot(d1, r), _dot(d2, r)
+    denom = a * e - b * b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (b * f - c * e) / denom
+        t = (a * f - b * c) / denom
+    interior = (denom > 0) & (s > 0) & (s < 1) & (t > 0) & (t < 1)
+    s, t = np.where(interior, s, 0.0), np.where(interior, t, 0.0)
+    gap = np.linalg.norm(r + s[..., None] * d1 - t[..., None] * d2, axis=-1)
+    return np.where(interior, np.minimum(best, gap), best)
+
+
+def _segment_triangle_distance(p: np.ndarray, q: np.ndarray, a: np.ndarray,
+                               b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Exact distances from segments pq to triangles (a, b, c), broadcast.
+
+    0 where the segment pierces the triangle.  Otherwise the distance along
+    the segment is convex and, off the triangle's face, attained at an
+    endpoint or against one of the triangle's edges.
+    """
+    best = np.minimum(_triangle_distance(p, a, b, c), _triangle_distance(q, a, b, c))
+    for s0, s1 in ((a, b), (b, c), (c, a)):
+        best = np.minimum(best, _segment_segment_distance(p, q, s0, s1))
+    ab = b - a
+    ac = c - a
+    normal = np.cross(ab, ac)
+    hp = _dot(p - a, normal)
+    hq = _dot(q - a, normal)
+    crosses = hp * hq < 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = p + np.where(crosses, hp / (hp - hq), 0.0)[..., None] * (q - p)
+    # barycentric coordinates of the plane crossing, as in _triangle_distance
+    d00, d01, d11 = _dot(ab, ab), _dot(ab, ac), _dot(ac, ac)
+    denom = d00 * d11 - d01 * d01
+    ax = x - a
+    d20, d21 = _dot(ax, ab), _dot(ax, ac)
+    v = (d11 * d20 - d01 * d21) / denom
+    w = (d00 * d21 - d01 * d20) / denom
+    pierced = crosses & (v >= 0) & (w >= 0) & (v + w <= 1)
+    return np.where(pierced, 0.0, best)
+
+
+def _bound_slack(*arrays) -> float:
+    """Rounding slack on the pruning bounds, so the minimising pair is never dropped."""
+    return _ROUNDING_SLACK * max(float(np.abs(x).max()) for x in arrays)
+
+
+def _triangle_reach(mesh: TriMesh) -> np.ndarray:
+    """Largest centroid-to-corner distance per triangle."""
+    return np.linalg.norm(mesh.corner_array() - mesh.centroids[:, None, :], axis=2).max(axis=1)
+
+
+def _vertex_distance(src: TriMesh, dst: TriMesh) -> float:
+    """Min exact distance from src's vertices to dst's triangles.
+
+    Equal to the brute-force minimum over all vertex/triangle pairs: the exact
+    distances to each vertex's nearest centroids give an upper bound U, and
     a pair can only go below U if both lower bounds |p - c_t| - R_t (R_t the
     triangle's centroid radius) and |n_t . (p - c_t)| (distance to its plane)
     do.  Only those pairs are evaluated exactly.
     """
     from scipy.spatial import cKDTree
 
-    samples = np.vstack([src.vertices, src.centroids])
+    points = src.vertices
     corners = dst.corner_array()
     a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
     cent = dst.centroids
-    reach = np.linalg.norm(corners - cent[:, None, :], axis=2).max(axis=1)
-    # rounding slack on the bounds, so the minimising pair is never dropped
-    slack = 1e-9 * max(float(np.abs(samples).max()), float(np.abs(corners).max()))
+    reach = _triangle_reach(dst)
+    slack = _bound_slack(points, corners)
 
     k = min(_UPPER_BOUND_NEIGHBOURS, len(cent))
-    _, nearest = cKDTree(cent).query(samples, k=k)
-    p_idx = np.repeat(np.arange(len(samples)), k)
+    _, nearest = cKDTree(cent).query(points, k=k)
+    p_idx = np.repeat(np.arange(len(points)), k)
     t_idx = np.reshape(nearest, -1)
-    best = float(_triangle_distance(samples[p_idx], a[t_idx], b[t_idx], c[t_idx]).min())
+    best = float(_triangle_distance(points[p_idx], a[t_idx], b[t_idx], c[t_idx]).min())
 
-    for p_idx, t_idx, dist in pairs_within(samples, cent, best + float(reach.max()) + slack):
+    for p_idx, t_idx, dist in pairs_within(points, cent, best + float(reach.max()) + slack):
         keep = dist - reach[t_idx] <= best + slack
         p_idx, t_idx = p_idx[keep], t_idx[keep]
-        plane = np.abs(_dot(samples[p_idx] - cent[t_idx], dst.normals[t_idx]))
+        plane = np.abs(_dot(points[p_idx] - cent[t_idx], dst.normals[t_idx]))
         keep = plane <= best + slack
         if np.any(keep):
             p_idx, t_idx = p_idx[keep], t_idx[keep]
-            d = _triangle_distance(samples[p_idx], a[t_idx], b[t_idx], c[t_idx])
+            d = _triangle_distance(points[p_idx], a[t_idx], b[t_idx], c[t_idx])
+            best = min(best, float(d.min()))
+    return best
+
+
+def _edge_distance(src: TriMesh, dst: TriMesh, best: float) -> float:
+    """min(best, exact distance from src's edges to dst's triangles).
+
+    Pruned like ``_vertex_distance`` against the given upper bound ``best``:
+    an edge with midpoint m and half length h can only come within ``best``
+    of a triangle if |m - c_t| - h - R_t does, if its endpoints are not both
+    farther than ``best`` on one side of the triangle's plane, and if both
+    the distance from m to the triangle less h, and the distance from c_t to
+    the edge less R_t, do.
+    """
+    if best == 0.0:
+        return best
+    t = src.triangles
+    directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    # a closed, consistently wound mesh has each edge once in each direction
+    edges = directed[directed[:, 0] < directed[:, 1]]
+    p, q = src.vertices[edges[:, 0]], src.vertices[edges[:, 1]]
+    mid = 0.5 * (p + q)
+    half = 0.5 * np.linalg.norm(q - p, axis=1)
+    corners = dst.corner_array()
+    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+    cent = dst.centroids
+    reach = _triangle_reach(dst)
+    slack = _bound_slack(src.vertices, corners)
+
+    radius = best + float(half.max()) + float(reach.max()) + slack
+    for e_idx, t_idx, dist in pairs_within(mid, cent, radius):
+        keep = dist - half[e_idx] - reach[t_idx] <= best + slack
+        e_idx, t_idx = e_idx[keep], t_idx[keep]
+        hp = _dot(p[e_idx] - cent[t_idx], dst.normals[t_idx])
+        hq = _dot(q[e_idx] - cent[t_idx], dst.normals[t_idx])
+        plane = np.where(hp * hq <= 0, 0.0, np.minimum(np.abs(hp), np.abs(hq)))
+        keep = plane <= best + slack
+        e_idx, t_idx = e_idx[keep], t_idx[keep]
+        mid_gap = _triangle_distance(mid[e_idx], a[t_idx], b[t_idx], c[t_idx]) - half[e_idx]
+        cent_gap = _point_segment_distance(cent[t_idx], p[e_idx], q[e_idx]) - reach[t_idx]
+        keep = np.maximum(mid_gap, cent_gap) <= best + slack
+        if np.any(keep):
+            e_idx, t_idx = e_idx[keep], t_idx[keep]
+            d = _segment_triangle_distance(p[e_idx], q[e_idx], a[t_idx], b[t_idx], c[t_idx])
             best = min(best, float(d.min()))
     return best
 
 
 def mesh_to_mesh_distance(mesh_a: TriMesh, mesh_b: TriMesh) -> float:
-    """Minimum surface-to-surface distance, sampled at vertices and centroids.
+    """Exact minimum distance between two triangulated surfaces.
 
-    The minimum over both meshes' vertex and centroid samples of the exact
-    point-to-triangle distance to the other mesh.
+    Two triangles that do not meet are closest at a vertex of one, or on an
+    edge of each; triangles that meet have an edge of one piercing the other.
+    The minimum of the vertex-to-triangle and the edge-to-triangle distances,
+    both ways round, is therefore the surface distance, and 0 on contact.
     """
-    return min(_sampled_distance(mesh_a, mesh_b), _sampled_distance(mesh_b, mesh_a))
+    best = min(_vertex_distance(mesh_a, mesh_b), _vertex_distance(mesh_b, mesh_a))
+    best = _edge_distance(mesh_a, mesh_b, best)
+    return _edge_distance(mesh_b, mesh_a, best)
 
 
 DEFAULT_CLEARANCE_FRACTION = 0.02
@@ -402,9 +526,18 @@ DEFAULT_CLEARANCE_FRACTION = 0.02
 
 @dataclass(frozen=True)
 class ClearanceReport:
+    """Clearance of the hole at eps, and the test that decided it.
+
+    ``decided_by`` is ``"ball"`` when the enclosing-ball bound certified the
+    hole (``clearance`` is then that lower bound) and ``"exact"`` when the
+    exact test ran (``clearance`` is the surface distance, -inf when a hole
+    vertex lies outside the outer surface).
+    """
+
     eps: float
     clearance: float
     clearance_min: float
+    decided_by: str
 
     @property
     def ok(self) -> bool:
@@ -417,6 +550,13 @@ class GeometryPair:
     ``clearance_min`` defaults to 2% of the outer bounding radius; nearly
     touching surfaces make the coupling blocks ill-conditioned, so they are
     refused rather than degraded.
+
+    Admissibility first tries the enclosing-ball bound: the hole eps*inner
+    lies in the ball of radius |eps|*R_i (R_i the inner bounding radius), and
+    the ball of radius d0 (the origin's distance to the outer surface) lies
+    inside the outer surface, so the clearance is at least d0 - |eps|*R_i.
+    Only when that bound falls short does the exact test run: every hole
+    vertex inside the outer surface, and the exact surface distance.
     """
 
     def __init__(self, inner: TriMesh, outer: TriMesh, clearance_min: float | None = None):
@@ -431,36 +571,41 @@ class GeometryPair:
             if clearance_min is None
             else float(clearance_min)
         )
-        self._eps_max: float | None = None
+        self.inner_radius = inner.bounding_radius()
+        self.origin_distance = point_to_mesh_distance((0.0, 0.0, 0.0), outer)
+
+    def ball_clearance(self, eps: float) -> float:
+        """Certified lower bound d0 - |eps|*R_i on the clearance, less rounding slack."""
+        reach = abs(eps) * self.inner_radius
+        return self.origin_distance - reach - _ROUNDING_SLACK * (self.origin_distance + reach)
 
     def admissibility(self, eps: float) -> ClearanceReport:
         if eps == 0:
             raise MeshError("eps = 0 has no hole; nothing to check")
+        bound = self.ball_clearance(eps)
+        if bound >= self.clearance_min:
+            return ClearanceReport(eps, bound, self.clearance_min, "ball")
         hole = scale_signed(self.inner, eps)
-        if not all(self.outer.contains(v) for v in hole.vertices[:: max(1, len(hole.vertices) // 64)]):
-            return ClearanceReport(eps, -np.inf, self.clearance_min)
-        return ClearanceReport(eps, mesh_to_mesh_distance(hole, self.outer), self.clearance_min)
+        if not all(self.outer.contains(v) for v in hole.vertices):
+            return ClearanceReport(eps, -np.inf, self.clearance_min, "exact")
+        return ClearanceReport(eps, mesh_to_mesh_distance(hole, self.outer),
+                               self.clearance_min, "exact")
 
     @property
     def eps_max(self) -> float:
-        """sup{|eps| : clearance(eps) >= clearance_min}, found by bisection."""
-        if self._eps_max is None:
-            lo, hi = 0.0, self.outer.bounding_radius() / max(
-                self.inner.bounding_radius(), 1e-300
-            )
-            for _ in range(30):
-                mid = 0.5 * (lo + hi)
-                if self.admissibility(mid).ok:
-                    lo = mid
-                else:
-                    hi = mid
-            self._eps_max = lo
-        return self._eps_max
+        """Largest |eps| that the ball bound certifies.
+
+        A certified lower bound on sup{|eps| : clearance(eps) >= clearance_min}:
+        the closed form (d0 - clearance_min) / R_i, shrunk by the bound's
+        rounding slack.
+        """
+        d0, r_i, s = self.origin_distance, self.inner_radius, _ROUNDING_SLACK
+        return max(0.0, (d0 * (1.0 - s) - self.clearance_min) / (r_i * (1.0 + s)))
 
     def require_admissible(self, eps: float) -> None:
         report = self.admissibility(eps)
         if not report.ok:
             raise AdmissibilityError(
                 f"clearance {report.clearance:.4g} at eps={eps:g} is below "
-                f"clearance_min={self.clearance_min:.4g}"
+                f"clearance_min={self.clearance_min:.4g} ({report.decided_by} test)"
             )

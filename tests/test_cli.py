@@ -203,6 +203,7 @@ def test_convergence_icospheres_spectral_oracle(tmp_path):
     assert code == EXIT_OK
     assert report["oracle"] == "spectral"
     assert report["observed_order"] >= 1.0
+    assert report["undefined"] == []
 
 
 def test_convergence_oracle_sums_split_constant_terms(tmp_path):
@@ -257,6 +258,7 @@ def test_convergence_richardson_for_ellipsoid(tmp_path):
     assert report["oracle"] == "richardson"
     assert report["observed_order"] >= 1.0
     assert report["order_uncertainty"] >= 0.0
+    assert report["undefined"] == []
 
 
 def test_mesh_geometry_requires_dimension_three(tmp_path):
@@ -362,6 +364,19 @@ def test_config_errors_exit_2_naming_the_field(tmp_path, capsys):
     nan_coeff["data"]["cartesian"]["inner"][0]["coeffs"] = ["nan"]
     text_threshold = base_config(4)
     text_threshold["thresholds"] = {"atol": "small"}
+
+    def edited(cfg, path, value):
+        out = json.loads(json.dumps(cfg))
+        *keys, last = path
+        node = out
+        for key in keys:
+            node = node[key]
+        node[last] = value
+        return out
+
+    sphere_cfg = base_config(4)
+    sphere_cfg["eps"] = 0.25
+    levels_cfg = edited(mesh_cfg, ("command",), "convergence")
     rows = (
         (missing_off, "geometry.inner.path"),
         (bad_term, "data.cartesian.outer[0]"),
@@ -369,10 +384,60 @@ def test_config_errors_exit_2_naming_the_field(tmp_path, capsys):
         (text_subdivisions, "'subdivisions'"),
         (nan_coeff, "data.cartesian.inner[0].coeffs[0]"),
         (text_threshold, "'atol'"),
+        (edited(mesh_cfg, ("geometry", "inner", "radius"), "x"), "'geometry.inner.radius'"),
+        (edited(mesh_cfg, ("geometry", "outer"),
+                {"builtin": "ellipsoid", "semi_axes": [1.0, "x", 1.0]}),
+         "'geometry.outer.semi_axes[1]'"),
+        (edited(sphere_cfg, ("geometry", "r_i"), "x"), "'geometry.r_i'"),
+        (edited(sphere_cfg, ("geometry", "r_o"), None), "'geometry.r_o'"),
+        (edited(mesh_cfg, ("targets",), {"frame": "macroscopic", "points": [[0.6, "x", 0]]}),
+         "'targets.points[0][1]'"),
+        (edited(mesh_cfg, ("targets",), {"frame": "macroscopic", "points": [[0.6, 0]]}),
+         "'targets.points'"),
+        (edited(mesh_cfg, ("targets", "radii"), [0.6, "x"]), "'targets.radii[1]'"),
+        (edited(levels_cfg, ("subdivision_levels",), [1, "x"]), "'subdivision_levels[1]'"),
+        (edited(mesh_cfg, ("data", "cartesian", "inner", 0, "exponents"), [0, "x", 0]),
+         "'data.cartesian.inner[0].exponents[1]'"),
+        (edited(mesh_cfg, ("eval_clearance_factor",), "x"), "'eval_clearance_factor'"),
     )
     for i, (cfg, field) in enumerate(rows):
-        command = "continuation" if "thresholds" in cfg else "solve"
+        command = cfg.get("command") or ("continuation" if "thresholds" in cfg else "solve")
         code, report, _ = run_cli(tmp_path / str(i), command, cfg)
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG and report is None, field
         assert field in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("levels, oracle", [([1, 2], "spectral"), ([1, 2, 3], "richardson")])
+def test_convergence_zero_oracle_writes_null(tmp_path, levels, oracle):
+    # zero data: every value and the oracle are 0, so relative errors and
+    # orders are 0/0; the report marks them undefined instead of NaN
+    cfg = {
+        "dimension": 3,
+        "geometry": {
+            "kind": "meshes",
+            "inner": {"builtin": "icosphere", "radius": 1.0},
+            "outer": ({"builtin": "icosphere", "radius": 1.0} if oracle == "spectral"
+                      else {"builtin": "ellipsoid", "semi_axes": [0.9, 1.0, 1.0]}),
+        },
+        "data": {"cartesian": {"inner": [{"exponents": [0, 0, 0], "coeffs": ["0"]}],
+                               "outer": []}},
+        "targets": {"frame": "macroscopic", "radii": [0.6]},
+        "eps": 0.25,
+        "subdivision_levels": levels,
+    }
+    code, report, out = run_cli(tmp_path, "convergence", cfg)
+    assert code == EXIT_OK
+    text = (out / "report.json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    assert report["oracle"] == oracle
+    assert report["observed_order"] is None
+    if oracle == "spectral":
+        assert report["oracle_values"] == [0.0]
+        assert report["relative_errors"] == [None, None]
+        assert report["undefined"] == ["relative_errors", "observed_orders", "observed_order"]
+    else:
+        assert report["observed_orders"] == [[None]]
+        assert report["undefined"] == ["observed_orders", "observed_order",
+                                       "order_uncertainty"]
+

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from math import pi
 
 from holelab.mesh import (
+    AdmissibilityError,
     DegenerateTriangleError,
     GeometryPair,
     MeshError,
@@ -202,7 +204,7 @@ def test_eps_max_bisection():
 
 
 # ---------------------------------------------------------------------------
-# pruned sampled distance against brute force
+# pruned exact distance against brute force
 # ---------------------------------------------------------------------------
 
 def _brute_points_to_triangles(points, corners):
@@ -233,11 +235,71 @@ def _brute_points_to_triangles(points, corners):
 
 
 def _brute_mesh_distance(mesh_a, mesh_b):
+    """The former sampled clearance: vertices and centroids against triangles."""
     return min(
         float(_brute_points_to_triangles(np.vstack([src.vertices, src.centroids]),
                                          dst.corner_array()).min())
         for src, dst in ((mesh_a, mesh_b), (mesh_b, mesh_a))
     )
+
+
+def _clamped_segment_distance(p1, q1, p2, q2):
+    """Segment-segment distance by clamped closest points (Ericson, RTCD 5.1.9)."""
+    d1, d2, r = q1 - p1, q2 - p2, p1 - p2
+    a = np.einsum("...c,...c->...", d1, d1)
+    e = np.einsum("...c,...c->...", d2, d2)
+    b = np.einsum("...c,...c->...", d1, d2)
+    c = np.einsum("...c,...c->...", d1, r)
+    f = np.einsum("...c,...c->...", d2, r)
+    denom = a * e - b * b
+    safe = np.where(denom > 0, denom, 1.0)
+    s = np.where(denom > 0, np.clip((b * f - c * e) / safe, 0.0, 1.0), 0.0)
+    t = (b * s + f) / e
+    s = np.where(t < 0, np.clip(-c / a, 0.0, 1.0),
+                 np.where(t > 1, np.clip((b - c) / a, 0.0, 1.0), s))
+    t = np.clip(t, 0.0, 1.0)
+    return np.linalg.norm(r + s[..., None] * d1 - t[..., None] * d2, axis=-1)
+
+
+def _orient(a, b, c, d):
+    return np.einsum("...c,...c->...", np.cross(b - a, c - a), d - a)
+
+
+def _brute_segments_to_triangles(p, q, corners):
+    """Independent reference: exact distance of every segment pq to every triangle."""
+    best = np.minimum(_brute_points_to_triangles(p, corners),
+                      _brute_points_to_triangles(q, corners))
+    p, q = p[:, None, :], q[:, None, :]
+    a, b, c = corners[None, :, 0], corners[None, :, 1], corners[None, :, 2]
+    for s0, s1 in ((a, b), (b, c), (c, a)):
+        best = np.minimum(best, _clamped_segment_distance(p, q, s0, s1))
+    # pierced: endpoints strictly on both sides, and the segment's line passes
+    # every edge on the same side
+    sides = np.sign(_orient(a, b, c, p)) * np.sign(_orient(a, b, c, q)) < 0
+    turns = np.stack([np.sign(_orient(p, q, a, b)), np.sign(_orient(p, q, b, c)),
+                      np.sign(_orient(p, q, c, a))])
+    same = np.all(turns >= 0, axis=0) | np.all(turns <= 0, axis=0)
+    return np.where(sides & same, 0.0, best)
+
+
+def _mesh_edges(mesh):
+    t = mesh.triangles
+    e = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
+    return np.unique(e, axis=0)
+
+
+def _exact_brute_distance(mesh_a, mesh_b):
+    """Exact surface distance over all vertex/triangle and segment/triangle pairs."""
+    best = np.inf
+    for src, dst in ((mesh_a, mesh_b), (mesh_b, mesh_a)):
+        corners = dst.corner_array()
+        edges = _mesh_edges(src)
+        best = min(best,
+                   float(_brute_points_to_triangles(src.vertices, corners).min()),
+                   float(_brute_segments_to_triangles(src.vertices[edges[:, 0]],
+                                                      src.vertices[edges[:, 1]],
+                                                      corners).min()))
+    return best
 
 
 def _dented_sphere(subdivisions, depth=0.4, width=0.3):
@@ -253,7 +315,7 @@ def test_pruned_distance_concentric_spheres(eps):
     outer = icosphere(1.0, 2)
     hole = scale_signed(icosphere(1.0, 2), eps)
     assert mesh_to_mesh_distance(hole, outer) == pytest.approx(
-        _brute_mesh_distance(hole, outer), rel=1e-14, abs=0)
+        _exact_brute_distance(hole, outer), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("eps", [0.4, -0.4, -0.85])
@@ -261,7 +323,7 @@ def test_pruned_distance_ellipsoid_pair_and_reflected_hole(eps):
     outer = ellipsoid(1.3, 1.0, 0.8, 2)
     hole = scale_signed(ellipsoid(1.0, 0.6, 0.4, 2), eps)
     assert mesh_to_mesh_distance(hole, outer) == pytest.approx(
-        _brute_mesh_distance(hole, outer), rel=1e-14, abs=0)
+        _exact_brute_distance(hole, outer), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("eps", [0.3, 0.55, -0.55])
@@ -271,7 +333,7 @@ def test_pruned_distance_dented_meshes(eps):
     for hole, outer in ((scale_signed(icosphere(1.0, 2), eps), dented),
                         (scale_signed(dented, eps), icosphere(1.0, 2))):
         assert mesh_to_mesh_distance(hole, outer) == pytest.approx(
-            _brute_mesh_distance(hole, outer), rel=1e-14, abs=0)
+            _exact_brute_distance(hole, outer), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.2])
@@ -281,7 +343,7 @@ def test_pruned_distance_when_nearest_centroids_miss_the_closest_triangle(eps):
     outer = ellipsoid(1.5, 1.5, 0.3, 1)
     hole = scale_signed(icosphere(1.0, 2), eps)
     assert mesh_to_mesh_distance(hole, outer) == pytest.approx(
-        _brute_mesh_distance(hole, outer), rel=1e-14, abs=0)
+        _exact_brute_distance(hole, outer), rel=1e-14, abs=0)
 
 
 def test_pruned_distance_is_symmetric_and_zero_on_contact():
@@ -289,3 +351,128 @@ def test_pruned_distance_is_symmetric_and_zero_on_contact():
     hole = scale_signed(ellipsoid(1.0, 0.6, 0.4, 2), 0.5)
     assert mesh_to_mesh_distance(hole, m) == mesh_to_mesh_distance(m, hole)
     assert mesh_to_mesh_distance(m, m) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# certified admissibility: ball bound, exact fallback
+# ---------------------------------------------------------------------------
+
+def _rotated(mesh, ax, ay):
+    cx, sx, cy, sy = np.cos(ax), np.sin(ax), np.cos(ay), np.sin(ay)
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
+    ry = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
+    return TriMesh(mesh.vertices @ (ry @ rx).T, mesh.triangles)
+
+
+def test_ball_bound_decides_small_holes_without_containment_tests(monkeypatch):
+    pair = GeometryPair(icosphere(1.0, 2), icosphere(1.0, 2))
+    monkeypatch.setattr(TriMesh, "contains", lambda self, p: pytest.fail("contains ran"))
+    for eps in (0.05, -0.3, 0.9):
+        rep = pair.admissibility(eps)
+        assert rep.ok and rep.decided_by == "ball"
+        assert rep.clearance == pair.ball_clearance(eps)
+        assert rep.clearance <= pair.origin_distance - abs(eps) * pair.inner_radius
+
+
+axes = st.floats(0.3, 2.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(inner_axes=st.tuples(axes, axes, axes), outer_axes=st.tuples(axes, axes, axes),
+       eps=st.floats(0.02, 1.5), negative=st.booleans())
+def test_ball_bound_below_exact_below_sampled(inner_axes, outer_axes, eps, negative):
+    eps = -eps if negative else eps
+    pair = GeometryPair(ellipsoid(*inner_axes, 1), ellipsoid(*outer_axes, 1))
+    hole = scale_signed(pair.inner, eps)
+    exact = mesh_to_mesh_distance(hole, pair.outer)
+    sampled = _brute_mesh_distance(hole, pair.outer)
+    assert pair.ball_clearance(eps) <= exact <= sampled * (1 + 1e-12)
+    assert exact == pytest.approx(_exact_brute_distance(hole, pair.outer), rel=1e-12, abs=1e-14)
+    # never accepts what the sampled check (every vertex inside) refuses
+    if pair.admissibility(eps).ok:
+        assert sampled >= pair.clearance_min
+        assert all(pair.outer.contains(v) for v in hole.vertices)
+
+
+def test_near_wall_hole_is_decided_by_the_exact_test():
+    # the elongated hole reaches past the outer's short axes, so the ball
+    # bound fails; along the long axis it keeps its distance
+    pair = GeometryPair(ellipsoid(1.0, 0.3, 0.3, 2), ellipsoid(2.0, 1.0, 1.0, 2),
+                        clearance_min=0.05)
+    assert pair.ball_clearance(1.5) < 0
+    rep = pair.admissibility(1.5)
+    hole = scale_signed(pair.inner, 1.5)
+    assert rep.ok and rep.decided_by == "exact"
+    assert rep.clearance == pytest.approx(_exact_brute_distance(hole, pair.outer),
+                                          rel=1e-14, abs=0)
+    near = pair.admissibility(-1.96)
+    assert not near.ok and near.decided_by == "exact"
+    with pytest.raises(AdmissibilityError, match="exact test"):
+        pair.require_admissible(-1.96)
+
+
+def test_dented_pair_sampled_clearance_overstates():
+    # an edge of the coarse hole passes a ridge of the dent closer than any
+    # vertex or centroid of either mesh does
+    outer = _dented_sphere(2)
+    inner = _rotated(icosphere(1.0, 0), np.pi / 3, np.pi / 8)
+    hole = scale_signed(inner, 0.7)
+    pair = GeometryPair(inner, outer, clearance_min=0.01)
+    sampled = _brute_mesh_distance(hole, outer)
+    exact = _exact_brute_distance(hole, outer)
+    assert all(outer.contains(v) for v in hole.vertices)
+    assert sampled >= pair.clearance_min > exact > 0
+    rep = pair.admissibility(0.7)
+    assert not rep.ok and rep.decided_by == "exact"
+    assert rep.clearance == pytest.approx(exact, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("ax, ay, sampled_min", [
+    (11 * np.pi / 24, 0.0, 5e-3),
+    (np.pi / 48, np.pi / 12, 3e-4),  # only the dent's edges pierce, none of the hole's
+], ids=["both-meshes-edges", "outer-edges-only"])
+def test_pierced_triangles_have_distance_zero(ax, ay, sampled_min):
+    # every hole vertex is inside the dented sphere, but the dent pushes
+    # through a hole face: edges pierce triangles, no vertex touches
+    outer = _dented_sphere(2)
+    inner = _rotated(icosphere(1.0, 0), ax, ay)
+    hole = scale_signed(inner, 0.75)
+    assert all(outer.contains(v) for v in hole.vertices)
+    assert _brute_mesh_distance(hole, outer) > sampled_min
+    assert _exact_brute_distance(hole, outer) == 0.0
+    assert mesh_to_mesh_distance(hole, outer) == 0.0
+    assert mesh_to_mesh_distance(outer, hole) == 0.0
+    rep = GeometryPair(inner, outer, clearance_min=sampled_min).admissibility(0.75)
+    assert not rep.ok and rep.clearance == 0.0 and rep.decided_by == "exact"
+
+
+def _tetrahedron(*corners):
+    pts = np.array(corners, dtype=float)
+    faces = np.array([[0, 1, 2], [0, 3, 1], [1, 3, 2], [0, 2, 3]])
+    orient = np.dot(np.cross(pts[1] - pts[0], pts[2] - pts[0]), pts[3] - pts[0])
+    return TriMesh(pts, faces if orient < 0 else faces[:, [0, 2, 1]])
+
+
+def test_needle_through_a_plate_has_distance_zero():
+    # no vertex of either solid is near the other: only the needle's edges,
+    # which pierce the plate's base far from their endpoints, show the contact
+    plate = _tetrahedron((-2, -2, 0), (2, -2, 0), (0, 2, 0), (1.0, 0.0, 0.2))
+    needle = _tetrahedron((-0.05, -0.05, -3), (0.05, -0.05, -3), (0, 0.05, -3), (0, 0, 3))
+    assert _brute_mesh_distance(needle, plate) > 0.25
+    assert _exact_brute_distance(needle, plate) == 0.0
+    assert mesh_to_mesh_distance(needle, plate) == 0.0
+    assert mesh_to_mesh_distance(plate, needle) == 0.0
+
+
+def test_segment_through_a_triangle():
+    from holelab.mesh import _segment_triangle_distance
+
+    a, b, c = np.array([0.0, 0, 0]), np.array([1.0, 0, 0]), np.array([0.0, 1, 0])
+    through = _segment_triangle_distance(np.array([0.2, 0.2, -1.0]), np.array([0.3, 0.1, 2.0]),
+                                         a, b, c)
+    assert through == 0.0
+    # above the face, beside an edge, and skew past a vertex
+    p = np.array([[0.2, 0.2, 0.5], [0.5, -0.3, -1.0], [-0.5, -0.5, 0.25]])
+    q = np.array([[0.3, 0.1, 2.0], [0.5, -0.3, 1.0], [-0.5, 0.5, 0.25]])
+    got = _segment_triangle_distance(p, q, a, b, c)
+    assert got == pytest.approx([0.5, 0.3, np.hypot(0.5, 0.25)], rel=1e-15)
