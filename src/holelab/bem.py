@@ -6,11 +6,20 @@ mesh; the system couples them through the signed rescaling of the hole.
 Field evaluation uses the layer representation; ``direct_solve`` assembles
 the same Dirichlet problem on the physically scaled hole mesh with no
 rescaling factors, as an independent cross-check.
+
+Both systems are solved by block elimination at the hole/outer split
+(``_checked_block_solve``): the inner block is factored (V_ii once per
+sweep), the hole-to-outer coupling block is compressed to low rank by a
+randomized range finder, and only the half-size Schur complement is
+factored per eps.  Iterative refinement against the full assembled matrix
+brings the solution to the accuracy of a dense LU; the residual guard and
+the 1-norm condition estimate both refer to the full matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import pi, sqrt
 
 import numpy as np
@@ -29,6 +38,13 @@ DIM = 3  # collocation path is three-dimensional only
 
 NEAR_FIELD_FACTOR = 3.0
 SOLVE_RESIDUAL_RTOL = 1e-10
+RCOND_MIN = 1e-14
+# Relative accuracy of the compressed coupling block; the refinement against
+# the full matrix removes its error from the solution.
+COUPLING_RTOL = 1e-6
+_RANGE_BLOCK = 32
+_RANGE_PROBES = 10
+_REFINE_STEPS = 4
 EVAL_CLEARANCE_FACTOR = 2.0
 
 _KERNEL_SCALE = -1.0 / (4.0 * pi)
@@ -244,7 +260,8 @@ class AssembledSystem:
     matrix = [[sign * V_ii, K_io], [eps^(n-2) * K_oi, V_oo]] where V blocks
     are the on-surface single layers, K_io samples the outer layer at the
     rescaled inner collocation points, and K_oi is the unit-scale inner layer
-    seen from the outer surface.
+    seen from the outer surface.  ``blocks`` are the prebuilt self blocks it
+    was assembled from, if any; ``solve`` reuses their factored V_ii.
     """
 
     pair: GeometryPair
@@ -253,6 +270,7 @@ class AssembledSystem:
     matrix: np.ndarray
     rhs: np.ndarray
     n_inner: int
+    blocks: SelfBlocks | None = None
 
     def split(self, solution: np.ndarray) -> DensityPair:
         return DensityPair(solution[: self.n_inner], solution[self.n_inner :])
@@ -280,6 +298,11 @@ class SelfBlocks:
 
     v_ii: np.ndarray
     v_oo: np.ndarray
+
+    @cached_property
+    def inner_lu(self) -> tuple:
+        """``_factor`` of V_ii, computed at the first solve and shared by the rest."""
+        return _factor(self.v_ii)
 
 
 def self_blocks(pair: GeometryPair) -> SelfBlocks:
@@ -326,27 +349,147 @@ def assemble(pair: GeometryPair, data: CartesianDataFamily, eps: float,
     rhs = np.concatenate(
         [data.eval_inner(inner.centroids, eps), data.eval_outer(outer.centroids, eps)]
     )
-    return AssembledSystem(pair, eps, sign_asm, matrix, rhs, n_i)
+    return AssembledSystem(pair, eps, sign_asm, matrix, rhs, n_i, blocks)
 
 
-def _checked_lu_solve(matrix: np.ndarray, rhs: np.ndarray, label: str,
-                      hint: str = "") -> tuple[np.ndarray, float, float]:
-    """Dense LU solve with a 1-norm condition estimate and a residual check.
+def _norms(matrix: np.ndarray, rows: int = 64) -> tuple[float, float]:
+    """1-norm and infinity-norm, summed in row chunks with no |matrix| copy."""
+    col_sums = np.zeros(matrix.shape[1])
+    row_max = 0.0
+    for start in range(0, matrix.shape[0], rows):
+        chunk = np.abs(matrix[start : start + rows])
+        col_sums += chunk.sum(axis=0)
+        row_max = max(row_max, float(chunk.sum(axis=1).max()))
+    return float(col_sums.max()), row_max
 
-    Returns (solution, condition estimate, relative residual); raises
-    SolverError when rcond < 1e-14 or the residual exceeds SOLVE_RESIDUAL_RTOL.
+
+def _factor(a: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+    """LU factors of a^T and the 1-norm reciprocal condition of ``a``.
+
+    A C-ordered ``a`` is a^T in LAPACK's column order, so factoring a^T
+    copies it without a transpose; solve with a through ``trans=1``.
     """
-    anorm = np.linalg.norm(matrix, 1)
-    lu, piv = lu_factor(matrix)
-    gecon = get_lapack_funcs(("gecon",), (matrix,))[0]
-    rcond, _ = gecon(lu, anorm, norm="1")
-    if rcond < 1e-14:
+    lu = lu_factor(a.T)
+    gecon = get_lapack_funcs(("gecon",), (lu[0],))[0]
+    rcond, _ = gecon(lu[0], _norms(a)[0], norm="I")  # |(a^T)^-1|_inf = |a^-1|_1
+    return lu, float(rcond)
+
+
+def _range_finder(b: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """Factors U, W^T with b ~ U W^T, or (b, None) meaning W^T = I.
+
+    Adaptive randomized range finder (Halko, Martinsson & Tropp, SIAM Rev.
+    53, 2011, alg. 4.2 in blocks): U is an orthonormal basis of b's sampled
+    range, grown by _RANGE_BLOCK Gaussian samples at a time, and W^T = U^T b.
+    It stops when _RANGE_PROBES fixed Gaussian probes b w keep less than
+    rtol of their Frobenius norm outside range(U), which estimates
+    |b - U W^T|_F / |b|_F.  Past min(b.shape)/4 columns a low rank saves
+    nothing, and b itself is returned.
+    """
+    rng = np.random.default_rng(0)
+    m, n = b.shape
+    cap = min(m, n) // 4
+    probes = b @ rng.standard_normal((n, _RANGE_PROBES))
+    target = rtol * np.linalg.norm(probes)
+    u = np.empty((m, 0))
+    while np.linalg.norm(probes) > target:
+        if u.shape[1] + _RANGE_BLOCK > cap:
+            return b, None
+        q = b @ rng.standard_normal((n, _RANGE_BLOCK))
+        for _ in range(2):
+            # projected twice: where the new samples are nearly in range(u),
+            # the first QR's columns carry rounding from it back in
+            q -= u @ (u.T @ q)
+            q, _ = np.linalg.qr(q)
+        u = np.hstack([u, q])
+        probes -= q @ (q.T @ probes)
+    return u, u.T @ b
+
+
+def _block_inverse(matrix: np.ndarray, n_inner: int, label: str, hint: str = "",
+                   inner=None, inner_scale: float = 1.0):
+    """Functions applying the inverse of [[A, U W^T], [C, D]] and its transpose.
+
+    matrix = [[A, B], [C, D]] split at n_inner.  A is factored (or ``inner``
+    holds the ``_factor`` of V with A = inner_scale * V), B is compressed to
+    U W^T by ``_range_finder`` and the Schur complement S = D - C A^-1 U W^T
+    is factored.  Raises SolverError when A is singular to working precision.
+    """
+    a, b = matrix[:n_inner, :n_inner], matrix[:n_inner, n_inner:]
+    c, d = matrix[n_inner:, :n_inner], matrix[n_inner:, n_inner:]
+    if inner is None:
+        inner, inner_scale = _factor(a), 1.0
+    lu_a, rcond_a = inner
+    if not rcond_a >= RCOND_MIN:
+        raise SolverError(
+            f"{label} inner block is singular to working precision (rcond={rcond_a:.2e}){hint}"
+        )
+
+    def solve_a(r, trans=0):  # A^-1 r, or A^-T r with trans=1
+        return lu_solve(lu_a, r, trans=1 - trans, check_finite=False) / inner_scale
+
+    u, wt = _range_finder(b, COUPLING_RTOL)
+    ainv_u = solve_a(u)
+    left, right = (c, ainv_u) if wt is None else (c @ ainv_u, wt)
+    s = np.array(d)
+    for start in range(0, len(s), 256):
+        s[start : start + 256] -= left[start : start + 256] @ right
+    # factored in place as S^T, as in _factor
+    lu_s = lu_factor(s.T, overwrite_a=True, check_finite=False)
+    del s, left, right
+
+    def apply(r):
+        y = solve_a(r[:n_inner])
+        x2 = lu_solve(lu_s, r[n_inner:] - c @ y, trans=1, check_finite=False)
+        return np.concatenate([y - ainv_u @ (x2 if wt is None else wt @ x2), x2])
+
+    def apply_t(r):
+        z = ainv_u.T @ r[:n_inner]
+        x2 = lu_solve(lu_s, r[n_inner:] - (z if wt is None else wt.T @ z), check_finite=False)
+        return np.concatenate([solve_a(r[:n_inner] - c.T @ x2, trans=1), x2])
+
+    return apply, apply_t
+
+
+def _checked_block_solve(matrix: np.ndarray, rhs: np.ndarray, n_inner: int, label: str,
+                         hint: str = "", inner=None,
+                         inner_scale: float = 1.0) -> tuple[np.ndarray, float, float]:
+    """Solve matrix x = rhs by block elimination, refined against the full matrix.
+
+    ``_block_inverse`` (same arguments) preconditions up to _REFINE_STEPS
+    steps of iterative refinement with the full matrix.  Returns (solution,
+    1-norm condition estimate, relative residual), the estimate being
+    |matrix|_1 times onenormest of the factored inverse.  Raises SolverError
+    when the inner block or the system is singular to working precision
+    (rcond < RCOND_MIN) or the residual exceeds SOLVE_RESIDUAL_RTOL.
+    """
+    from scipy.sparse.linalg import LinearOperator, onenormest
+
+    apply, apply_t = _block_inverse(matrix, n_inner, label, hint, inner, inner_scale)
+    norm_1, norm_inf = _norms(matrix)
+    n = len(rhs)
+    with np.errstate(all="ignore"):
+        inv_norm = onenormest(LinearOperator((n, n), matvec=apply, rmatvec=apply_t,
+                                             dtype=float), t=1)
+    rcond = 1.0 / (norm_1 * inv_norm)
+    if not rcond >= RCOND_MIN:
         raise SolverError(
             f"{label} is singular to working precision (rcond={rcond:.2e}){hint}"
         )
-    x = lu_solve((lu, piv), rhs)
+    x = apply(rhs)
+    r = rhs - matrix @ x
+    res = float(np.max(np.abs(r)))
+    for _ in range(_REFINE_STEPS):
+        if res <= np.finfo(float).eps * norm_inf * float(np.max(np.abs(x))):
+            break  # at rounding level
+        x_new = x + apply(r)
+        r_new = rhs - matrix @ x_new
+        res_new = float(np.max(np.abs(r_new)))
+        if not res_new < res:
+            break  # stopped falling
+        x, r, res = x_new, r_new, res_new
     scale = max(float(np.max(np.abs(rhs))), 1e-300)
-    residual = float(np.max(np.abs(matrix @ x - rhs))) / scale
+    residual = res / scale
     if residual > SOLVE_RESIDUAL_RTOL:
         raise SolverError(
             f"{label} residual {residual:.2e} exceeds {SOLVE_RESIDUAL_RTOL:.0e}"
@@ -355,10 +498,14 @@ def _checked_lu_solve(matrix: np.ndarray, rhs: np.ndarray, label: str,
 
 
 def solve(system: AssembledSystem) -> DensityPair:
-    """Dense LU solve with a 1-norm condition estimate and residual check."""
-    x, cond, residual = _checked_lu_solve(
-        system.matrix, system.rhs, "system",
-        "; check admissibility and the coupling sign",
+    """Block-elimination solve with a 1-norm condition estimate and residual check.
+
+    A system assembled with prebuilt ``blocks`` reuses their factored V_ii.
+    """
+    inner = system.blocks.inner_lu if system.blocks is not None else None
+    x, cond, residual = _checked_block_solve(
+        system.matrix, system.rhs, system.n_inner, "system",
+        "; check admissibility and the coupling sign", inner, system.sign,
     )
     pairdens = system.split(x)
     return DensityPair(pairdens.mu_inner, pairdens.mu_outer, cond, residual)
@@ -452,5 +599,5 @@ def direct_solve(pair: GeometryPair, data: CartesianDataFamily, eps: float) -> D
     rhs = np.concatenate(
         [data.eval_inner(pair.inner.centroids, eps), data.eval_outer(outer.centroids, eps)]
     )
-    x, cond, residual = _checked_lu_solve(matrix, rhs, "direct system")
+    x, cond, residual = _checked_block_solve(matrix, rhs, n_h, "direct system")
     return DirectSolution(hole, outer, x[:n_h], x[n_h:], cond, residual)

@@ -17,12 +17,16 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
 from . import bem as bem_mod
 from . import continuation as cont
 from .annulus import (
+    MACROSCOPIC,
+    MICROSCOPIC,
     InadmissibleEpsError,
     SphereProblem,
     ZonalDataFamily,
@@ -31,7 +35,7 @@ from .annulus import (
 )
 from .bem import CartesianDataFamily, SolverError
 from .kernels import QuadratureError
-from .mesh import GeometryPair, MeshError, TriMesh, ellipsoid, icosphere, load_off
+from .mesh import GeometryPair, MeshError, TriMesh, check_subdivisions, ellipsoid, icosphere, load_off
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,7 +58,18 @@ def _require(cfg: dict, field: str, kind=None):
     # bool is an int subclass, but no field takes true/false
     if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise ConfigError(f"field {field!r} has wrong type {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):  # JSON NaN, Infinity
+        raise ConfigError(f"field {field!r}: {value!r} is not finite")
     return value
+
+
+@contextmanager
+def _refused_as(field: str, *errors):
+    """A library refusal (one of ``errors``) in the block exits 2 naming ``field``."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(f"field {field!r}: {exc}") from None
 
 
 def _optional(cfg: dict, field: str, default, kind):
@@ -153,20 +168,22 @@ def _parse_cartesian(data_cfg: dict) -> CartesianDataFamily:
 
 def _build_mesh(spec, subdivisions: int, field: str) -> TriMesh:
     if isinstance(spec, dict) and "path" in spec:
-        try:
+        with _refused_as(f"{field}.path", OSError, MeshError):
             return load_off(spec["path"])
-        except (OSError, MeshError) as exc:
-            raise ConfigError(f"field {field}.path: {exc}") from None
+    # subdivisions are checked where parsed, so a generator refusal names the size
     if isinstance(spec, dict) and "builtin" in spec:
         kind = spec["builtin"]
         if kind == "icosphere":
-            return icosphere(_parse_decimal(spec.get("radius", 1.0), f"{field}.radius"),
-                             subdivisions)
+            radius = _parse_decimal(spec.get("radius", 1.0), f"{field}.radius")
+            with _refused_as(f"{field}.radius", MeshError):
+                return icosphere(radius, subdivisions)
         if kind == "ellipsoid":
             axes = spec.get("semi_axes")
             if not (isinstance(axes, list) and len(axes) == 3):
                 raise ConfigError(f"field {field}.semi_axes must have 3 entries")
-            return ellipsoid(*_decimals(axes, f"{field}.semi_axes"), subdivisions)
+            axes = _decimals(axes, f"{field}.semi_axes")
+            with _refused_as(f"{field}.semi_axes", MeshError):
+                return ellipsoid(*axes, subdivisions)
         raise ConfigError(f"field {field}.builtin: unknown generator {kind!r}")
     raise ConfigError(f"field {field} must specify 'builtin' or 'path'")
 
@@ -191,6 +208,8 @@ def _parse_problem(cfg: dict):
         if "cartesian" not in data_cfg:
             raise ConfigError("field data: mesh geometry requires cartesian data")
         subdivisions = _optional(geom, "subdivisions", 3, int)
+        with _refused_as("geometry.subdivisions", MeshError):
+            check_subdivisions(subdivisions)
         pair = GeometryPair(
             _build_mesh(_require(geom, "inner"), subdivisions, "geometry.inner"),
             _build_mesh(_require(geom, "outer"), subdivisions, "geometry.outer"),
@@ -207,17 +226,14 @@ def _parse_grid(cfg: dict) -> tuple[np.ndarray, str]:
     signs = grid_cfg.get("signs", "both")
     if signs not in ("both", "positive", "negative"):
         raise ConfigError(f"field grid.signs: unknown value {signs!r}")
-    try:
-        grid = cont.make_grid(eps_min, eps_max, count)
-    except cont.GridError as exc:
-        raise ConfigError(f"field grid: {exc}") from None
-    return grid, signs
+    with _refused_as("grid", cont.GridError):
+        return cont.make_grid(eps_min, eps_max, count), signs
 
 
 def _parse_targets(cfg: dict, problem) -> cont.TargetSet:
     tcfg = _require(cfg, "targets", dict)
     frame = _require(tcfg, "frame", str)
-    if frame not in ("macroscopic", "microscopic"):
+    if frame not in (MACROSCOPIC, MICROSCOPIC):
         raise ConfigError(f"field targets.frame: unknown frame {frame!r}")
     if "points" in tcfg:
         rows = tcfg["points"]
@@ -229,17 +245,12 @@ def _parse_targets(cfg: dict, problem) -> cont.TargetSet:
             raise ConfigError(f"field 'targets.points': expected points of {dim} coordinates")
         pts = np.array(pts)
     elif "radii" in tcfg:
-        if isinstance(problem, SphereProblem):
-            axis = np.asarray(problem.axis)
-        else:
-            axis = np.array([0.0, 0.0, 1.0])
-        pts = np.array([r * axis for r in _decimals(tcfg["radii"], "targets.radii")])
+        axis = problem.axis if isinstance(problem, SphereProblem) else (0.0, 0.0, 1.0)
+        pts = np.outer(_decimals(tcfg["radii"], "targets.radii"), axis)
     else:
         raise ConfigError("field targets: needs 'points' or 'radii'")
-    try:
+    with _refused_as("targets", ValueError):
         return cont.TargetSet(frame, pts)
-    except ValueError as exc:
-        raise ConfigError(f"field targets: {exc}") from None
 
 
 def _thresholds(cfg: dict) -> dict:
@@ -271,23 +282,16 @@ def _fit_params(cfg: dict, problem, grid: np.ndarray) -> tuple[int, str]:
     if isinstance(degree, bool) or not isinstance(degree, int):
         raise ConfigError(f"field fit.degree: {degree!r} is not an integer")
     basis = fcfg.get("basis", "auto")
-    try:
+    with _refused_as("fit", cont.FitError):
         cont.check_fit(grid, degree, basis)
-    except cont.FitError as exc:
-        raise ConfigError(f"field fit: {exc}") from None
     return degree, basis
 
 
 def _check_grid_admissible(problem, grid: np.ndarray) -> None:
-    if np.any(grid == 0.0):
-        raise ConfigError("field grid: grid contains eps = 0")
     if isinstance(problem, SphereProblem):
-        worst = float(np.max(np.abs(grid)))
-        if worst * problem.r_i >= problem.r_o:
-            raise ConfigError(
-                f"field grid: |eps| up to {worst:g} is inadmissible for r_i="
-                f"{problem.r_i:g}, r_o={problem.r_o:g}"
-            )
+        with _refused_as("grid", InadmissibleEpsError):
+            for eps in grid:
+                problem.check_eps(float(eps))
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -310,7 +314,7 @@ COND_DIGITS = 6
 def _conds(conds) -> list[float]:
     """Condition estimates rounded to COND_DIGITS significant digits.
 
-    The dense-LU estimate differs between processes in its last digits, so
+    The estimate can differ between processes in its last digits, so
     sweep.csv and report.json carry only the digits that repeat.
     """
     return [float(f"{c:.{COND_DIGITS}g}") for c in conds]
@@ -524,6 +528,9 @@ def _convergence_command(cfg, problem, data, targets, out_dir):
     base = _optional(geom, "subdivisions", 2, int)
     levels = _integers(cfg.get("subdivision_levels", [base, base + 1, base + 2]),
                        "subdivision_levels")
+    for i, s in enumerate(levels):
+        with _refused_as(f"subdivision_levels[{i}]", MeshError):
+            check_subdivisions(s)
     if len(levels) < 2:
         raise ConfigError("field subdivision_levels: need at least two levels")
     clearance = _clearance_factor(cfg)
@@ -617,18 +624,10 @@ def run(config: dict, out_dir: str = ".", strict: bool = False) -> int:
     problem, data = _parse_problem(config)
     targets = _parse_targets(config, problem)
     os.makedirs(out_dir, exist_ok=True)
-    if command == "solve":
-        payload, code = _solve_command(config, problem, data, targets, out_dir)
-    elif command == "sweep":
-        payload, code = _sweep_command(config, problem, data, targets, out_dir)
-    elif command == "fit":
-        payload, code = _fit_command(config, problem, data, targets, out_dir)
-    elif command == "continuation":
-        payload, code = _continuation_command(config, problem, data, targets, out_dir, strict)
-    elif command == "symmetry":
-        payload, code = _symmetry_command(config, problem, data, targets, out_dir)
-    else:
-        payload, code = _convergence_command(config, problem, data, targets, out_dir)
+    handler = {"solve": _solve_command, "sweep": _sweep_command, "fit": _fit_command,
+               "continuation": partial(_continuation_command, strict=strict),
+               "symmetry": _symmetry_command, "convergence": _convergence_command}[command]
+    payload, code = handler(config, problem, data, targets, out_dir)
     _write_report(out_dir, payload)
     return code
 

@@ -169,6 +169,7 @@ def sweep(problem, data, grid, targets: TargetSet, *,
         for i, eps in enumerate(grid):
             system = bem_mod.assemble(problem, data, eps, blocks=blocks)
             dens = bem_mod.solve(system)
+            del system  # its matrix is not kept alive through the next assembly
             conds[i] = dens.cond
             values[i, :] = bem_mod.eval_field(
                 problem, dens, eps, targets.points, targets.frame,

@@ -183,14 +183,17 @@ _ICO_FACES = np.array(
 MAX_SUBDIVISIONS = 6
 
 
+def check_subdivisions(subdivisions: int) -> None:
+    """Raise MeshError unless 0 <= subdivisions <= MAX_SUBDIVISIONS."""
+    if not 0 <= subdivisions <= MAX_SUBDIVISIONS:
+        raise MeshError(f"subdivisions must be in [0, {MAX_SUBDIVISIONS}], got {subdivisions}")
+
+
 def icosphere(radius: float = 1.0, subdivisions: int = 0) -> TriMesh:
     """Subdivided icosahedron projected to the radius-r sphere (20*4^s triangles)."""
     if radius <= 0:
         raise MeshError(f"radius must be positive, got {radius}")
-    if not 0 <= subdivisions <= MAX_SUBDIVISIONS:
-        raise MeshError(
-            f"subdivisions must be in [0, {MAX_SUBDIVISIONS}], got {subdivisions}"
-        )
+    check_subdivisions(subdivisions)
     verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
     faces = _ICO_FACES.tolist()
     for _ in range(subdivisions):

@@ -1,21 +1,29 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 from math import factorial, pi
 
 from holelab.annulus import SphereProblem, ZonalDataFamily, closed_form_annulus, eval_solution, solve_modes
+from holelab import bem
 from holelab.bem import (
+    COUPLING_RTOL,
     NEAR_FIELD_FACTOR,
     AssemblyError,
     CartesianDataFamily,
     EvaluationTooCloseError,
+    SolverError,
     _TRI_BARY,
     _TRI_W,
     _kernel_sums,
+    _range_finder,
     _triangle_integrals,
     _triangle_quad,
     assemble,
     direct_solve,
     eval_field,
+    self_blocks,
     single_layer_matrix,
     solve,
 )
@@ -422,3 +430,149 @@ def test_single_layer_near_pairs_match_dense_mask(eps):
     for mesh in (outer, hole):
         ref = _dense_mask_single_layer(mesh.centroids, mesh)
         assert np.array_equal(single_layer_matrix(mesh.centroids, mesh, self_mesh=True), ref)
+
+
+# ---------------------------------------------------------------------------
+# block-elimination solve against dense references
+# ---------------------------------------------------------------------------
+
+BLOCK_DATA = CartesianDataFamily(inner=(((0, 0, 0), (0.0, 1.0)),),
+                                 outer=(((0, 0, 1), (1.0,)), ((1, 0, 0), (0.5,))))
+
+
+def _pair(inner: str, subdivisions: int) -> GeometryPair:
+    mesh = (icosphere(1.0, subdivisions) if inner == "sphere"
+            else ellipsoid(1.0, 0.6, 0.4, subdivisions))
+    return GeometryPair(mesh, icosphere(1.0, subdivisions))
+
+
+def _assert_dense_match(x, matrix, rhs):
+    want = scipy.linalg.solve(matrix, rhs)
+    assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _dense_cond(matrix):
+    lu, _ = scipy.linalg.lu_factor(matrix)
+    gecon = scipy.linalg.get_lapack_funcs(("gecon",), (lu,))[0]
+    return 1.0 / gecon(lu, np.linalg.norm(matrix, 1), norm="1")[0]
+
+
+@pytest.mark.parametrize("subdivisions", [2, 3])
+@pytest.mark.parametrize("inner", ["sphere", "ellipsoid"])
+def test_block_solve_matches_dense_solve(inner, subdivisions):
+    pair = _pair(inner, subdivisions)
+    blocks = self_blocks(pair)
+    exact = {}
+    for eps in (-0.6, -0.3, -0.05, 0.05, 0.3, 0.6):
+        # sub 2 also factors the inner block in the solve; sub 3 only as a sweep does
+        for shared in ((None, blocks) if subdivisions == 2 else (blocks,)):
+            system = assemble(pair, BLOCK_DATA, eps, blocks=shared)
+            dens = solve(system)
+            x = np.concatenate([dens.mu_inner, dens.mu_outer])
+            _assert_dense_match(x, system.matrix, system.rhs)
+            assert dens.residual <= 1e-13
+        n_i = system.n_inner
+        exact[eps] = _range_finder(system.matrix[:n_i, n_i:], COUPLING_RTOL)[1] is None
+    assert not exact[0.05] and not exact[-0.05]
+    if inner == "sphere":  # rank past n/4: exact block elimination
+        assert exact[0.6] and exact[-0.6]
+
+
+def test_block_solve_sign_diagnostic_and_direct_solve(unit_pair_s2):
+    blocks = self_blocks(unit_pair_s2)
+    for shared in (None, blocks):
+        system = assemble(unit_pair_s2, BLOCK_DATA, -0.3, sign=+1.0, blocks=shared)
+        dens = solve(system)
+        _assert_dense_match(np.concatenate([dens.mu_inner, dens.mu_outer]),
+                            system.matrix, system.rhs)
+    eps = -0.3
+    direct = direct_solve(unit_pair_s2, BLOCK_DATA, eps)
+    hole, outer = direct.hole, direct.outer
+    matrix = np.block([
+        [single_layer_matrix(hole.centroids, hole), single_layer_matrix(hole.centroids, outer)],
+        [single_layer_matrix(outer.centroids, hole), single_layer_matrix(outer.centroids, outer)],
+    ])
+    rhs = np.concatenate([BLOCK_DATA.eval_inner(unit_pair_s2.inner.centroids, eps),
+                          BLOCK_DATA.eval_outer(outer.centroids, eps)])
+    _assert_dense_match(np.concatenate([direct.sigma_hole, direct.sigma_outer]), matrix, rhs)
+    assert direct.cond / 3 <= _dense_cond(matrix) <= 3 * direct.cond
+
+
+@pytest.mark.parametrize("eps", [-0.6, 0.05, 0.3])
+def test_block_solve_condition_estimate_near_gecon(unit_pair_s2, eps):
+    system = assemble(unit_pair_s2, BLOCK_DATA, eps)
+    dens = solve(system)
+    assert dens.cond / 3 <= _dense_cond(system.matrix) <= 3 * dens.cond
+
+
+def test_factored_inverse_and_its_transpose(unit_pair_s2):
+    blocks = self_blocks(unit_pair_s2)
+    rng = np.random.default_rng(9)
+    for eps, shared in ((0.05, None), (-0.3, blocks), (-0.6, None)):
+        system = assemble(unit_pair_s2, BLOCK_DATA, eps, blocks=shared)
+        inner = (shared.inner_lu, system.sign) if shared is not None else (None, 1.0)
+        apply, apply_t = bem._block_inverse(system.matrix, system.n_inner, "system", "", *inner)
+        u, v = rng.normal(size=(2, len(system.rhs)))
+        assert v @ apply(u) == pytest.approx(apply_t(v) @ u, rel=1e-12)
+        # an inverse of the full matrix up to the coupling compression
+        assert np.max(np.abs(system.matrix @ apply(u) - u)) <= 1e-4 * np.max(np.abs(u))
+
+
+def test_range_finder_probe_bound():
+    rng = np.random.default_rng(5)
+    # singular values 10^(-k/4): rank 25 at 1e-6, full rank past the cap
+    q1, _ = np.linalg.qr(rng.normal(size=(300, 300)))
+    q2, _ = np.linalg.qr(rng.normal(size=(280, 280)))
+    graded = (q1[:, :280] * 10.0 ** (-np.arange(280) / 4)) @ q2.T
+    pair = GeometryPair(icosphere(1.0, 3), icosphere(1.0, 3))
+    system = assemble(pair, CartesianDataFamily(), 0.3)
+    coupling = system.matrix[: system.n_inner, system.n_inner :]
+    for b in (graded, coupling):
+        for rtol in (1e-4, 1e-6, 1e-8):
+            u, wt = _range_finder(b, rtol)
+            assert wt is not None and u.shape[1] <= min(b.shape) // 4
+            assert np.allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
+            err = np.linalg.norm(b - u @ wt) / np.linalg.norm(b)
+            assert err <= 10 * rtol
+    full_rank = rng.normal(size=(200, 240))
+    u, wt = _range_finder(full_rank, 1e-6)
+    assert wt is None and u is full_rank
+    assert _range_finder(np.zeros((40, 30)), 1e-6)[0].shape == (40, 0)
+
+
+def test_coarse_coupling_is_refined_against_the_full_matrix(unit_pair_s2, monkeypatch):
+    system = assemble(unit_pair_s2, BLOCK_DATA, 0.3)
+    monkeypatch.setattr(bem, "COUPLING_RTOL", 1e-3)
+    dens = solve(system)
+    _assert_dense_match(np.concatenate([dens.mu_inner, dens.mu_outer]),
+                        system.matrix, system.rhs)
+    # without refinement the residual guard sees the compression error
+    monkeypatch.setattr(bem, "_REFINE_STEPS", 0)
+    with pytest.raises(SolverError, match="residual"):
+        solve(system)
+
+
+@pytest.mark.filterwarnings("ignore:Diagonal number:scipy.linalg.LinAlgWarning")
+def test_block_solve_refuses_singular_systems(unit_pair_s2):
+    system = assemble(unit_pair_s2, BLOCK_DATA, 0.3)
+    n_i = system.n_inner
+
+    def edited(change):
+        matrix = system.matrix.copy()
+        change(matrix)
+        return dataclasses.replace(system, matrix=matrix)
+
+    def zero_inner_row(m):
+        m[3, :n_i] = 0.0  # A singular, the full matrix not
+
+    def repeated_outer_row(m):
+        m[-1] = m[-2]  # A intact, the Schur complement singular
+
+    def nearly_repeated_outer_row(m):
+        m[-1] = m[-2] + 1e-17 * m[-3]
+
+    with pytest.raises(SolverError, match="inner block is singular"):
+        solve(edited(zero_inner_row))
+    for change in (repeated_outer_row, nearly_repeated_outer_row):
+        with pytest.raises(SolverError, match="system is singular"):
+            solve(edited(change))

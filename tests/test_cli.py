@@ -399,6 +399,17 @@ def test_config_errors_exit_2_naming_the_field(tmp_path, capsys):
         (edited(mesh_cfg, ("data", "cartesian", "inner", 0, "exponents"), [0, "x", 0]),
          "'data.cartesian.inner[0].exponents[1]'"),
         (edited(mesh_cfg, ("eval_clearance_factor",), "x"), "'eval_clearance_factor'"),
+        (edited(sphere_cfg, ("eps",), float("nan")), "'eps'"),
+        (edited(sphere_cfg, ("eps",), float("inf")), "'eps'"),
+        (edited(edited(base_config(4), ("command",), "continuation"), ("grid", "eps_max"),
+                float("inf")), "'eps_max'"),
+        (edited(base_config(4), ("thresholds",), {"atol": float("nan")}), "'atol'"),
+        (edited(mesh_cfg, ("geometry", "inner", "radius"), -1), "'geometry.inner.radius'"),
+        (edited(mesh_cfg, ("geometry", "outer"),
+                {"builtin": "ellipsoid", "semi_axes": [1.0, 0.0, 1.0]}),
+         "'geometry.outer.semi_axes'"),
+        (edited(mesh_cfg, ("geometry", "subdivisions"), 7), "'geometry.subdivisions'"),
+        (edited(levels_cfg, ("subdivision_levels",), [1, 7]), "'subdivision_levels[1]'"),
     )
     for i, (cfg, field) in enumerate(rows):
         command = cfg.get("command") or ("continuation" if "thresholds" in cfg else "solve")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holelab.annulus import SphereProblem, ZonalDataFamily, closed_form_annulus
 from holelab.continuation import (
@@ -8,6 +9,7 @@ from holelab.continuation import (
     INCONCLUSIVE,
     FitError,
     GridError,
+    SweepResult,
     TargetSet,
     axis_targets,
     default_grid,
@@ -117,6 +119,26 @@ def test_fit_exact_polynomial():
     assert fit.coeffs[0, 2] == pytest.approx(fit.eps_scale**2 * 0.75, rel=1e-10)
     others = np.delete(fit.coeffs[0], 2)
     assert np.max(np.abs(others)) < 1e-10  # design-condition noise floor
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(basis=st.sampled_from(["full", "even", "odd"]), degree=st.integers(2, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_fit_recovers_exact_polynomials_in_each_basis(basis, degree, seed):
+    grid = default_grid()
+    cols = np.arange(degree + 1)
+    cols = cols if basis == "full" else cols[cols % 2 == (basis == "odd")]
+    want = np.zeros(degree + 1)
+    want[cols] = np.random.default_rng(seed).uniform(-1, 1, len(cols))
+    t = grid / grid.max()
+    values = np.polynomial.polynomial.polyval(t, want)[:, None]
+    fit = fit_series(SweepResult(grid, values, "macroscopic", np.ones(len(grid))),
+                     degree, basis)
+    # the least-squares solve is backward stable: error at cond * rounding
+    tol = 100 * np.finfo(float).eps * fit.cond * np.abs(want).sum()
+    assert np.max(np.abs(fit.coeffs[0] - want)) <= tol
+    assert np.all(fit.coeffs[0][np.setdiff1d(np.arange(degree + 1), cols)] == 0)
+    assert fit.residuals[0] <= 100 * np.finfo(float).eps * np.abs(want).sum()
 
 
 def test_fit_hole_eps_family_n4():
@@ -352,17 +374,24 @@ def test_bem_sweep_matches_per_eps_solves_and_builds_self_blocks_once(monkeypatc
     targets = TargetSet("macroscopic", [[0.0, 0.0, 0.6], [0.5, 0.0, 0.0]])
     grid = np.array([-0.3, -0.1, 0.1, 0.3])
 
-    built = []
-    original = bem.single_layer_matrix
+    built, factored = [], []
+    original, original_factor = bem.single_layer_matrix, bem._factor
 
     def counting(*args, **kwargs):
         built.append(kwargs.get("self_mesh", False))
         return original(*args, **kwargs)
 
+    def counting_factor(a):
+        factored.append(a.shape)
+        return original_factor(a)
+
     monkeypatch.setattr(bem, "single_layer_matrix", counting)
+    monkeypatch.setattr(bem, "_factor", counting_factor)
     result = sweep(pair, data, grid, targets, eval_clearance_factor=0.5)
     monkeypatch.undo()
     assert built.count(True) == 2
+    # V_ii is factored once; each solve factors only its Schur complement
+    assert factored == [(pair.inner.n_triangles,) * 2]
 
     for i, eps in enumerate(grid):
         dens = bem.solve(bem.assemble(pair, data, eps))

@@ -377,6 +377,18 @@ def test_ball_bound_decides_small_holes_without_containment_tests(monkeypatch):
 axes = st.floats(0.3, 2.0)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(semi_axes=st.tuples(axes, axes, axes), eps=st.floats(0.01, 3.0),
+       negative=st.booleans(), subdivisions=st.integers(0, 2))
+def test_scale_signed_round_trip(semi_axes, eps, negative, subdivisions):
+    eps = -eps if negative else eps
+    mesh = ellipsoid(*semi_axes, subdivisions)
+    back = scale_signed(scale_signed(mesh, eps), 1.0 / eps)
+    # (x * eps) * (1/eps) is x to within three roundings
+    np.testing.assert_allclose(back.vertices, mesh.vertices, rtol=4e-16, atol=0)
+    assert np.array_equal(back.triangles, mesh.triangles)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(inner_axes=st.tuples(axes, axes, axes), outer_axes=st.tuples(axes, axes, axes),
        eps=st.floats(0.02, 1.5), negative=st.booleans())
