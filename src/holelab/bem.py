@@ -14,16 +14,24 @@ randomized range finder, and only the half-size Schur complement is
 factored per eps.  Iterative refinement against the full assembled matrix
 brings the solution to the accuracy of a dense LU; the residual guard and
 the 1-norm condition estimate both refer to the full matrix.
+
+Block assembly shares chunks of its target rows (far field) and near pairs
+out to one thread per CPU in the process's affinity set; each entry is
+computed by the same floating-point operations whatever the split, so blocks
+are identical for any CPU count.  Blocks are written in place into the
+system matrix.
 """
 
 from __future__ import annotations
 
+import os
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from math import pi, sqrt
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from .annulus import coupling_sign
 from .mesh import (
@@ -48,6 +56,11 @@ _REFINE_STEPS = 4
 EVAL_CLEARANCE_FACTOR = 2.0
 
 _KERNEL_SCALE = -1.0 / (4.0 * pi)
+# Bytes of each of a worker's two (rows, 7, T) far-field scratch arrays.
+_KERNEL_CHUNK_BYTES = 1 << 20
+# Near-field pairs per _triangle_integrals call.  Memory freed in a worker
+# thread stays with its allocator arena, so the temporaries are kept small.
+_NEAR_CHUNK = 1 << 13
 
 # Degree-5 symmetric 7-point rule on the reference triangle (weights sum to 1).
 _A_MINUS = (6.0 - sqrt(15.0)) / 21.0
@@ -132,34 +145,89 @@ def _triangle_quad(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pts, _TRI_W[None, :] * areas[:, None]
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_chunks(n: int, chunk: int, work) -> None:
+    """Call work(pieces) once per worker; together the pieces cover range(n).
+
+    ``pieces`` yields (start, stop) ranges of up to ``chunk`` items, taken in
+    order from one queue that all workers share, so a worker slowed by
+    other load on its CPU simply takes fewer.  One worker per usable CPU,
+    in threads, since numpy releases the GIL inside its ufunc loops; with
+    one CPU, or a single chunk of work, the call runs serially.
+    """
+    workers = min(_usable_cpus(), -(-n // chunk))
+    starts = iter(range(0, n, chunk))
+    if workers <= 1:
+        work((start, min(start + chunk, n)) for start in starts)
+        return
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    lock = threading.Lock()
+
+    def pieces():
+        while True:
+            with lock:
+                start = next(starts, None)
+            if start is None:
+                return
+            yield start, min(start + chunk, n)
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(work, pieces()) for _ in range(workers - 1)]
+        work(pieces())
+        for future in futures:
+            future.result()
+
+
 def _kernel_sums(targets: np.ndarray, pts: np.ndarray, wts: np.ndarray,
-                 chunk_bytes: int = 1 << 18) -> np.ndarray:
-    # sum_q wts[t,q] * S3(|x_p - pts[t,q]|) for all (p, t), chunked over p;
-    # small chunks keep the (rows, T*Q) temporaries in cache
-    n_t = pts.shape[0]
-    out = np.empty((len(targets), n_t))
-    rows = max(1, int(chunk_bytes // max(n_t * pts.shape[1] * 8, 1)))
-    flat_pts = pts.reshape(-1, 3)
-    px, py, pz = (np.ascontiguousarray(flat_pts[:, c]) for c in range(3))
-    flat_w = wts.reshape(-1)
-    # Targets may coincide with quadrature nodes (own-triangle centroids);
-    # those entries come out infinite here and are replaced by the closed
-    # form in single_layer_matrix.
-    with np.errstate(divide="ignore"):
-        for start in range(0, len(targets), rows):
-            block = targets[start : start + rows]
-            # (x^2 + z^2) + y^2: the order of einsum("ptc,ptc->pt") on
-            # numpy 2, so the entries match a plain einsum bit for bit
-            d = block[:, 0:1] - px
-            r = d * d
-            d = block[:, 2:3] - pz
-            r += d * d
-            d = block[:, 1:2] - py
-            r += d * d
-            np.sqrt(r, out=r)
-            np.divide(flat_w, r, out=r)
-            contrib = r.reshape(len(block), n_t, -1).sum(axis=2)
-            out[start : start + rows] = _KERNEL_SCALE * contrib
+                 out: np.ndarray | None = None) -> np.ndarray:
+    # sum_q wts[t,q] * S3(|x_p - pts[t,q]|) for all (p, t), written to out;
+    # row chunks keep their (rows, Q, T) scratch in cache, and are shared
+    # out to the usable CPUs
+    n_t, n_q = wts.shape
+    if out is None:
+        out = np.empty((len(targets), n_t))
+    rows = max(1, _KERNEL_CHUNK_BYTES // max(n_q * n_t * 8, 1))
+    # quadrature-major (Q, T) slabs: slab q holds node q of every triangle
+    px, py, pz = (np.ascontiguousarray(pts[:, :, c].T) for c in range(3))
+    w = np.ascontiguousarray(wts.T)
+
+    def work(pieces) -> None:
+        r = np.empty((min(rows, len(targets)), n_q, n_t))
+        d = np.empty_like(r)
+        # Targets may coincide with quadrature nodes (own-triangle
+        # centroids); those entries come out infinite here and are replaced
+        # by the closed form in single_layer_matrix.  Error states are per
+        # thread, so each worker sets its own.
+        with np.errstate(divide="ignore"):
+            for start, stop in pieces:
+                rr, dd = r[: stop - start], d[: stop - start]
+                block = targets[start:stop, :, None, None]
+                # (x^2 + z^2) + y^2: the order of einsum("ptc,ptc->pt") on
+                # numpy 2, so the entries match a plain einsum bit for bit
+                np.subtract(block[:, 0], px, out=dd)
+                np.multiply(dd, dd, out=rr)
+                for c, p in ((2, pz), (1, py)):
+                    np.subtract(block[:, c], p, out=dd)
+                    np.multiply(dd, dd, out=dd)
+                    rr += dd
+                np.sqrt(rr, out=rr)
+                np.divide(w, rr, out=rr)
+                # nodes summed left to right, the order of numpy's
+                # length-Q sum over a (rows, T, Q) array
+                acc = out[start:stop]
+                np.add(rr[:, 0], rr[:, 1], out=acc)
+                for q in range(2, n_q):
+                    acc += rr[:, q]
+                acc *= _KERNEL_SCALE
+
+    _run_chunks(len(targets), rows, work)
     return out
 
 
@@ -231,7 +299,8 @@ def _near_pairs(targets: np.ndarray, mesh: TriMesh) -> tuple[np.ndarray, np.ndar
     return np.concatenate(p_parts), np.concatenate(t_parts)
 
 
-def single_layer_matrix(targets, mesh: TriMesh, *, self_mesh: bool = False) -> np.ndarray:
+def single_layer_matrix(targets, mesh: TriMesh, *, self_mesh: bool = False,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Matrix of single-layer integrals over mesh triangles at target points.
 
     Entry (p, t) is the integral of the free-space kernel over triangle t
@@ -241,13 +310,21 @@ def single_layer_matrix(targets, mesh: TriMesh, *, self_mesh: bool = False) -> n
     marks an on-surface block, whose targets are the mesh's own centroids.
     It changes no entry, since the diagonal is in the near set; it labels
     self blocks apart from coupling blocks for callers that count them.
+    ``out``, a (targets, triangles) array or view, receives the entries and
+    is returned.  Both passes split their work over the usable CPUs.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     corners = mesh.corner_array()
     pts, wts = _triangle_quad(corners)
-    matrix = _kernel_sums(targets, pts, wts)
+    matrix = _kernel_sums(targets, pts, wts, out)
     p_idx, t_idx = _near_pairs(targets, mesh)
-    matrix[p_idx, t_idx] = _triangle_integrals(targets[p_idx], corners[t_idx])
+
+    def near(pieces) -> None:
+        for start, stop in pieces:
+            p, t = p_idx[start:stop], t_idx[start:stop]
+            matrix[p, t] = _triangle_integrals(targets[p], corners[t])
+
+    _run_chunks(len(p_idx), _NEAR_CHUNK, near)
     if not np.all(np.isfinite(matrix)):
         raise AssemblyError("non-finite single-layer entries")
     return matrix
@@ -320,7 +397,8 @@ def assemble(pair: GeometryPair, data: CartesianDataFamily, eps: float,
     ``sign`` overrides the coupling sign in the inner self block (diagnostic
     use); the default follows the sign rule for n = 3, i.e. sgn(eps).
     ``blocks`` are prebuilt self blocks of this pair (see ``self_blocks``);
-    without them both are built here and dropped once copied in.
+    without them both are built here.  Every block is written in place into
+    its view of the system matrix.
     """
     if eps == 0:
         raise AssemblyError("eps = 0 is not a perforated geometry")
@@ -333,17 +411,18 @@ def assemble(pair: GeometryPair, data: CartesianDataFamily, eps: float,
     n_i = inner.n_triangles
     n_o = outer.n_triangles
     matrix = np.empty((n_i + n_o, n_i + n_o))
-    v_ii = (blocks.v_ii if blocks is not None
-            else single_layer_matrix(inner.centroids, inner, self_mesh=True))
-    np.multiply(sign_asm, v_ii, out=matrix[:n_i, :n_i])
-    del v_ii
-    matrix[n_i:, n_i:] = (blocks.v_oo if blocks is not None
-                          else single_layer_matrix(outer.centroids, outer, self_mesh=True))
-    matrix[:n_i, n_i:] = single_layer_matrix(hole.centroids, outer)
+    v_ii, v_oo = matrix[:n_i, :n_i], matrix[n_i:, n_i:]
+    if blocks is not None:
+        np.multiply(sign_asm, blocks.v_ii, out=v_ii)
+        v_oo[...] = blocks.v_oo
+    else:
+        single_layer_matrix(inner.centroids, inner, self_mesh=True, out=v_ii)
+        v_ii *= sign_asm
+        single_layer_matrix(outer.centroids, outer, self_mesh=True, out=v_oo)
+    single_layer_matrix(hole.centroids, outer, out=matrix[:n_i, n_i:])
     # Integral over the unit-scale inner surface of the kernel at x - eps*y
     # equals eps^-2 times the integral over the physically scaled hole.
-    k_oi = matrix[n_i:, :n_i]
-    k_oi[...] = single_layer_matrix(outer.centroids, hole)
+    k_oi = single_layer_matrix(outer.centroids, hole, out=matrix[n_i:, :n_i])
     k_oi /= eps**2
     k_oi *= eps ** (DIM - 2)
     rhs = np.concatenate(
@@ -363,13 +442,20 @@ def _norms(matrix: np.ndarray, rows: int = 64) -> tuple[float, float]:
     return float(col_sums.max()), row_max
 
 
+def _lu_factor(a: np.ndarray, **kwargs) -> tuple[np.ndarray, np.ndarray]:
+    # scipy warns of an exactly zero pivot; the RCOND_MIN guards raise instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        return lu_factor(a, **kwargs)
+
+
 def _factor(a: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
     """LU factors of a^T and the 1-norm reciprocal condition of ``a``.
 
     A C-ordered ``a`` is a^T in LAPACK's column order, so factoring a^T
     copies it without a transpose; solve with a through ``trans=1``.
     """
-    lu = lu_factor(a.T)
+    lu = _lu_factor(a.T)
     gecon = get_lapack_funcs(("gecon",), (lu[0],))[0]
     rcond, _ = gecon(lu[0], _norms(a)[0], norm="I")  # |(a^T)^-1|_inf = |a^-1|_1
     return lu, float(rcond)
@@ -435,7 +521,7 @@ def _block_inverse(matrix: np.ndarray, n_inner: int, label: str, hint: str = "",
     for start in range(0, len(s), 256):
         s[start : start + 256] -= left[start : start + 256] @ right
     # factored in place as S^T, as in _factor
-    lu_s = lu_factor(s.T, overwrite_a=True, check_finite=False)
+    lu_s = _lu_factor(s.T, overwrite_a=True, check_finite=False)
     del s, left, right
 
     def apply(r):
@@ -587,13 +673,13 @@ def direct_solve(pair: GeometryPair, data: CartesianDataFamily, eps: float) -> D
     pair.require_admissible(eps)
     hole = scale_signed(pair.inner, eps)
     outer = pair.outer
-    v_hh = single_layer_matrix(hole.centroids, hole, self_mesh=True)
-    v_ho = single_layer_matrix(hole.centroids, outer)
-    v_oh = single_layer_matrix(outer.centroids, hole)
-    v_oo = single_layer_matrix(outer.centroids, outer, self_mesh=True)
     n_h = hole.n_triangles
-    matrix = np.block([[v_hh, v_ho], [v_oh, v_oo]])
-    del v_hh, v_ho, v_oh, v_oo
+    n = n_h + outer.n_triangles
+    matrix = np.empty((n, n))
+    single_layer_matrix(hole.centroids, hole, self_mesh=True, out=matrix[:n_h, :n_h])
+    single_layer_matrix(hole.centroids, outer, out=matrix[:n_h, n_h:])
+    single_layer_matrix(outer.centroids, hole, out=matrix[n_h:, :n_h])
+    single_layer_matrix(outer.centroids, outer, self_mesh=True, out=matrix[n_h:, n_h:])
     # The hole datum is prescribed in the rescaled variable: value at hole
     # point x is the inner datum at x/eps, which is the unit-mesh centroid.
     rhs = np.concatenate(

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from holelab.bem import (
     CartesianDataFamily,
     EvaluationTooCloseError,
     SolverError,
+    _KERNEL_SCALE,
     _TRI_BARY,
     _TRI_W,
     _kernel_sums,
@@ -433,6 +436,162 @@ def test_single_layer_near_pairs_match_dense_mask(eps):
 
 
 # ---------------------------------------------------------------------------
+# quadrature-major, threaded block assembly against the t-major formulation
+# ---------------------------------------------------------------------------
+
+def _kernel_sums_t_major(targets: np.ndarray, pts: np.ndarray, wts: np.ndarray,
+                         chunk_bytes: int = 1 << 18) -> np.ndarray:
+    # sum_q wts[t,q] * S3(|x_p - pts[t,q]|) for all (p, t), chunked over p;
+    # small chunks keep the (rows, T*Q) temporaries in cache
+    n_t = pts.shape[0]
+    out = np.empty((len(targets), n_t))
+    rows = max(1, int(chunk_bytes // max(n_t * pts.shape[1] * 8, 1)))
+    flat_pts = pts.reshape(-1, 3)
+    px, py, pz = (np.ascontiguousarray(flat_pts[:, c]) for c in range(3))
+    flat_w = wts.reshape(-1)
+    # Targets may coincide with quadrature nodes (own-triangle centroids);
+    # those entries come out infinite here and are replaced by the closed
+    # form in single_layer_matrix.
+    with np.errstate(divide="ignore"):
+        for start in range(0, len(targets), rows):
+            block = targets[start : start + rows]
+            # (x^2 + z^2) + y^2: the order of einsum("ptc,ptc->pt") on
+            # numpy 2, so the entries match a plain einsum bit for bit
+            d = block[:, 0:1] - px
+            r = d * d
+            d = block[:, 2:3] - pz
+            r += d * d
+            d = block[:, 1:2] - py
+            r += d * d
+            np.sqrt(r, out=r)
+            np.divide(flat_w, r, out=r)
+            contrib = r.reshape(len(block), n_t, -1).sum(axis=2)
+            out[start : start + rows] = _KERNEL_SCALE * contrib
+    return out
+
+
+def _single_layer_t_major(targets, mesh):
+    """The t-major far field and one whole near-field call, serially."""
+    corners = mesh.corner_array()
+    matrix = _kernel_sums_t_major(targets, *_triangle_quad(corners))
+    p_idx, t_idx = bem._near_pairs(targets, mesh)
+    matrix[p_idx, t_idx] = _triangle_integrals(targets[p_idx], corners[t_idx])
+    return matrix
+
+
+def _block_cases(subdivisions, rows=1):
+    outer = icosphere(1.0, subdivisions)
+    inner = ellipsoid(1.0, 0.6, 0.4, subdivisions)
+    hole = scale_signed(inner, -0.3)
+    return {
+        "outer self": (outer.centroids[::rows], outer),
+        "inner self": (inner.centroids[::rows], inner),
+        "hole to outer": (hole.centroids[::rows], outer),
+        "outer to hole": (outer.centroids[::rows], hole),
+    }
+
+
+@pytest.fixture(params=[1, 2], ids=["1 worker", "2 workers"])
+def workers(request, monkeypatch):
+    monkeypatch.setattr(bem, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+# (subdivision, every k-th target row): subdivision 4 keeps all 5120 columns
+# of a level-4 block, and a sixteenth of its rows
+@pytest.mark.parametrize("subdivisions, rows", [(2, 1), (3, 1), (4, 16)])
+def test_kernel_sums_equal_t_major_reference(subdivisions, rows, workers):
+    for name, (targets, mesh) in _block_cases(subdivisions, rows).items():
+        pts, wts = _triangle_quad(mesh.corner_array())
+        got = _kernel_sums(targets, pts, wts)
+        assert np.array_equal(got, _kernel_sums_t_major(targets, pts, wts)), name
+        matrix = single_layer_matrix(targets, mesh, self_mesh="self" in name)
+        assert np.array_equal(matrix, _single_layer_t_major(targets, mesh)), name
+
+
+@pytest.mark.parametrize("n_rows", [1, 7, 13])
+def test_kernel_sums_uneven_chunks_and_ranges(n_rows, workers, monkeypatch):
+    mesh = icosphere(1.0, 2)
+    pts, wts = _triangle_quad(mesh.corner_array())
+    targets = scale_signed(ellipsoid(1.0, 0.6, 0.4, 2), 0.3).centroids[:n_rows]
+    # one whole chunk, and chunks of 3 rows: 13 rows are 4 chunks and a
+    # remainder of 1, shared out to the workers
+    for chunk_rows in (1 << 10, 3):
+        monkeypatch.setattr(bem, "_KERNEL_CHUNK_BYTES", chunk_rows * 7 * mesh.n_triangles * 8)
+        got = _kernel_sums(targets, pts, wts)
+        assert np.array_equal(got, _kernel_sums_t_major(targets, pts, wts))
+        # on-surface rows hit quadrature nodes: infinite, then replaced
+        own = mesh.centroids[:n_rows]
+        assert np.array_equal(single_layer_matrix(own, mesh, self_mesh=True),
+                              _single_layer_t_major(own, mesh))
+
+
+def test_single_layer_out_into_strided_view(workers):
+    mesh = icosphere(1.0, 2)
+    targets = scale_signed(ellipsoid(1.0, 0.6, 0.4, 2), 0.3).centroids
+    n, t = len(targets), mesh.n_triangles
+    big = np.full((2 * n + 1, 3 * t + 2), 7.0)
+    view = big[1::2, 2::3]
+    assert view.shape == (n, t) and not view.flags.c_contiguous
+    got = single_layer_matrix(targets, mesh, out=view)
+    assert got is view
+    assert np.array_equal(view, _single_layer_t_major(targets, mesh))
+    untouched = np.ones(big.shape, bool)
+    untouched[1::2, 2::3] = False
+    assert np.all(big[untouched] == 7.0)
+
+
+def test_near_field_chunks_on_workers_equal_one_call(workers, monkeypatch):
+    mesh = icosphere(1.0, 3)
+    corners = mesh.corner_array()
+    p_idx, t_idx = bem._near_pairs(mesh.centroids, mesh)
+    whole = _kernel_sums_t_major(mesh.centroids, *_triangle_quad(corners))
+    whole[p_idx, t_idx] = _triangle_integrals(mesh.centroids[p_idx], corners[t_idx])
+    # near pairs in uneven chunks of 1000, split over the workers
+    monkeypatch.setattr(bem, "_NEAR_CHUNK", 1000)
+    assert len(p_idx) % 1000 and len(p_idx) > 4 * 1000
+    assert np.array_equal(single_layer_matrix(mesh.centroids, mesh, self_mesh=True), whole)
+
+
+def test_more_workers_than_cpus_with_frequent_switches(monkeypatch):
+    # six workers on small chunks, switching threads every microsecond
+    mesh = icosphere(1.0, 2)
+    targets = scale_signed(ellipsoid(1.0, 0.6, 0.4, 2), -0.3).centroids
+    want = [_single_layer_t_major(t, mesh) for t in (targets, mesh.centroids)]
+    monkeypatch.setattr(bem, "_usable_cpus", lambda: 6)
+    monkeypatch.setattr(bem, "_KERNEL_CHUNK_BYTES", 2 * 7 * mesh.n_triangles * 8)
+    monkeypatch.setattr(bem, "_NEAR_CHUNK", 100)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert np.array_equal(single_layer_matrix(targets, mesh), want[0])
+            assert np.array_equal(single_layer_matrix(mesh.centroids, mesh, self_mesh=True),
+                                  want[1])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("eps", [0.3, -0.3])
+def test_assemble_in_place_equals_stacked_blocks(eps):
+    pair = GeometryPair(ellipsoid(1.0, 0.6, 0.4, 2), icosphere(1.0, 2))
+    inner, outer = pair.inner, pair.outer
+    hole = scale_signed(inner, eps)
+    v_ii = single_layer_matrix(inner.centroids, inner, self_mesh=True)
+    v_oo = single_layer_matrix(outer.centroids, outer, self_mesh=True)
+    k_oi = single_layer_matrix(outer.centroids, hole)
+    k_oi /= eps**2
+    k_oi *= eps
+    for sign in (None, 1.0):
+        s = np.sign(eps) if sign is None else sign
+        stacked = np.block([[s * v_ii, single_layer_matrix(hole.centroids, outer)],
+                            [k_oi, v_oo]])
+        for blocks in (None, self_blocks(pair)):
+            system = assemble(pair, BLOCK_DATA, eps, sign, blocks=blocks)
+            assert np.array_equal(system.matrix, stacked)
+
+
+# ---------------------------------------------------------------------------
 # block-elimination solve against dense references
 # ---------------------------------------------------------------------------
 
@@ -552,8 +711,9 @@ def test_coarse_coupling_is_refined_against_the_full_matrix(unit_pair_s2, monkey
         solve(system)
 
 
-@pytest.mark.filterwarnings("ignore:Diagonal number:scipy.linalg.LinAlgWarning")
 def test_block_solve_refuses_singular_systems(unit_pair_s2):
+    # the guards raise; scipy's zero-pivot warning must not reach the user
+    warnings.simplefilter("error")
     system = assemble(unit_pair_s2, BLOCK_DATA, 0.3)
     n_i = system.n_inner
 
