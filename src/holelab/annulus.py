@@ -236,23 +236,24 @@ def solve_modes(prob: SphereProblem, data: ZonalDataFamily, eps: float) -> Modal
     r_o and the inner datum at rho = |eps|*r_i.  Because the inner datum is
     prescribed in the rescaled variable and degree-l zonal functions flip by
     (-1)^l under point reflection, the inner right-hand side carries the
-    factor (sgn eps)^l.
+    factor (sgn eps)^l.  The 2x2 system is solved for the scaled unknowns of
+    alpha*(r/r_o)^l + beta*(rho/r)^(l+n-2), whose entries lie in [0, 1], so
+    its condition stays near 1 unless the hole nearly touches the outer sphere.
     """
     prob.check_eps(eps)
     n = prob.n
     sgn = copysign(1.0, eps)
     rho = abs(eps) * prob.r_i
+    t = rho / prob.r_o
     L = data.max_degree
     a = np.zeros(L + 1)
     b = np.zeros(L + 1)
     worst = 1.0
     for l in range(L + 1):
         bi, bo = _mode_rhs(data, l, eps)
-        M = np.array(
-            [[rho**l, rho ** (2 - n - l)], [prob.r_o**l, prob.r_o ** (2 - n - l)]]
-        )
-        sol, cond = _solve_2x2(M, np.array([sgn**l * bi, bo]), l)
-        a[l], b[l] = sol
+        M = np.array([[t**l, 1.0], [1.0, t ** (l + n - 2)]])
+        (alpha, beta), cond = _solve_2x2(M, np.array([sgn**l * bi, bo]), l)
+        a[l], b[l] = alpha / prob.r_o**l, beta * rho ** (l + n - 2)
         worst = max(worst, cond)
     return ModalSolution(prob, eps, coupling_sign(eps, n), a, b, cond=worst)
 

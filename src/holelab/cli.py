@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from . import bem as bem_mod
+from . import CartesianDataFamily
 from . import continuation as cont
 from .annulus import (
     MACROSCOPIC,
@@ -33,8 +33,6 @@ from .annulus import (
     eval_solution,
     solve_densities,
 )
-from .bem import CartesianDataFamily, SolverError
-from .kernels import QuadratureError
 from .mesh import GeometryPair, MeshError, TriMesh, check_subdivisions, ellipsoid, icosphere, load_off
 
 EXIT_OK = 0
@@ -218,19 +216,22 @@ def _parse_problem(cfg: dict):
     raise ConfigError(f"field geometry.kind: unknown kind {kind!r}")
 
 
-def _parse_grid(cfg: dict) -> tuple[np.ndarray, str]:
+def _parse_grid(cfg: dict, signs: str | None = None) -> np.ndarray:
+    """The configured grid on ``signs`` (default: the config's), ascending."""
     grid_cfg = _require(cfg, "grid", dict)
     eps_min = float(_require(grid_cfg, "eps_min", (int, float)))
     eps_max = float(_require(grid_cfg, "eps_max", (int, float)))
     count = int(_require(grid_cfg, "count", int))
-    signs = grid_cfg.get("signs", "both")
-    if signs not in ("both", "positive", "negative"):
-        raise ConfigError(f"field grid.signs: unknown value {signs!r}")
+    config_signs = grid_cfg.get("signs", "both")
+    if config_signs not in ("both", "positive", "negative"):
+        raise ConfigError(f"field grid.signs: unknown value {config_signs!r}")
     with _refused_as("grid", cont.GridError):
-        return cont.make_grid(eps_min, eps_max, count), signs
+        grid = cont.make_grid(eps_min, eps_max, count)
+    halves = {"positive": [grid], "negative": [-grid[::-1]], "both": [-grid[::-1], grid]}
+    return np.concatenate(halves[signs or config_signs])
 
 
-def _parse_targets(cfg: dict, problem) -> cont.TargetSet:
+def _parse_targets(cfg: dict, solver: cont.Solver) -> cont.TargetSet:
     tcfg = _require(cfg, "targets", dict)
     frame = _require(tcfg, "frame", str)
     if frame not in (MACROSCOPIC, MICROSCOPIC):
@@ -245,18 +246,17 @@ def _parse_targets(cfg: dict, problem) -> cont.TargetSet:
             raise ConfigError(f"field 'targets.points': expected points of {dim} coordinates")
         pts = np.array(pts)
     elif "radii" in tcfg:
-        axis = problem.axis if isinstance(problem, SphereProblem) else (0.0, 0.0, 1.0)
-        pts = np.outer(_decimals(tcfg["radii"], "targets.radii"), axis)
+        pts = np.outer(_decimals(tcfg["radii"], "targets.radii"), solver.axis)
     else:
         raise ConfigError("field targets: needs 'points' or 'radii'")
     with _refused_as("targets", ValueError):
         return cont.TargetSet(frame, pts)
 
 
-def _thresholds(cfg: dict) -> dict:
+def _thresholds(cfg: dict, solver: cont.Solver) -> dict:
     raw = _optional(cfg, "thresholds", {}, dict)
     out = {
-        "atol": cont.DEFAULT_ATOL_SPECTRAL,
+        "atol": solver.default_atol,
         "rtol_break": cont.DEFAULT_RTOL_BREAK,
         "continue_factor": cont.CONTINUE_FACTOR,
         "break_factor": cont.BREAK_FACTOR,
@@ -270,28 +270,16 @@ def _thresholds(cfg: dict) -> dict:
     return out
 
 
-def _fit_params(cfg: dict, problem, grid: np.ndarray) -> tuple[int, str]:
+def _fit_params(cfg: dict, solver: cont.Solver) -> tuple[int, str]:
     """Fit degree and basis, checked against the positive grid before any solve."""
     fcfg = _optional(cfg, "fit", {}, dict)
-    default_degree = (
-        cont.DEFAULT_DEGREE_SPECTRAL
-        if isinstance(problem, SphereProblem)
-        else cont.DEFAULT_DEGREE_BEM
-    )
-    degree = fcfg.get("degree", default_degree)
+    degree = fcfg.get("degree", solver.default_degree)
     if isinstance(degree, bool) or not isinstance(degree, int):
         raise ConfigError(f"field fit.degree: {degree!r} is not an integer")
     basis = fcfg.get("basis", "auto")
     with _refused_as("fit", cont.FitError):
-        cont.check_fit(grid, degree, basis)
+        cont.check_fit(_parse_grid(cfg, "positive"), degree, basis)
     return degree, basis
-
-
-def _check_grid_admissible(problem, grid: np.ndarray) -> None:
-    if isinstance(problem, SphereProblem):
-        with _refused_as("grid", InadmissibleEpsError):
-            for eps in grid:
-                problem.check_eps(float(eps))
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -301,10 +289,11 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_csv(path: str, rows) -> None:
+def _write_csv(path: str, result: cont.SweepResult) -> None:
     lines = ["eps,frame,target_index,value,cond_estimate"]
-    for eps, frame, idx, value, cond in rows:
-        lines.append(f"{eps!r},{frame},{idx},{value!r},{cond!r}")
+    for eps, cond, row in zip(result.grid, _conds(result.conds), result.values):
+        for j, value in enumerate(row):
+            lines.append(f"{float(eps)!r},{result.frame},{j},{float(value)!r},{cond!r}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -320,26 +309,9 @@ def _conds(conds) -> list[float]:
     return [float(f"{c:.{COND_DIGITS}g}") for c in conds]
 
 
-def _sweep_rows(result: cont.SweepResult):
-    conds = _conds(result.conds)
-    for i, eps in enumerate(result.grid):
-        for j in range(result.values.shape[1]):
-            yield float(eps), result.frame, j, float(result.values[i, j]), conds[i]
-
-
-def _provenance(cfg: dict, problem) -> dict:
-    prov = {"config": cfg, "package": "holelab"}
-    if isinstance(problem, SphereProblem):
-        prov["solver"] = "spectral-modal"
-        prov["geometry"] = {"kind": "spheres", "n": problem.n,
-                            "r_i": problem.r_i, "r_o": problem.r_o}
-    else:
-        prov["solver"] = "bem-collocation"
-        prov["geometry"] = {
-            "kind": "meshes",
-            "inner_mesh": problem.inner.stats(),
-            "outer_mesh": problem.outer.stats(),
-        }
+def _provenance(cfg: dict, solver: cont.Solver) -> dict:
+    prov = {"config": cfg, "package": "holelab", "solver": solver.name,
+            "geometry": solver.geometry}
     if "run_id" in cfg:
         prov["run_id"] = cfg["run_id"]
     return prov
@@ -381,59 +353,51 @@ def _mark_undefined(payload: dict, keys) -> list[str]:
     return undefined
 
 
-def _solve_command(cfg, problem, data, targets, out_dir):
+def _swept(cfg, solver, data, targets, out_dir, signs=None) -> cont.SweepResult:
+    """Sweep the configured grid on ``signs`` and write sweep.csv.
+
+    Every grid point is checked before any solve, the negative ones too:
+    on a mesh pair admissibility is not symmetric under eps -> -eps.
+    """
+    grid = _parse_grid(cfg, signs)
+    with _refused_as("grid", InadmissibleEpsError, MeshError):
+        for eps in grid:
+            solver.check_eps(float(eps))
+    result = cont.sweep(solver.problem, data, grid, targets,
+                        eval_clearance_factor=_clearance_factor(cfg))
+    _write_csv(os.path.join(out_dir, "sweep.csv"), result)
+    return result
+
+
+def _solve_command(cfg, solver, data, targets, out_dir):
     eps = float(_require(cfg, "eps", (int, float)))
     if eps == 0.0:
         raise ConfigError("field eps: must be nonzero")
-    grid = np.array([eps])
-    result = cont.sweep(problem, data, grid, targets,
+    result = cont.sweep(solver.problem, data, np.array([eps]), targets,
                         eval_clearance_factor=_clearance_factor(cfg))
-    _write_csv(os.path.join(out_dir, "sweep.csv"), _sweep_rows(result))
+    _write_csv(os.path.join(out_dir, "sweep.csv"), result)
     return {
         "command": "solve",
         "eps": eps,
         "values": result.values[0],
         "cond_estimate": _conds(result.conds)[0],
-        "provenance": _provenance(cfg, problem),
+        "provenance": _provenance(cfg, solver),
     }, EXIT_OK
 
 
-def _run_sweeps(cfg, problem, data, targets, signs):
-    grid, _ = _parse_grid(cfg)
-    _check_grid_admissible(problem, grid)
-    clearance = _clearance_factor(cfg)
-    if signs == "positive":
-        return cont.sweep(problem, data, grid, targets, eval_clearance_factor=clearance), None
-    if signs == "negative":
-        return None, cont.sweep(problem, data, -grid[::-1], targets,
-                                eval_clearance_factor=clearance)
-    # one signed sweep, so a mesh pair's self blocks are built once
-    signed = cont.sweep(problem, data, np.concatenate([-grid[::-1], grid]), targets,
-                        eval_clearance_factor=clearance)
-    return signed.subset(signed.grid > 0), signed.subset(signed.grid < 0)
-
-
-def _sweep_command(cfg, problem, data, targets, out_dir):
-    _, signs = _parse_grid(cfg)
-    pos, neg = _run_sweeps(cfg, problem, data, targets, signs)
-    rows = []
-    if neg is not None:
-        rows.extend(_sweep_rows(neg))
-    if pos is not None:
-        rows.extend(_sweep_rows(pos))
-    _write_csv(os.path.join(out_dir, "sweep.csv"), rows)
-    report = {"command": "sweep", "provenance": _provenance(cfg, problem)}
-    for name, res in (("positive", pos), ("negative", neg)):
-        if res is not None:
-            report[name] = {"grid": res.grid, "cond_estimates": _conds(res.conds)}
+def _sweep_command(cfg, solver, data, targets, out_dir):
+    result = _swept(cfg, solver, data, targets, out_dir)
+    report = {"command": "sweep", "provenance": _provenance(cfg, solver)}
+    for name, side in (("positive", result.grid > 0), ("negative", result.grid < 0)):
+        if side.any():
+            report[name] = {"grid": result.grid[side], "cond_estimates": _conds(result.conds[side])}
     return report, EXIT_OK
 
 
-def _fit_command(cfg, problem, data, targets, out_dir):
-    degree, basis = _fit_params(cfg, problem, _parse_grid(cfg)[0])
-    pos, _ = _run_sweeps(cfg, problem, data, targets, "positive")
+def _fit_command(cfg, solver, data, targets, out_dir):
+    degree, basis = _fit_params(cfg, solver)
+    pos = _swept(cfg, solver, data, targets, out_dir, "positive")
     fit = cont.fit_series(pos, degree, basis)
-    _write_csv(os.path.join(out_dir, "sweep.csv"), _sweep_rows(pos))
     return {
         "command": "fit",
         "eps_scale": fit.eps_scale,
@@ -443,22 +407,16 @@ def _fit_command(cfg, problem, data, targets, out_dir):
         "residuals": fit.residuals,
         "full_basis_residuals": fit.full_residuals,
         "design_condition": fit.cond,
-        "provenance": _provenance(cfg, problem),
+        "provenance": _provenance(cfg, solver),
     }, EXIT_OK
 
 
-def _continuation_command(cfg, problem, data, targets, out_dir, strict):
-    degree, basis = _fit_params(cfg, problem, _parse_grid(cfg)[0])
-    thresholds = _thresholds(cfg)
-    if "atol" not in cfg.get("thresholds", {}) and not isinstance(problem, SphereProblem):
-        thresholds["atol"] = cont.DEFAULT_ATOL_BEM
-    pos, neg = _run_sweeps(cfg, problem, data, targets, "both")
-    fit = cont.fit_series(pos, degree, basis)
-    report = cont.test_continuation(fit, neg, **thresholds)
-    _write_csv(
-        os.path.join(out_dir, "sweep.csv"),
-        list(_sweep_rows(neg)) + list(_sweep_rows(pos)),
-    )
+def _continuation_command(cfg, solver, data, targets, out_dir, strict):
+    degree, basis = _fit_params(cfg, solver)
+    thresholds = _thresholds(cfg, solver)
+    signed = _swept(cfg, solver, data, targets, out_dir, "both")
+    fit = cont.fit_series(signed.subset(signed.grid > 0), degree, basis)
+    report = cont.test_continuation(fit, signed.subset(signed.grid < 0), **thresholds)
     payload = {
         "command": "continuation",
         "verdict": report.verdict,
@@ -471,7 +429,7 @@ def _continuation_command(cfg, problem, data, targets, out_dir, strict):
         "fit_coefficients": fit.coeffs,
         "eps_scale": fit.eps_scale,
         "thresholds": report.thresholds,
-        "provenance": _provenance(cfg, problem),
+        "provenance": _provenance(cfg, solver),
     }
     code = EXIT_OK
     if strict and report.verdict == cont.INCONCLUSIVE:
@@ -479,21 +437,16 @@ def _continuation_command(cfg, problem, data, targets, out_dir, strict):
     return payload, code
 
 
-def _symmetry_command(cfg, problem, data, targets, out_dir):
+def _symmetry_command(cfg, solver, data, targets, out_dir):
     zeta = int(_require(cfg, "zeta", int))
     if zeta not in (-1, 1):
         raise ConfigError("field zeta: must be +1 or -1")
-    degree, _ = _fit_params(cfg, problem, _parse_grid(cfg)[0])
-    pos, _ = _run_sweeps(cfg, problem, data, targets, "positive")
+    degree, _ = _fit_params(cfg, solver)
+    pos = _swept(cfg, solver, data, targets, out_dir, "positive")
     fit = cont.fit_series(pos, degree, basis="full")
-    if isinstance(problem, SphereProblem):
-        hypothesis = cont.zonal_symmetry_hypothesis(data, zeta)
-        checked = hypothesis["inner_reflected"] or hypothesis["outer_reflected"]
-    else:
-        hypothesis = {}
-        checked = bool(cfg.get("hypothesis_checked", False))
+    hypothesis, checked = solver.symmetry_hypothesis(
+        data, zeta, bool(cfg.get("hypothesis_checked", False)))
     report = cont.test_symmetry(fit, zeta, hypothesis_checked=checked)
-    _write_csv(os.path.join(out_dir, "sweep.csv"), _sweep_rows(pos))
     return {
         "command": "symmetry",
         "zeta": zeta,
@@ -504,7 +457,7 @@ def _symmetry_command(cfg, problem, data, targets, out_dir):
         "hypothesis_detail": hypothesis,
         "note": report.note,
         "coefficients": fit.coeffs,
-        "provenance": _provenance(cfg, problem),
+        "provenance": _provenance(cfg, solver),
     }, EXIT_OK
 
 
@@ -516,10 +469,10 @@ def _summed_coeffs(terms) -> tuple:
     return tuple(float(c) for c in total)
 
 
-def _convergence_command(cfg, problem, data, targets, out_dir):
-    if isinstance(problem, SphereProblem):
-        raise ConfigError("field geometry: convergence study needs mesh geometry")
+def _convergence_command(cfg, solver, data, targets, out_dir):
     geom = cfg["geometry"]
+    if geom["kind"] != "meshes":
+        raise ConfigError("field geometry: convergence study needs mesh geometry")
     inner_spec = geom["inner"]
     outer_spec = geom["outer"]
     if "path" in inner_spec or "path" in outer_spec:
@@ -550,11 +503,8 @@ def _convergence_command(cfg, problem, data, targets, out_dir):
             _build_mesh(inner_spec, s, "geometry.inner"),
             _build_mesh(outer_spec, s, "geometry.outer"),
         )
-        dens = bem_mod.solve(bem_mod.assemble(pair, data, eps))
-        vals = bem_mod.eval_field(
-            pair, dens, eps, targets.points, targets.frame, clearance_factor=clearance
-        )
-        values.append(np.atleast_1d(vals))
+        values.append(cont.sweep(pair, data, np.array([eps]), targets,
+                                 eval_clearance_factor=clearance).values[0])
         edges.append(pair.outer.mean_edge_length)
     values = np.array(values)
     edges = np.array(edges)
@@ -565,7 +515,7 @@ def _convergence_command(cfg, problem, data, targets, out_dir):
         "levels": levels,
         "mean_edge_lengths": edges,
         "values": values,
-        "provenance": _provenance(cfg, problem),
+        "provenance": _provenance(cfg, solver),
     }
     if use_oracle:
         n = 3
@@ -622,12 +572,13 @@ def run(config: dict, out_dir: str = ".", strict: bool = False) -> int:
     if command not in COMMANDS:
         raise ConfigError(f"field command: unknown command {command!r}")
     problem, data = _parse_problem(config)
-    targets = _parse_targets(config, problem)
+    solver = cont.solver_for(problem)
+    targets = _parse_targets(config, solver)
     os.makedirs(out_dir, exist_ok=True)
     handler = {"solve": _solve_command, "sweep": _sweep_command, "fit": _fit_command,
                "continuation": partial(_continuation_command, strict=strict),
                "symmetry": _symmetry_command, "convergence": _convergence_command}[command]
-    payload, code = handler(config, problem, data, targets, out_dir)
+    payload, code = handler(config, solver, data, targets, out_dir)
     _write_report(out_dir, payload)
     return code
 
@@ -667,8 +618,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"holelab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, MeshError, InadmissibleEpsError, QuadratureError,
-            cont.GridError, cont.FitError, RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError) as exc:  # every library refusal derives from one
         print(f"holelab: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

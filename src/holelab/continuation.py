@@ -25,7 +25,9 @@ when the restricted model explains the data as well as the full one.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -139,9 +141,75 @@ class SweepResult:
                            self.conds[mask], self.meta)
 
 
+@dataclass(frozen=True)
+class Solver:
+    """What the sweep and the CLI need of one solver; built by ``solver_for``.
+
+    ``axis`` carries targets given by radii; its length is the dimension.
+    ``solve_grid(data, grid, targets, clearance_factor)`` yields the target
+    values and the condition estimate at each eps of an admissible grid.
+    ``symmetry_hypothesis(data, zeta, claimed)`` gives the hypothesis detail
+    and whether it holds: computed from zonal data on spheres, the caller's
+    unchecked claim on meshes.
+    """
+
+    problem: SphereProblem | GeometryPair
+    name: str
+    geometry: dict
+    default_degree: int
+    default_atol: float
+    axis: tuple
+    check_eps: Callable[[float], None]
+    solve_grid: Callable
+    symmetry_hypothesis: Callable
+
+
+def _spectral_grid(problem: SphereProblem, data, grid, targets, clearance_factor):
+    validate_targets(problem, targets, [grid])
+    for eps in grid:
+        sol = solve_densities(problem, data, eps)
+        yield [eval_solution(sol, p, targets.frame) for p in targets.points], sol.cond
+
+
+def _bem_grid(pair: GeometryPair, data, grid, targets, clearance_factor):
+    # V_ii and V_oo do not depend on eps: built once, shared by every
+    # solve.  A single solve builds them inside assemble, which drops
+    # each once copied, so they do not stay alive through its LU.
+    blocks = bem_mod.self_blocks(pair) if len(grid) > 1 else None
+    for eps in grid:
+        system = bem_mod.assemble(pair, data, eps, blocks=blocks)
+        dens = bem_mod.solve(system)
+        del system  # its matrix is not kept alive through the next assembly
+        yield bem_mod.eval_field(pair, dens, eps, targets.points, targets.frame,
+                                 clearance_factor=clearance_factor), dens.cond
+
+
+def _zonal_hypothesis(data: ZonalDataFamily, zeta: int, claimed: bool) -> tuple[dict, bool]:
+    detail = zonal_symmetry_hypothesis(data, zeta)
+    return detail, detail["inner_reflected"] or detail["outer_reflected"]
+
+
+def solver_for(problem) -> Solver:
+    """The spectral solver for a SphereProblem, collocation for a GeometryPair."""
+    if isinstance(problem, SphereProblem):
+        geometry = {"kind": "spheres", "n": problem.n, "r_i": problem.r_i, "r_o": problem.r_o}
+        return Solver(problem, "spectral-modal", geometry, DEFAULT_DEGREE_SPECTRAL,
+                      DEFAULT_ATOL_SPECTRAL, axis=problem.axis, check_eps=problem.check_eps,
+                      solve_grid=partial(_spectral_grid, problem),
+                      symmetry_hypothesis=_zonal_hypothesis)
+    if isinstance(problem, GeometryPair):
+        geometry = {"kind": "meshes", "inner_mesh": problem.inner.stats(),
+                    "outer_mesh": problem.outer.stats()}
+        return Solver(problem, "bem-collocation", geometry, DEFAULT_DEGREE_BEM,
+                      DEFAULT_ATOL_BEM, axis=(0.0, 0.0, 1.0), check_eps=problem.require_admissible,
+                      solve_grid=partial(_bem_grid, problem),
+                      symmetry_hypothesis=lambda data, zeta, claimed: ({}, claimed))
+    raise TypeError(f"unsupported problem type {type(problem).__name__}")
+
+
 def sweep(problem, data, grid, targets: TargetSet, *,
           eval_clearance_factor: float = bem_mod.EVAL_CLEARANCE_FACTOR) -> SweepResult:
-    """One solve per eps; spectral for sphere problems, collocation for meshes.
+    """One solve per eps, by the problem's solver (see ``solver_for``).
 
     The grid may hold both signs; a signed sweep of a mesh pair builds the
     eps-independent self blocks only once.
@@ -151,35 +219,15 @@ def sweep(problem, data, grid, targets: TargetSet, *,
         raise GridError("sweep grids must not contain eps = 0")
     if np.any(np.diff(grid) <= 0):
         raise GridError("sweep grid must be strictly increasing")
+    solver = solver_for(problem)
     values = np.empty((len(grid), len(targets)))
     conds = np.empty(len(grid))
-    if isinstance(problem, SphereProblem):
-        validate_targets(problem, targets, [grid])
-        for i, eps in enumerate(grid):
-            sol = solve_densities(problem, data, eps)
-            conds[i] = sol.cond
-            for j, p in enumerate(targets.points):
-                values[i, j] = eval_solution(sol, p, targets.frame)
-        meta = {"solver": "spectral-modal", "dimension": problem.n}
-    elif isinstance(problem, GeometryPair):
-        # V_ii and V_oo do not depend on eps: built once, shared by every
-        # solve.  A single solve builds them inside assemble, which drops
-        # each once copied, so they do not stay alive through its LU.
-        blocks = bem_mod.self_blocks(problem) if len(grid) > 1 else None
-        for i, eps in enumerate(grid):
-            system = bem_mod.assemble(problem, data, eps, blocks=blocks)
-            dens = bem_mod.solve(system)
-            del system  # its matrix is not kept alive through the next assembly
-            conds[i] = dens.cond
-            values[i, :] = bem_mod.eval_field(
-                problem, dens, eps, targets.points, targets.frame,
-                clearance_factor=eval_clearance_factor,
-            )
-        meta = {"solver": "bem-collocation", "dimension": 3}
-    else:
-        raise TypeError(f"unsupported problem type {type(problem).__name__}")
+    for i, (row, cond) in enumerate(
+            solver.solve_grid(data, grid, targets, eval_clearance_factor)):
+        values[i], conds[i] = row, cond
     if not np.all(np.isfinite(values)):
         raise RuntimeError("sweep produced non-finite values")
+    meta = {"solver": solver.name, "dimension": len(solver.axis)}
     return SweepResult(grid, values, targets.frame, conds, meta)
 
 

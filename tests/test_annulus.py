@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from holelab.annulus import (
     DomainError,
@@ -141,6 +142,32 @@ def test_representation_consistency_random_data(n, eps):
         p = random_point(rng, n, rng.uniform(abs(eps) + 0.05, 0.99))
         um, ud = eval_solution(sol_m, p), eval_solution(sol_d, p)
         assert ud == pytest.approx(um, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 8), r_o=st.floats(1.0, 2.0),
+       eps=st.sampled_from([0.05, -0.05]) | st.floats(0.05, 0.9).flatmap(
+           lambda e: st.sampled_from([e, -e])),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=8, r_o=1.0, eps=0.05, seed=0)
+@example(n=8, r_o=1.0, eps=-0.05, seed=1)
+def test_solve_modes_agrees_with_solve_densities(n, r_o, eps, seed):
+    # Both paths give one field for modes 0..6, down to small holes in high
+    # dimension, where unscaled 2x2 systems exceed the condition guard.
+    rng = np.random.default_rng(seed)
+    prob = SphereProblem(n, 1.0, r_o)
+    data = ZonalDataFamily(
+        inner={l: tuple(rng.uniform(-1, 1, 2)) for l in range(7)},
+        outer={l: tuple(rng.uniform(-1, 1, 2)) for l in range(7)},
+    )
+    sol_m = solve_modes(prob, data, eps)
+    sol_d = solve_densities(prob, data, eps)
+    # zonal functions are at most 1 in size, so this bounds the boundary data
+    # and, by the maximum principle, the field
+    scale = sum(np.abs(c).sum() for side in (data.inner, data.outer) for c in side.values())
+    for _ in range(10):
+        p = random_point(rng, n, rng.uniform(abs(eps), r_o))
+        assert abs(eval_solution(sol_m, p) - eval_solution(sol_d, p)) <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("n", [3, 4])

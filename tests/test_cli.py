@@ -147,15 +147,22 @@ def test_solve_requires_nonzero_eps(tmp_path):
     assert code == EXIT_CONFIG
 
 
-def test_sweep_command_writes_both_signs(tmp_path):
-    cfg = base_config(4)
-    cfg["grid"]["count"] = 5
+@pytest.mark.parametrize("signs", ["both", "positive", "negative"])
+@pytest.mark.parametrize("geometry", ["spheres", "meshes"])
+def test_sweep_command_writes_both_signs(tmp_path, geometry, signs):
+    sides = {"positive", "negative"} if signs == "both" else {signs}
+    cfg = base_config(4) if geometry == "spheres" else bem_sweep_config()
+    cfg["grid"].update(count=3, signs=signs)
     code, report, out = run_cli(tmp_path, "sweep", cfg)
     assert code == EXIT_OK
+    assert {"positive", "negative"} & set(report) == sides
     rows = (out / "sweep.csv").read_text().splitlines()[1:]
     eps = [float(r.split(",")[0]) for r in rows]
-    assert len(eps) == 10 and eps == sorted(eps)
-    assert "positive" in report and "negative" in report
+    assert len(eps) == 3 * len(sides) and eps == sorted(eps)
+    assert {"positive" if e > 0 else "negative" for e in eps} == sides
+    for side in sides:
+        grid = report[side]["grid"]
+        assert len(grid) == 3 and all((e > 0) == (side == "positive") for e in grid)
 
 
 def test_fit_command_reports_coefficients(tmp_path):
@@ -338,6 +345,58 @@ def test_fit_parameters_checked_before_any_solve(tmp_path, monkeypatch, capsys, 
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG and report is None
     assert "fit" in err and "Traceback" not in err
+
+
+class SweepReached(Exception):
+    """Raised by a patched sweep: the grid check let the run through."""
+
+
+def shifted_icosphere_off(path, z):
+    from holelab.mesh import TriMesh, icosphere, save_off
+    mesh = icosphere(1.0, 1)
+    save_off(TriMesh(mesh.vertices + [0.0, 0.0, z], mesh.triangles), path)
+    return {"path": str(path)}
+
+
+@pytest.mark.parametrize("geometry, command, signs, refused", [
+    ("touching", "sweep", "both", True),
+    ("touching", "sweep", "positive", True),
+    ("touching", "fit", "both", True),
+    ("touching", "symmetry", "both", True),
+    # only the negative points are inadmissible on this off-centre pair
+    ("shifted", "sweep", "both", True),
+    ("shifted", "sweep", "negative", True),
+    ("shifted", "continuation", "positive", True),
+    ("shifted", "sweep", "positive", False),
+    ("shifted", "fit", "both", False),
+])
+def test_mesh_grid_checked_before_any_solve(tmp_path, monkeypatch, capsys, geometry, command,
+                                            signs, refused):
+    def no_sweep(*args, **kwargs):
+        raise SweepReached
+
+    monkeypatch.setattr(cont, "sweep", no_sweep)
+    cfg = bem_sweep_config()
+    cfg["geometry"]["subdivisions"] = 1
+    cfg["zeta"] = 1
+    # unit spheres: at |eps| = 0.999 the hole all but touches the outer sphere
+    cfg["grid"] = {"eps_min": 0.3, "eps_max": 0.999, "count": 6, "signs": signs}
+    if geometry == "shifted":
+        # hole centre at 0.5 eps, outer centre at 0.3: the clearance is
+        # 0.009 at eps = -0.46 and 0.44 at +0.46 (clearance_min 0.026)
+        tmp_path.mkdir(parents=True, exist_ok=True)
+        cfg["geometry"]["inner"] = shifted_icosphere_off(tmp_path / "inner.off", 0.5)
+        cfg["geometry"]["outer"] = shifted_icosphere_off(tmp_path / "outer.off", 0.3)
+        cfg["grid"]["eps_max"] = 0.46
+        cfg["targets"] = {"frame": "macroscopic", "points": [[0.6, 0.0, 0.0]]}
+    if not refused:
+        with pytest.raises(SweepReached):
+            run_cli(tmp_path, command, cfg)
+        return
+    code, report, _ = run_cli(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and report is None
+    assert "'grid'" in err and "clearance" in err and "Traceback" not in err
 
 
 def test_config_errors_exit_2_naming_the_field(tmp_path, capsys):
