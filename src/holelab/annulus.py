@@ -86,11 +86,6 @@ class SphereProblem:
             raise ValueError("axis must be nonzero")
         object.__setattr__(self, "axis", tuple(axis / norm))
 
-    @property
-    def eps_max(self) -> float:
-        """Largest admissible |eps| (exclusive): the hole must stay inside."""
-        return self.r_o / self.r_i
-
     def check_eps(self, eps: float) -> None:
         if eps == 0.0:
             raise InadmissibleEpsError("eps = 0 is handled by solve_limit_system only")

@@ -7,13 +7,23 @@ Field evaluation uses the layer representation; ``direct_solve`` assembles
 the same Dirichlet problem on the physically scaled hole mesh with no
 rescaling factors, as an independent cross-check.
 
-Both systems are solved by block elimination at the hole/outer split
-(``_checked_block_solve``): the inner block is factored (V_ii once per
-sweep), the hole-to-outer coupling block is compressed to low rank by a
-randomized range finder, and only the half-size Schur complement is
-factored per eps.  Iterative refinement against the full assembled matrix
-brings the solution to the accuracy of a dense LU; the residual guard and
-the 1-norm condition estimate both refer to the full matrix.
+A single system is solved by block elimination at the hole/outer split
+(``_checked_block_solve``): the inner block is factored, the hole-to-outer
+coupling block is compressed to low rank by a randomized range finder, and
+the half-size Schur complement is factored.  Iterative refinement against
+the full assembled matrix brings the solution to the accuracy of a dense LU;
+the residual guard and the 1-norm condition estimate both refer to the full
+matrix.
+
+A sweep over several eps (``solve_grid``) builds and factors the self blocks
+V_ii and V_oo once.  Only the two coupling blocks depend on eps, and both
+are power series in it: ``CouplingExpansion`` writes them as
+A^T diag(eps^k) B in real solid-harmonic bases built once per geometry, and
+at every eps where ``expansion_degree`` certifies the truncation the solve
+is a Woodbury solve around the two factors with one small capacitance LU.
+No N x N matrix is formed there; its residual guard adds the certified
+truncation bound to the residual of the expanded system.  Any other eps is
+assembled with the shared self blocks and solved as a single system.
 
 Block assembly shares chunks of its target rows (far field) and near pairs
 out to one thread per CPU in the process's affinity set; each entry is
@@ -53,6 +63,14 @@ COUPLING_RTOL = 1e-6
 _RANGE_BLOCK = 32
 _RANGE_PROBES = 10
 _REFINE_STEPS = 4
+# Certified relative error of every expanded coupling kernel value.
+EXPANSION_RTOL = 1e-14
+# The expansion serves an eps while its (p+1)^2 basis columns stay below
+# this fraction of the smaller mesh's triangles; nearer square, the bases
+# cost as much as the blocks they replace.
+_EXPANSION_RANK_FRACTION = 2.0 / 3.0
+# Bytes of one chunk of quadrature-node harmonics while moments are summed.
+_HARMONIC_CHUNK_BYTES = 1 << 22
 EVAL_CLEARANCE_FACTOR = 2.0
 
 _KERNEL_SCALE = -1.0 / (4.0 * pi)
@@ -381,6 +399,11 @@ class SelfBlocks:
         """``_factor`` of V_ii, computed at the first solve and shared by the rest."""
         return _factor(self.v_ii)
 
+    @cached_property
+    def outer_lu(self) -> tuple:
+        """``_factor`` of V_oo, computed once for the expanded sweep solves."""
+        return _factor(self.v_oo)
+
 
 def self_blocks(pair: GeometryPair) -> SelfBlocks:
     """Build V_ii and V_oo once, for reuse by ``assemble`` across an eps sweep."""
@@ -431,15 +454,21 @@ def assemble(pair: GeometryPair, data: CartesianDataFamily, eps: float,
     return AssembledSystem(pair, eps, sign_asm, matrix, rhs, n_i, blocks)
 
 
-def _norms(matrix: np.ndarray, rows: int = 64) -> tuple[float, float]:
-    """1-norm and infinity-norm, summed in row chunks with no |matrix| copy."""
+def _abs_sums(matrix: np.ndarray, rows: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """Column and row sums of |matrix|, in row chunks with no |matrix| copy."""
     col_sums = np.zeros(matrix.shape[1])
-    row_max = 0.0
+    row_sums = np.empty(matrix.shape[0])
     for start in range(0, matrix.shape[0], rows):
         chunk = np.abs(matrix[start : start + rows])
         col_sums += chunk.sum(axis=0)
-        row_max = max(row_max, float(chunk.sum(axis=1).max()))
-    return float(col_sums.max()), row_max
+        row_sums[start : start + rows] = chunk.sum(axis=1)
+    return col_sums, row_sums
+
+
+def _norms(matrix: np.ndarray) -> tuple[float, float]:
+    """1-norm and infinity-norm."""
+    col_sums, row_sums = _abs_sums(matrix)
+    return float(col_sums.max()), float(row_sums.max())
 
 
 def _lu_factor(a: np.ndarray, **kwargs) -> tuple[np.ndarray, np.ndarray]:
@@ -469,8 +498,11 @@ def _range_finder(b: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray | 
     range, grown by _RANGE_BLOCK Gaussian samples at a time, and W^T = U^T b.
     It stops when _RANGE_PROBES fixed Gaussian probes b w keep less than
     rtol of their Frobenius norm outside range(U), which estimates
-    |b - U W^T|_F / |b|_F.  Past min(b.shape)/4 columns a low rank saves
-    nothing, and b itself is returned.
+    |b - U W^T|_F / |b|_F.  The sampled basis overshoots the rank in whole
+    blocks, so U is then cut to the leading left singular vectors of W^T
+    whose dropped singular values hold at most rtol of |W^T|_F.  Past
+    min(b.shape)/4 columns a low rank saves nothing, and b itself is
+    returned.
     """
     rng = np.random.default_rng(0)
     m, n = b.shape
@@ -489,7 +521,16 @@ def _range_finder(b: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray | 
             q, _ = np.linalg.qr(q)
         u = np.hstack([u, q])
         probes -= q @ (q.T @ probes)
-    return u, u.T @ b
+    wt = u.T @ b
+    if u.shape[1] == 0:
+        return u, wt
+    # W^T = R^T Q^T: its singular values and left singular vectors are
+    # those of the small R^T
+    q, sv, _ = np.linalg.svd(np.linalg.qr(wt.T, mode="r").T)
+    # tail[j] = Frobenius norm of the singular values from j on
+    tail = np.sqrt(np.cumsum(sv[::-1] ** 2))[::-1]
+    keep = int(np.count_nonzero(tail > rtol * tail[0]))
+    return u @ q[:, :keep], q[:, :keep].T @ wt
 
 
 def _block_inverse(matrix: np.ndarray, n_inner: int, label: str, hint: str = "",
@@ -537,22 +578,25 @@ def _block_inverse(matrix: np.ndarray, n_inner: int, label: str, hint: str = "",
     return apply, apply_t
 
 
-def _checked_block_solve(matrix: np.ndarray, rhs: np.ndarray, n_inner: int, label: str,
-                         hint: str = "", inner=None,
-                         inner_scale: float = 1.0) -> tuple[np.ndarray, float, float]:
-    """Solve matrix x = rhs by block elimination, refined against the full matrix.
+def _checked_solve(matvec, apply, apply_t, norms: tuple[float, float], rhs: np.ndarray,
+                   label: str, hint: str = "", truncation=None,
+                   refine: bool = True) -> tuple[np.ndarray, float, float]:
+    """Solve a system through its inverse apply, with both guards.
 
-    ``_block_inverse`` (same arguments) preconditions up to _REFINE_STEPS
-    steps of iterative refinement with the full matrix.  Returns (solution,
-    1-norm condition estimate, relative residual), the estimate being
-    |matrix|_1 times onenormest of the factored inverse.  Raises SolverError
-    when the inner block or the system is singular to working precision
-    (rcond < RCOND_MIN) or the residual exceeds SOLVE_RESIDUAL_RTOL.
+    ``matvec`` applies the system matrix, ``apply`` and ``apply_t`` a
+    factored inverse and its transpose, ``norms`` are the matrix's 1- and
+    infinity-norms.  With ``refine``, up to _REFINE_STEPS steps of iterative
+    refinement with ``matvec`` follow the first solve; an exact inverse
+    needs none.  ``truncation(x)``, if given, bounds
+    the residual that ``matvec`` leaves out and is added to it.  Returns
+    (solution, 1-norm condition estimate, relative residual), the estimate
+    being |matrix|_1 times onenormest of the inverse.  Raises SolverError
+    when the system is singular to working precision (rcond < RCOND_MIN) or
+    the residual exceeds SOLVE_RESIDUAL_RTOL.
     """
     from scipy.sparse.linalg import LinearOperator, onenormest
 
-    apply, apply_t = _block_inverse(matrix, n_inner, label, hint, inner, inner_scale)
-    norm_1, norm_inf = _norms(matrix)
+    norm_1, norm_inf = norms
     n = len(rhs)
     with np.errstate(all="ignore"):
         inv_norm = onenormest(LinearOperator((n, n), matvec=apply, rmatvec=apply_t,
@@ -563,17 +607,19 @@ def _checked_block_solve(matrix: np.ndarray, rhs: np.ndarray, n_inner: int, labe
             f"{label} is singular to working precision (rcond={rcond:.2e}){hint}"
         )
     x = apply(rhs)
-    r = rhs - matrix @ x
+    r = rhs - matvec(x)
     res = float(np.max(np.abs(r)))
-    for _ in range(_REFINE_STEPS):
+    for _ in range(_REFINE_STEPS if refine else 0):
         if res <= np.finfo(float).eps * norm_inf * float(np.max(np.abs(x))):
             break  # at rounding level
         x_new = x + apply(r)
-        r_new = rhs - matrix @ x_new
+        r_new = rhs - matvec(x_new)
         res_new = float(np.max(np.abs(r_new)))
         if not res_new < res:
             break  # stopped falling
         x, r, res = x_new, r_new, res_new
+    if truncation is not None:
+        res += truncation(x)
     scale = max(float(np.max(np.abs(rhs))), 1e-300)
     residual = res / scale
     if residual > SOLVE_RESIDUAL_RTOL:
@@ -581,6 +627,18 @@ def _checked_block_solve(matrix: np.ndarray, rhs: np.ndarray, n_inner: int, labe
             f"{label} residual {residual:.2e} exceeds {SOLVE_RESIDUAL_RTOL:.0e}"
         )
     return x, 1.0 / rcond, residual
+
+
+def _checked_block_solve(matrix: np.ndarray, rhs: np.ndarray, n_inner: int, label: str,
+                         hint: str = "", inner=None,
+                         inner_scale: float = 1.0) -> tuple[np.ndarray, float, float]:
+    """``_checked_solve`` of the full matrix, preconditioned by ``_block_inverse``.
+
+    Same arguments as ``_block_inverse``; refinement, the residual and the
+    condition estimate all refer to the full matrix.
+    """
+    apply, apply_t = _block_inverse(matrix, n_inner, label, hint, inner, inner_scale)
+    return _checked_solve(matrix.__matmul__, apply, apply_t, _norms(matrix), rhs, label, hint)
 
 
 def solve(system: AssembledSystem) -> DensityPair:
@@ -595,6 +653,291 @@ def solve(system: AssembledSystem) -> DensityPair:
     )
     pairdens = system.split(x)
     return DensityPair(pairdens.mu_inner, pairdens.mu_outer, cond, residual)
+
+
+def _solid_harmonics(points: np.ndarray, degree: int) -> np.ndarray:
+    """Real regular solid harmonics of degree <= ``degree`` at points (P, 3).
+
+    Returns ((degree+1)^2, P) in degree order: row k^2 holds order 0 of
+    degree k, rows k^2 + 2m - 1 and k^2 + 2m the cosine and sine parts of
+    order m.  They are r^k S_k^m(cos theta) (cos m phi, sin m phi) with S_k^m
+    the Schmidt semi-normalised Legendre functions, so that by the addition
+    theorem the rows of degree k give
+    sum R(x) R(y) = |x|^k |y|^k P_k(cos angle(x, y)).
+    Computed in Cartesian coordinates, one degree at a time: orders below
+    k - 1 by the three-term Legendre recurrence in z and r^2, order k - 1
+    from order k - 1 of degree k - 1, and order k by a step in (x + iy).
+    """
+    x, y, z = (np.ascontiguousarray(points[:, c]) for c in range(3))
+    r2 = x * x + y * y + z * z
+    out = np.empty(((degree + 1) ** 2, len(points)))
+    out[0] = 1.0
+    for k in range(1, degree + 1):
+        row = k * k  # first row of degree k
+        prev, prev2 = (k - 1) ** 2, (k - 2) ** 2
+        if k >= 2:
+            # orders m <= k - 2 fill rows row .. row + 2k - 4, as in degree k - 1
+            # and degree k - 2, each row scaled by its order's coefficients
+            m = (np.arange(2 * k - 3) + 1) // 2
+            a = (2 * k - 1) / np.sqrt(k * k - m * m)
+            b = np.sqrt(((k - 1) ** 2 - m * m) / (k * k - m * m))
+            block = out[row : row + 2 * k - 3]
+            np.multiply(out[prev : prev + 2 * k - 3], z, out=block)
+            block *= a[:, None]
+            below = out[prev2:prev] * r2
+            below *= b[:, None]
+            block -= below
+        # order k - 1: R_k^(k-1) = sqrt(2k - 1) z R_(k-1)^(k-1)
+        lo = max(2 * k - 3, 0)
+        out[row + lo : row + 2 * k - 1] = sqrt(2 * k - 1) * z * out[prev + lo : row]
+        # order k: (x + iy) times order k - 1 of degree k - 1, scaled
+        f = sqrt((2 * k - 1) / (2 * k)) if k > 1 else 1.0
+        c_prev = out[row - 2] if k > 1 else out[0]
+        s_prev = out[row - 1] if k > 1 else 0.0
+        out[row + 2 * k - 1] = f * (x * c_prev - y * s_prev)
+        out[row + 2 * k] = f * (x * s_prev + y * c_prev)
+    return out
+
+
+def _truncation_bound(rho: float, degree: int) -> float:
+    """Relative error bound of the kernel expansion cut after ``degree``.
+
+    With |x| <= rho |y|, the tail of 1/|y - x| = sum_k |x|^k / |y|^(k+1)
+    P_k(cos angle) is at most rho^(p+1) / ((1 - rho) |y|), since |P_k| <= 1,
+    and 1/|y - x| >= 1 / ((1 + rho) |y|).
+    """
+    return (1.0 + rho) * rho ** (degree + 1) / (1.0 - rho)
+
+
+def expansion_degree(pair: GeometryPair, eps: float) -> int | None:
+    """Degree p at which ``CouplingExpansion`` is certified at eps, or None.
+
+    p is the least degree with ``_truncation_bound`` at rho = |eps| R_i / d0
+    within EXPANSION_RTOL.  None when eps = 0, when a coupling pair may be in
+    the near field (the ball clearance d0 - |eps| R_i is below
+    NEAR_FIELD_FACTOR outer triangle diameters, or scaled inner ones: there
+    ``single_layer_matrix`` integrates exactly rather than by the rule the
+    expansion reproduces), or when (p+1)^2 exceeds
+    _EXPANSION_RANK_FRACTION of the smaller mesh's triangles.
+    """
+    if eps == 0:
+        return None
+    diameter = max(float(pair.outer.diameters.max()),
+                   abs(eps) * float(pair.inner.diameters.max()))
+    # with a relative slack, so that rounding of the centroids cannot decide
+    if not pair.ball_clearance(eps) >= NEAR_FIELD_FACTOR * diameter * (1.0 + 1e-9):
+        return None
+    rho = abs(eps) * pair.inner_radius / pair.origin_distance
+    cap = _EXPANSION_RANK_FRACTION * min(pair.inner.n_triangles, pair.outer.n_triangles)
+    degree = 0
+    while (degree + 1) ** 2 <= cap:
+        if _truncation_bound(rho, degree) <= EXPANSION_RTOL:
+            return degree
+        degree += 1
+    return None
+
+
+def _moments(mesh: TriMesh, harmonics, size: int) -> np.ndarray:
+    """(size, T) 7-point-rule integrals of ``harmonics(points)`` over each triangle.
+
+    Summed in triangle chunks, so no (size, 7T) array is ever held.
+    """
+    pts, wts = _triangle_quad(mesh.corner_array())
+    n_t, n_q = wts.shape
+    out = np.empty((size, n_t))
+    chunk = max(1, _HARMONIC_CHUNK_BYTES // (8 * size * n_q))
+    for start in range(0, n_t, chunk):
+        stop = min(start + chunk, n_t)
+        h = harmonics(pts[start:stop].reshape(-1, 3)).reshape(size, stop - start, n_q)
+        np.einsum("rtq,tq->rt", h, wts[start:stop], out=out[:, start:stop])
+    return out
+
+
+class CouplingExpansion:
+    """The two coupling blocks of a mesh pair as power series in eps.
+
+    Where |eps x| < |y|, 1/|y - eps x| = sum_k eps^k sum_m R_k^m(x) I_k^m(y)
+    (Greengard & Rokhlin, J. Comput. Phys. 73, 1987), with R the real
+    regular solid harmonics of ``_solid_harmonics`` and I(y) = R(y/|y|^2)/|y|
+    the irregular ones.  Scaled as R(x/R_i) and d0^(k+1) I(y), with R_i the
+    inner bounding radius and d0 the origin's distance to the outer mesh,
+    term k is O(rho^k), rho = |eps| R_i / d0.  Truncated at degree p, in the
+    first r = (p+1)^2 rows of the bases (degree order):
+
+        K_io(eps)       = A_i^T D B_o     hole centroids, outer triangles
+        eps K_oi(eps)   = eps A_o^T D B_i  outer centroids, hole triangles
+        D = diag(-1/(4 pi d0) (eps R_i/d0)^k)
+
+    A_i are the regular harmonics at the inner centroids, A_o the irregular
+    ones at the outer centroids, and B_o and B_i the 7-point-rule moments of
+    the outer and inner triangles, so the blocks reproduce the far-field
+    entries of ``single_layer_matrix`` (the eps^2 of the hole's areas and
+    the 1/eps of the rescaling leave one eps on K_oi).  Built once per
+    geometry up to ``degree``, with the factored self blocks and the r x r
+    products G_o = B_o V_oo^-1 A_o^T and G_i = B_i V_ii^-1 A_i^T.
+    """
+
+    def __init__(self, pair: GeometryPair, blocks: SelfBlocks, degree: int):
+        self.pair, self.blocks, self.degree = pair, blocks, degree
+        size = (degree + 1) ** 2
+        self.radius, self.distance = pair.inner_radius, pair.origin_distance
+        # degree k of each row
+        self.row_degrees = np.repeat(np.arange(degree + 1), 2 * np.arange(degree + 1) + 1)
+        for name, (_, rcond) in (("inner", blocks.inner_lu), ("outer", blocks.outer_lu)):
+            if not rcond >= RCOND_MIN:
+                raise SolverError(
+                    f"system {name} block is singular to working precision (rcond={rcond:.2e})"
+                )
+        inner, outer = pair.inner, pair.outer
+        self.a_i = _solid_harmonics(inner.centroids / self.radius, degree)
+        self.b_i = _moments(inner, lambda x: _solid_harmonics(x / self.radius, degree), size)
+        self.a_o = self._irregular(outer.centroids)
+        self.b_o = _moments(outer, self._irregular, size)
+        self.g_i = self.b_i @ lu_solve(blocks.inner_lu[0], self.a_i.T, trans=1,
+                                       check_finite=False)
+        self.g_o = self.b_o @ lu_solve(blocks.outer_lu[0], self.a_o.T, trans=1,
+                                       check_finite=False)
+        # block row and column sums of |V|; every single-layer entry is
+        # negative, so those of |K| are -1^T K, taken through the bases
+        self.v_sums = (_abs_sums(blocks.v_ii), _abs_sums(blocks.v_oo))
+        self.basis_sums = tuple(m.sum(axis=1) for m in (self.a_i, self.b_i, self.a_o, self.b_o))
+
+    def _irregular(self, points: np.ndarray) -> np.ndarray:
+        d0 = self.distance
+        r2 = np.einsum("pc,pc->p", points, points)
+        h = _solid_harmonics(points * (d0 / r2)[:, None], self.degree)
+        h *= d0 / np.sqrt(r2)
+        return h
+
+    def scales(self, eps: float, degree: int) -> np.ndarray:
+        """The diagonal of D(eps) up to ``degree``."""
+        k = self.row_degrees[: (degree + 1) ** 2]
+        return _KERNEL_SCALE / self.distance * (eps * self.radius / self.distance) ** k
+
+    def operators(self, eps: float, degree: int):
+        """Functions of the expanded system at eps, cut after ``degree``.
+
+        Returns (matvec, apply, apply_t, norms, truncation) as
+        ``_checked_solve`` takes them: the expanded matrix, its inverse by
+        the Woodbury identity (Hager, SIAM Rev. 31, 1989) and that
+        inverse's transpose, its 1- and infinity-norms, and the certified
+        bound on the residual that the truncation leaves out.
+        """
+        r = (degree + 1) ** 2
+        n_i = self.pair.inner.n_triangles
+        s = coupling_sign(eps, DIM)
+        c = eps / s
+        d = self.scales(eps, degree)
+        a_i, b_i, a_o, b_o = (m[:r] for m in (self.a_i, self.b_i, self.a_o, self.b_o))
+        g_i, g_o = self.g_i[:r, :r], self.g_o[:r, :r]
+        v_ii, v_oo = self.blocks.v_ii, self.blocks.v_oo
+        lu_i, lu_o = self.blocks.inner_lu[0], self.blocks.outer_lu[0]
+
+        def solve_i(v, trans=0):  # V_ii^-1 v, or V_ii^-T v with trans=1
+            return lu_solve(lu_i, v, trans=1 - trans, check_finite=False)
+
+        def solve_o(v, trans=0):
+            return lu_solve(lu_o, v, trans=1 - trans, check_finite=False)
+
+        # With alpha = D B_i mu_i and beta = D B_o mu_o the system reads
+        # mu_i = V_ii^-1 (f_i - A_i^T beta) / s and
+        # mu_o = V_oo^-1 (f_o - eps A_o^T alpha); eliminating alpha leaves
+        # the capacitance system T beta = D (h_o - c G_o D h_i), with
+        # h = B V^-1 f on each side, T = I - c D G_o D G_i and c = eps / s.
+        t = g_o * d
+        t *= d[:, None]
+        t = t @ g_i
+        t *= -c
+        t.flat[:: r + 1] += 1.0
+        # factored in place as T^T, as in _factor: solve T through trans=1
+        lu_t = _lu_factor(t.T, overwrite_a=True, check_finite=False)
+        del t
+
+        # onenormest passes (N, 1) columns; the diagonal scalings need vectors
+        def apply(f):
+            f = np.ravel(f)
+            f_i, f_o = f[:n_i], f[n_i:]
+            h_i, h_o = b_i @ solve_i(f_i), b_o @ solve_o(f_o)
+            beta = lu_solve(lu_t, d * (h_o - c * (g_o @ (d * h_i))), trans=1,
+                            check_finite=False)
+            alpha = d * (h_i - g_i @ beta) / s
+            return np.concatenate([solve_i(f_i - a_i.T @ beta) / s,
+                                   solve_o(f_o - eps * (a_o.T @ alpha))])
+
+        def apply_t(y):
+            # the transpose, with a = D A_i x_i = D a' and b = D A_o x_o:
+            # T^T a' = k_i / s - c G_i^T D k_o, with k = A V^-T y on each side
+            y = np.ravel(y)
+            y_i, y_o = y[:n_i], y[n_i:]
+            k_i, k_o = a_i @ solve_i(y_i, 1), a_o @ solve_o(y_o, 1)
+            a = d * lu_solve(lu_t, k_i / s - c * (g_i.T @ (d * k_o)), check_finite=False)
+            b = d * (k_o - g_o.T @ a)
+            return np.concatenate([solve_i(y_i - eps * (b_i.T @ b), 1) / s,
+                                   solve_o(y_o - b_o.T @ a, 1)])
+
+        def matvec(x):
+            x = np.ravel(x)
+            x_i, x_o = x[:n_i], x[n_i:]
+            return np.concatenate([s * (v_ii @ x_i) + a_i.T @ (d * (b_o @ x_o)),
+                                   eps * (a_o.T @ (d * (b_i @ x_i))) + v_oo @ x_o])
+
+        sum_a_i, sum_b_i, sum_a_o, sum_b_o = (v[:r] for v in self.basis_sums)
+        (col_ii, row_ii), (col_oo, row_oo) = self.v_sums
+        k_io_rows = -(a_i.T @ (d * sum_b_o))
+        k_oi_rows = -abs(eps) * (a_o.T @ (d * sum_b_i))
+        norm_1 = max(float(np.max(col_ii - abs(eps) * ((d * sum_a_o) @ b_i))),
+                     float(np.max(col_oo - (d * sum_a_i) @ b_o)))
+        norm_inf = max(float(np.max(row_ii + k_io_rows)), float(np.max(row_oo + k_oi_rows)))
+        tau = _truncation_bound(abs(eps) * self.radius / self.distance, degree)
+        k_io_norm, k_oi_norm = float(np.max(k_io_rows)), float(np.max(k_oi_rows))
+
+        def truncation(x):
+            return tau * (k_io_norm * float(np.max(np.abs(x[n_i:])))
+                          + k_oi_norm * float(np.max(np.abs(x[:n_i]))))
+
+        return matvec, apply, apply_t, (norm_1, norm_inf), truncation
+
+    def solve(self, data: CartesianDataFamily, eps: float, degree: int) -> DensityPair:
+        """Densities at eps through the expansion cut after ``degree``."""
+        inner, outer = self.pair.inner, self.pair.outer
+        rhs = np.concatenate([data.eval_inner(inner.centroids, eps),
+                              data.eval_outer(outer.centroids, eps)])
+        matvec, apply, apply_t, norms, truncation = self.operators(eps, degree)
+        # the Woodbury inverse is exact, so refinement would gain nothing
+        x, cond, residual = _checked_solve(matvec, apply, apply_t, norms, rhs, "system",
+                                           "; check admissibility and the coupling sign",
+                                           truncation, refine=False)
+        n_i = inner.n_triangles
+        return DensityPair(x[:n_i], x[n_i:], cond, residual)
+
+
+def solve_grid(pair: GeometryPair, data: CartesianDataFamily, grid):
+    """Densities at each eps of a grid, yielded in grid order.
+
+    A one-point grid is assembled and solved alone (``assemble``, ``solve``):
+    factoring both self blocks for the expansion would cost as much as it
+    saves.  A longer grid builds V_ii and V_oo once.  Every eps that
+    ``expansion_degree`` certifies is then solved through one
+    ``CouplingExpansion``, built to the largest such degree; any other is
+    assembled with the shared blocks and solved as a single system.
+    """
+    grid = [float(eps) for eps in grid]
+    if len(grid) == 1:
+        yield solve(assemble(pair, data, grid[0]))
+        return
+    blocks = self_blocks(pair)
+    degrees = [expansion_degree(pair, eps) for eps in grid]
+    certified = [p for p in degrees if p is not None]
+    expansion = CouplingExpansion(pair, blocks, max(certified)) if certified else None
+    for eps, degree in zip(grid, degrees):
+        if degree is None:
+            system = assemble(pair, data, eps, blocks=blocks)
+            dens = solve(system)
+            del system  # its matrix is not kept alive through the next assembly
+        else:
+            pair.require_admissible(eps)
+            dens = expansion.solve(data, eps, degree)
+        yield dens
 
 
 def _clearance_guard(points: np.ndarray, meshes: tuple[TriMesh, ...],

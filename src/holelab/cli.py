@@ -186,7 +186,9 @@ def _build_mesh(spec, subdivisions: int, field: str) -> TriMesh:
     raise ConfigError(f"field {field} must specify 'builtin' or 'path'")
 
 
-def _parse_problem(cfg: dict):
+def _parse_problem(cfg: dict, subdivisions: int | None = None):
+    """The problem and its data; a mesh pair is built at ``subdivisions``,
+    by default the config's ``geometry.subdivisions`` (3 if absent)."""
     geom = _require(cfg, "geometry", dict)
     kind = _require(geom, "kind", str)
     n = int(_require(cfg, "dimension", (int,)))
@@ -205,9 +207,10 @@ def _parse_problem(cfg: dict):
             raise ConfigError("field dimension: mesh geometry requires n = 3")
         if "cartesian" not in data_cfg:
             raise ConfigError("field data: mesh geometry requires cartesian data")
-        subdivisions = _optional(geom, "subdivisions", 3, int)
-        with _refused_as("geometry.subdivisions", MeshError):
-            check_subdivisions(subdivisions)
+        if subdivisions is None:
+            subdivisions = _optional(geom, "subdivisions", 3, int)
+            with _refused_as("geometry.subdivisions", MeshError):
+                check_subdivisions(subdivisions)
         pair = GeometryPair(
             _build_mesh(_require(geom, "inner"), subdivisions, "geometry.inner"),
             _build_mesh(_require(geom, "outer"), subdivisions, "geometry.outer"),
@@ -469,16 +472,20 @@ def _summed_coeffs(terms) -> tuple:
     return tuple(float(c) for c in total)
 
 
-def _convergence_command(cfg, solver, data, targets, out_dir):
-    geom = cfg["geometry"]
-    if geom["kind"] != "meshes":
+def _convergence_levels(cfg: dict) -> list[int]:
+    """The checked subdivision levels of a convergence study.
+
+    The study builds its own meshes, one pair per level, so it needs mesh
+    geometry from builtin generators.
+    """
+    geom = _require(cfg, "geometry", dict)
+    if _require(geom, "kind", str) != "meshes":
         raise ConfigError("field geometry: convergence study needs mesh geometry")
-    inner_spec = geom["inner"]
-    outer_spec = geom["outer"]
-    if "path" in inner_spec or "path" in outer_spec:
+    if "path" in _require(geom, "inner", dict) or "path" in _require(geom, "outer", dict):
         raise ConfigError("field geometry: convergence study needs builtin generators")
-    eps = float(_require(cfg, "eps", (int, float)))
     base = _optional(geom, "subdivisions", 2, int)
+    with _refused_as("geometry.subdivisions", MeshError):
+        check_subdivisions(base)
     levels = _integers(cfg.get("subdivision_levels", [base, base + 1, base + 2]),
                        "subdivision_levels")
     for i, s in enumerate(levels):
@@ -486,6 +493,15 @@ def _convergence_command(cfg, solver, data, targets, out_dir):
             check_subdivisions(s)
     if len(levels) < 2:
         raise ConfigError("field subdivision_levels: need at least two levels")
+    return levels
+
+
+def _convergence_command(cfg, solver, data, targets, out_dir, levels):
+    """One solve per level; ``solver.problem`` is the pair of the first level."""
+    geom = cfg["geometry"]
+    inner_spec = geom["inner"]
+    outer_spec = geom["outer"]
+    eps = float(_require(cfg, "eps", (int, float)))
     clearance = _clearance_factor(cfg)
 
     spheres = (
@@ -498,24 +514,29 @@ def _convergence_command(cfg, solver, data, targets, out_dir):
 
     values = []
     edges = []
-    for s in levels:
-        pair = GeometryPair(
+    meshes = []
+    for i, s in enumerate(levels):
+        pair = solver.problem if i == 0 else GeometryPair(
             _build_mesh(inner_spec, s, "geometry.inner"),
             _build_mesh(outer_spec, s, "geometry.outer"),
         )
         values.append(cont.sweep(pair, data, np.array([eps]), targets,
                                  eval_clearance_factor=clearance).values[0])
         edges.append(pair.outer.mean_edge_length)
+        meshes.append({"subdivisions": s, "inner_mesh": pair.inner.stats(),
+                       "outer_mesh": pair.outer.stats()})
     values = np.array(values)
     edges = np.array(edges)
 
+    provenance = _provenance(cfg, solver)
+    provenance["geometry"] = {"kind": "meshes", "levels": meshes}
     payload = {
         "command": "convergence",
         "eps": eps,
         "levels": levels,
         "mean_edge_lengths": edges,
         "values": values,
-        "provenance": _provenance(cfg, solver),
+        "provenance": provenance,
     }
     if use_oracle:
         n = 3
@@ -571,13 +592,17 @@ def run(config: dict, out_dir: str = ".", strict: bool = False) -> int:
     command = _require(config, "command", str)
     if command not in COMMANDS:
         raise ConfigError(f"field command: unknown command {command!r}")
-    problem, data = _parse_problem(config)
+    # a convergence study solves no pair at geometry.subdivisions: its
+    # problem is the pair of its first level
+    levels = _convergence_levels(config) if command == "convergence" else None
+    problem, data = _parse_problem(config, levels[0] if levels else None)
     solver = cont.solver_for(problem)
     targets = _parse_targets(config, solver)
     os.makedirs(out_dir, exist_ok=True)
     handler = {"solve": _solve_command, "sweep": _sweep_command, "fit": _fit_command,
                "continuation": partial(_continuation_command, strict=strict),
-               "symmetry": _symmetry_command, "convergence": _convergence_command}[command]
+               "symmetry": _symmetry_command,
+               "convergence": partial(_convergence_command, levels=levels)}[command]
     payload, code = handler(config, solver, data, targets, out_dir)
     _write_report(out_dir, payload)
     return code

@@ -172,14 +172,8 @@ def _spectral_grid(problem: SphereProblem, data, grid, targets, clearance_factor
 
 
 def _bem_grid(pair: GeometryPair, data, grid, targets, clearance_factor):
-    # V_ii and V_oo do not depend on eps: built once, shared by every
-    # solve.  A single solve builds them inside assemble, which drops
-    # each once copied, so they do not stay alive through its LU.
-    blocks = bem_mod.self_blocks(pair) if len(grid) > 1 else None
-    for eps in grid:
-        system = bem_mod.assemble(pair, data, eps, blocks=blocks)
-        dens = bem_mod.solve(system)
-        del system  # its matrix is not kept alive through the next assembly
+    # a longer grid shares the self blocks and expands the couplings in eps
+    for eps, dens in zip(grid, bem_mod.solve_grid(pair, data, grid)):
         yield bem_mod.eval_field(pair, dens, eps, targets.points, targets.frame,
                                  clearance_factor=clearance_factor), dens.cond
 
@@ -212,7 +206,7 @@ def sweep(problem, data, grid, targets: TargetSet, *,
     """One solve per eps, by the problem's solver (see ``solver_for``).
 
     The grid may hold both signs; a signed sweep of a mesh pair builds the
-    eps-independent self blocks only once.
+    eps-independent self blocks only once (see ``bem.solve_grid``).
     """
     grid = np.asarray(grid, dtype=float)
     if np.any(grid == 0.0):

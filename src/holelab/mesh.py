@@ -559,7 +559,9 @@ class GeometryPair:
     the ball of radius d0 (the origin's distance to the outer surface) lies
     inside the outer surface, so the clearance is at least d0 - |eps|*R_i.
     Only when that bound falls short does the exact test run: every hole
-    vertex inside the outer surface, and the exact surface distance.
+    vertex inside the outer surface, and the exact surface distance.  The
+    report of each eps is kept, so a grid checked before its solves is not
+    checked again by them.
     """
 
     def __init__(self, inner: TriMesh, outer: TriMesh, clearance_min: float | None = None):
@@ -576,6 +578,7 @@ class GeometryPair:
         )
         self.inner_radius = inner.bounding_radius()
         self.origin_distance = point_to_mesh_distance((0.0, 0.0, 0.0), outer)
+        self._reports: dict[float, ClearanceReport] = {}
 
     def ball_clearance(self, eps: float) -> float:
         """Certified lower bound d0 - |eps|*R_i on the clearance, less rounding slack."""
@@ -585,6 +588,12 @@ class GeometryPair:
     def admissibility(self, eps: float) -> ClearanceReport:
         if eps == 0:
             raise MeshError("eps = 0 has no hole; nothing to check")
+        report = self._reports.get(eps)
+        if report is None:
+            report = self._reports[eps] = self._check(eps)
+        return report
+
+    def _check(self, eps: float) -> ClearanceReport:
         bound = self.ball_clearance(eps)
         if bound >= self.clearance_min:
             return ClearanceReport(eps, bound, self.clearance_min, "ball")

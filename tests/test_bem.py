@@ -687,12 +687,17 @@ def test_range_finder_probe_bound():
     system = assemble(pair, CartesianDataFamily(), 0.3)
     coupling = system.matrix[: system.n_inner, system.n_inner :]
     for b in (graded, coupling):
+        sv = np.linalg.svd(b, compute_uv=False)
+        tail = np.sqrt(np.cumsum(sv[::-1] ** 2))[::-1]
         for rtol in (1e-4, 1e-6, 1e-8):
             u, wt = _range_finder(b, rtol)
             assert wt is not None and u.shape[1] <= min(b.shape) // 4
             assert np.allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
             err = np.linalg.norm(b - u @ wt) / np.linalg.norm(b)
             assert err <= 10 * rtol
+            # no more columns than the SVD needs for rtol, plus one block
+            svd_rank = int(np.count_nonzero(tail > rtol * tail[0]))
+            assert u.shape[1] <= svd_rank + bem._RANGE_BLOCK
     full_rank = rng.normal(size=(200, 240))
     u, wt = _range_finder(full_rank, 1e-6)
     assert wt is None and u is full_rank
@@ -736,3 +741,170 @@ def test_block_solve_refuses_singular_systems(unit_pair_s2):
     for change in (repeated_outer_row, nearly_repeated_outer_row):
         with pytest.raises(SolverError, match="system is singular"):
             solve(edited(change))
+
+
+# ---------------------------------------------------------------------------
+# sweeps in closed form: multipole couplings and the Woodbury solve
+# ---------------------------------------------------------------------------
+
+def test_solid_harmonics_obey_the_addition_theorem():
+    from scipy.special import eval_legendre
+
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=(2, 40, 3))
+    degree = 27
+    hx, hy = bem._solid_harmonics(x, degree), bem._solid_harmonics(y, degree)
+    nx, ny = np.linalg.norm(x, axis=1), np.linalg.norm(y, axis=1)
+    cos = np.sum(x * y, axis=1) / (nx * ny)
+    for k in range(degree + 1):
+        rows = slice(k * k, (k + 1) ** 2)
+        got = np.sum(hx[rows] * hy[rows], axis=0) / (nx * ny) ** k
+        np.testing.assert_allclose(got, eval_legendre(k, cos), rtol=0, atol=1e-13)
+    # degree order: a lower degree is the leading rows
+    assert np.array_equal(bem._solid_harmonics(x, 5), hx[:36])
+
+
+@pytest.fixture(scope="module")
+def expansions():
+    """CouplingExpansion to degree 27 of an inner mesh in a subdivision-3 unit sphere."""
+    cache = {}
+
+    def get(inner: str, subdivisions: int) -> bem.CouplingExpansion:
+        if (inner, subdivisions) not in cache:
+            mesh = (icosphere(1.0, subdivisions) if inner == "sphere"
+                    else ellipsoid(1.0, 0.6, 0.4, subdivisions))
+            pair = GeometryPair(mesh, icosphere(1.0, 3))
+            cache[inner, subdivisions] = bem.CouplingExpansion(pair, self_blocks(pair), 27)
+        return cache[inner, subdivisions]
+
+    return get
+
+
+def _expanded_couplings(expansion, eps, degree):
+    r = (degree + 1) ** 2
+    d = expansion.scales(eps, degree)[:, None]
+    k_io = expansion.a_i[:r].T @ (d * expansion.b_o[:r])
+    k_oi = eps * (expansion.a_o[:r].T @ (d * expansion.b_i[:r]))
+    return k_io, k_oi
+
+
+@pytest.mark.parametrize("eps", [0.3, -0.3])
+@pytest.mark.parametrize("subdivisions", [2, 3])
+@pytest.mark.parametrize("inner", ["sphere", "ellipsoid"])
+def test_expanded_couplings_match_single_layer_blocks(expansions, inner, subdivisions, eps):
+    expansion = expansions(inner, subdivisions)
+    pair = expansion.pair
+    hole = scale_signed(pair.inner, eps)
+    # no pair in the near field: both blocks are the 7-point rule throughout
+    assert len(bem._near_pairs(hole.centroids, pair.outer)[0]) == 0
+    assert len(bem._near_pairs(pair.outer.centroids, hole)[0]) == 0
+    k_io = single_layer_matrix(hole.centroids, pair.outer)
+    k_oi = single_layer_matrix(pair.outer.centroids, hole) / eps**2 * eps  # as assemble
+    rho = abs(eps) * pair.inner_radius / pair.origin_distance
+    for degree in (6, 14, 27):
+        tau = bem._truncation_bound(rho, degree)
+        for got, want in zip(_expanded_couplings(expansion, eps, degree), (k_io, k_oi)):
+            assert np.max(np.abs(got - want) / np.abs(want)) <= tau + 1e-14
+    assert tau <= bem.EXPANSION_RTOL
+
+
+def test_expansion_degree_certifies_or_refuses(expansions):
+    pair = expansions("sphere", 3).pair
+    rho = 0.3 * pair.inner_radius / pair.origin_distance
+    degree = bem.expansion_degree(pair, -0.3)
+    assert degree == bem.expansion_degree(pair, 0.3) == 27
+    assert bem._truncation_bound(rho, degree) <= bem.EXPANSION_RTOL
+    assert bem._truncation_bound(rho, degree - 1) > bem.EXPANSION_RTOL
+    assert bem.expansion_degree(pair, 0.05) < degree
+    assert bem.expansion_degree(pair, 0.0) is None
+    # (p+1)^2 past two thirds of 1280 triangles
+    assert bem.expansion_degree(pair, 0.5) is None
+    # subdivision-2 outer triangles: hole centroids within 3 diameters
+    assert bem.expansion_degree(GeometryPair(icosphere(1.0, 2), icosphere(1.0, 2)), 0.1) is None
+
+
+def _dense_onenormest_cond(matrix):
+    from scipy.sparse.linalg import LinearOperator, onenormest
+
+    lu = scipy.linalg.lu_factor(matrix)
+    n = len(matrix)
+    inverse = LinearOperator((n, n), matvec=lambda v: scipy.linalg.lu_solve(lu, v),
+                             rmatvec=lambda v: scipy.linalg.lu_solve(lu, v, trans=1),
+                             dtype=float)
+    return np.linalg.norm(matrix, 1) * onenormest(inverse, t=1)
+
+
+@pytest.mark.parametrize("inner", ["sphere", "ellipsoid"])
+def test_woodbury_solve_matches_assembled_solve(expansions, inner):
+    expansion = expansions(inner, 3)
+    pair = expansion.pair
+    for eps in (-0.3, -0.12, 0.05, 0.3):
+        dens = expansion.solve(BLOCK_DATA, eps, bem.expansion_degree(pair, eps))
+        system = assemble(pair, BLOCK_DATA, eps, blocks=expansion.blocks)
+        want = solve(system)
+        x = np.concatenate([dens.mu_inner, dens.mu_outer])
+        x_want = np.concatenate([want.mu_inner, want.mu_outer])
+        assert np.max(np.abs(x - x_want)) <= 1e-12 * np.max(np.abs(x_want))
+        assert dens.residual <= 1e-13
+        if eps in (-0.3, 0.05):
+            assert dens.cond == pytest.approx(_dense_onenormest_cond(system.matrix), rel=1e-10)
+
+
+@pytest.mark.parametrize("eps", [0.3, -0.2])
+def test_expanded_operators_are_the_matrix_and_its_inverse(expansions, eps):
+    expansion = expansions("ellipsoid", 2)
+    matvec, apply, apply_t, norms, _ = expansion.operators(eps, 27)
+    matrix = assemble(expansion.pair, BLOCK_DATA, eps, blocks=expansion.blocks).matrix
+    rng = np.random.default_rng(11)
+    u, v = rng.normal(size=(2, len(matrix)))
+    assert np.max(np.abs(matvec(u) - matrix @ u)) <= 1e-13 * np.max(np.abs(matrix @ u))
+    assert norms == pytest.approx(bem._norms(matrix), rel=1e-12)
+    for got, want in ((apply(u), scipy.linalg.solve(matrix, u)),
+                      (apply_t(v), scipy.linalg.solve(matrix.T, v))):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert v @ apply(u) == pytest.approx(apply_t(v) @ u, rel=1e-12)
+
+
+def test_truncation_bound_enters_the_residual(expansions):
+    expansion = expansions("sphere", 3)
+    pair = expansion.pair
+    eps = 0.3
+    degree = bem.expansion_degree(pair, eps)
+    dens = expansion.solve(BLOCK_DATA, eps, degree)
+    x = np.concatenate([dens.mu_inner, dens.mu_outer])
+    matrix = assemble(pair, BLOCK_DATA, eps, blocks=expansion.blocks).matrix
+    rhs = np.concatenate([BLOCK_DATA.eval_inner(pair.inner.centroids, eps),
+                          BLOCK_DATA.eval_outer(pair.outer.centroids, eps)])
+    n_i = pair.inner.n_triangles
+    tau = bem._truncation_bound(eps * pair.inner_radius / pair.origin_distance, degree)
+    k_io, k_oi = matrix[:n_i, n_i:], matrix[n_i:, :n_i]
+    bound = tau * (np.linalg.norm(k_io, np.inf) * np.max(np.abs(x[n_i:]))
+                   + np.linalg.norm(k_oi, np.inf) * np.max(np.abs(x[:n_i])))
+    expanded = np.max(np.abs(rhs - expansion.operators(eps, degree)[0](x)))
+    assert dens.residual == pytest.approx((expanded + bound) / np.max(np.abs(rhs)), rel=1e-6)
+    # cut far below the certified degree, the bound alone exceeds the guard
+    with pytest.raises(SolverError, match="residual"):
+        expansion.solve(BLOCK_DATA, eps, 6)
+
+
+def test_solve_grid_mixes_expanded_and_assembled_points(monkeypatch):
+    pair = GeometryPair(icosphere(1.0, 3), icosphere(1.0, 3))
+    grid = [-0.5, -0.2, 0.1]
+    assert [bem.expansion_degree(pair, eps) is None for eps in grid] == [True, False, False]
+    assembled, original = [], bem.assemble
+
+    def counting(pair, data, eps, *args, **kwargs):
+        assembled.append(eps)
+        return original(pair, data, eps, *args, **kwargs)
+
+    monkeypatch.setattr(bem, "assemble", counting)
+    got = list(bem.solve_grid(pair, BLOCK_DATA, grid))
+    assert assembled == [-0.5]
+    assert len(list(bem.solve_grid(pair, BLOCK_DATA, [0.2]))) == 1
+    assert assembled == [-0.5, 0.2]  # a single point is assembled
+    monkeypatch.undo()
+    for eps, dens in zip(grid, got):
+        want = solve(assemble(pair, BLOCK_DATA, eps))
+        x = np.concatenate([dens.mu_inner, dens.mu_outer])
+        x_want = np.concatenate([want.mu_inner, want.mu_outer])
+        assert np.max(np.abs(x - x_want)) <= 1e-12 * np.max(np.abs(x_want))

@@ -511,3 +511,64 @@ def test_convergence_zero_oracle_writes_null(tmp_path, levels, oracle):
         assert report["undefined"] == ["observed_orders", "observed_order",
                                        "order_uncertainty"]
 
+
+
+def test_sweep_checks_admissibility_once_per_eps(tmp_path, monkeypatch):
+    # the ball bound fails on this pair from |eps| = 0.7, so the exact test
+    # decides; the grid pre-check and the solves share its report
+    from holelab import mesh
+
+    calls = []
+    original = mesh.mesh_to_mesh_distance
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(mesh, "mesh_to_mesh_distance", counting)
+    cfg = {
+        "dimension": 3,
+        "geometry": {"kind": "meshes",
+                     "inner": {"builtin": "ellipsoid", "semi_axes": [0.5, 1.5, 1.5]},
+                     "outer": {"builtin": "ellipsoid", "semi_axes": [1.0, 2.0, 2.0]},
+                     "subdivisions": 1},
+        "data": {"cartesian": {"inner": [{"exponents": [0, 0, 0], "coeffs": ["1"]}],
+                               "outer": []}},
+        "targets": {"frame": "macroscopic", "points": [[0.0, 0.0, 1.6]]},
+        "grid": {"eps_min": 0.7, "eps_max": 0.8, "count": 2, "signs": "both"},
+        "eval_clearance_factor": 0,
+    }
+    code, report, _ = run_cli(tmp_path, "sweep", cfg)
+    assert code == EXIT_OK
+    assert len(calls) == 4
+
+
+def test_convergence_provenance_describes_the_solved_levels(tmp_path, monkeypatch):
+    from holelab import cli
+
+    built = []
+    original = cli.icosphere
+
+    def recording(radius, subdivisions):
+        built.append(subdivisions)
+        return original(radius, subdivisions)
+
+    monkeypatch.setattr(cli, "icosphere", recording)
+    cfg = {
+        "dimension": 3,
+        "geometry": {"kind": "meshes",
+                     "inner": {"builtin": "icosphere", "radius": 1.0},
+                     "outer": {"builtin": "icosphere", "radius": 1.0}},
+        "data": {"cartesian": {"inner": [{"exponents": [0, 0, 0], "coeffs": ["0", "1"]}],
+                               "outer": []}},
+        "targets": {"frame": "macroscopic", "radii": [0.6]},
+        "eps": 0.25,
+        "subdivision_levels": [1, 2],
+    }
+    code, report, _ = run_cli(tmp_path, "convergence", cfg)
+    assert code == EXIT_OK
+    levels = report["provenance"]["geometry"]["levels"]
+    assert [level["subdivisions"] for level in levels] == [1, 2]
+    for side in ("inner_mesh", "outer_mesh"):
+        assert [level[side]["triangles"] for level in levels] == [80, 320]
+    assert sorted(built) == [1, 1, 2, 2]

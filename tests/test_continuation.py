@@ -366,10 +366,13 @@ def test_frames_consistent_along_sweep():
 # ---------------------------------------------------------------------------
 
 def test_bem_sweep_matches_per_eps_solves_and_builds_self_blocks_once(monkeypatch):
+    import scipy.linalg
+    from scipy.sparse.linalg import LinearOperator, onenormest
+
     from holelab import bem
     from holelab.mesh import GeometryPair, icosphere
 
-    pair = GeometryPair(icosphere(1.0, 2), icosphere(1.0, 2))
+    pair = GeometryPair(icosphere(1.0, 3), icosphere(1.0, 3))
     data = bem.CartesianDataFamily(inner=(((0, 0, 0), (0.0, 1.0)),))
     targets = TargetSet("macroscopic", [[0.0, 0.0, 0.6], [0.5, 0.0, 0.0]])
     grid = np.array([-0.3, -0.1, 0.1, 0.3])
@@ -389,15 +392,25 @@ def test_bem_sweep_matches_per_eps_solves_and_builds_self_blocks_once(monkeypatc
     monkeypatch.setattr(bem, "_factor", counting_factor)
     result = sweep(pair, data, grid, targets, eval_clearance_factor=0.5)
     monkeypatch.undo()
-    assert built.count(True) == 2
-    # V_ii is factored once; each solve factors only its Schur complement
-    assert factored == [(pair.inner.n_triangles,) * 2]
+    # two self blocks, no coupling block: every eps is expanded, and V_ii
+    # and V_oo are factored once for the whole sweep
+    assert built.count(True) == 2 and built.count(False) == 2 * len(grid)  # eval_field's
+    assert factored == [(pair.inner.n_triangles,) * 2, (pair.outer.n_triangles,) * 2]
 
     for i, eps in enumerate(grid):
-        dens = bem.solve(bem.assemble(pair, data, eps))
+        system = bem.assemble(pair, data, eps)
+        dens = bem.solve(system)
         want = bem.eval_field(pair, dens, eps, targets.points, clearance_factor=0.5)
         np.testing.assert_allclose(result.values[i], want, rtol=1e-12, atol=0)
-        assert result.conds[i] == pytest.approx(dens.cond, rel=1e-12)
+        # the estimate of a dense LU: the sweep's inverse is exact, where the
+        # single solve's inverse is built on the compressed coupling
+        lu = scipy.linalg.lu_factor(system.matrix)
+        n = len(system.rhs)
+        inverse = LinearOperator((n, n), matvec=lambda v: scipy.linalg.lu_solve(lu, v),
+                                 rmatvec=lambda v: scipy.linalg.lu_solve(lu, v, trans=1),
+                                 dtype=float)
+        cond = np.linalg.norm(system.matrix, 1) * onenormest(inverse, t=1)
+        assert result.conds[i] == pytest.approx(cond, rel=1e-10)
 
 
 def test_sweep_subset_splits_a_signed_sweep():
