@@ -7,23 +7,24 @@ Field evaluation uses the layer representation; ``direct_solve`` assembles
 the same Dirichlet problem on the physically scaled hole mesh with no
 rescaling factors, as an independent cross-check.
 
-A single system is solved by block elimination at the hole/outer split
-(``_checked_block_solve``): the inner block is factored, the hole-to-outer
-coupling block is compressed to low rank by a randomized range finder, and
-the half-size Schur complement is factored.  Iterative refinement against
-the full assembled matrix brings the solution to the accuracy of a dense LU;
-the residual guard and the 1-norm condition estimate both refer to the full
-matrix.
+Every grid of eps, one point or many, goes through ``solve_grid``.  It
+builds and factors the self blocks V_ii and V_oo once; when the hole and
+outer meshes are the same mesh they are one block with one factor.  Only
+the two coupling blocks depend on eps, and both are power series in it:
+``CouplingExpansion`` writes them as A^T diag(eps^k) B in real
+solid-harmonic bases built once per geometry, and at every eps where
+``expansion_degree`` certifies the truncation the solve is a Woodbury solve
+around the factors with one small capacitance LU.  No N x N matrix is
+formed there; its residual guard adds the certified truncation bound to the
+residual of the expanded system.
 
-A sweep over several eps (``solve_grid``) builds and factors the self blocks
-V_ii and V_oo once.  Only the two coupling blocks depend on eps, and both
-are power series in it: ``CouplingExpansion`` writes them as
-A^T diag(eps^k) B in real solid-harmonic bases built once per geometry, and
-at every eps where ``expansion_degree`` certifies the truncation the solve
-is a Woodbury solve around the two factors with one small capacitance LU.
-No N x N matrix is formed there; its residual guard adds the certified
-truncation bound to the residual of the expanded system.  Any other eps is
-assembled with the shared self blocks and solved as a single system.
+Any other eps is assembled and solved as a single system by block
+elimination at the hole/outer split (``_checked_block_solve``): the inner
+block is factored, the hole-to-outer coupling block is compressed to low
+rank by a randomized range finder, and the half-size Schur complement is
+factored.  Iterative refinement against the full assembled matrix brings the
+solution to the accuracy of a dense LU; the residual guard and the 1-norm
+condition estimate both refer to the full matrix.
 
 Block assembly shares chunks of its target rows (far field) and near pairs
 out to one thread per CPU in the process's affinity set; each entry is
@@ -389,7 +390,11 @@ class AssembledSystem:
 
 @dataclass(frozen=True)
 class SelfBlocks:
-    """On-surface single layers V_ii (unit-scale hole) and V_oo; eps-independent."""
+    """On-surface single layers V_ii (unit-scale hole) and V_oo; eps-independent.
+
+    ``v_oo is v_ii`` when the hole and outer meshes are the same mesh: one
+    block, one factor and one rcond check then serve both sides.
+    """
 
     v_ii: np.ndarray
     v_oo: np.ndarray
@@ -401,16 +406,18 @@ class SelfBlocks:
 
     @cached_property
     def outer_lu(self) -> tuple:
-        """``_factor`` of V_oo, computed once for the expanded sweep solves."""
-        return _factor(self.v_oo)
+        """``_factor`` of V_oo, computed once; ``inner_lu`` for a shared block."""
+        return self.inner_lu if self.v_oo is self.v_ii else _factor(self.v_oo)
 
 
 def self_blocks(pair: GeometryPair) -> SelfBlocks:
-    """Build V_ii and V_oo once, for reuse by ``assemble`` across an eps sweep."""
-    return SelfBlocks(
-        single_layer_matrix(pair.inner.centroids, pair.inner, self_mesh=True),
-        single_layer_matrix(pair.outer.centroids, pair.outer, self_mesh=True),
-    )
+    """Build V_ii and V_oo once, for reuse across an eps grid; one block if the meshes agree."""
+    inner, outer = pair.inner, pair.outer
+    v_ii = single_layer_matrix(inner.centroids, inner, self_mesh=True)
+    if (np.array_equal(inner.vertices, outer.vertices)
+            and np.array_equal(inner.triangles, outer.triangles)):
+        return SelfBlocks(v_ii, v_ii)
+    return SelfBlocks(v_ii, single_layer_matrix(outer.centroids, outer, self_mesh=True))
 
 
 def assemble(pair: GeometryPair, data: CartesianDataFamily, eps: float,
@@ -799,7 +806,8 @@ class CouplingExpansion:
                                        check_finite=False)
         # block row and column sums of |V|; every single-layer entry is
         # negative, so those of |K| are -1^T K, taken through the bases
-        self.v_sums = (_abs_sums(blocks.v_ii), _abs_sums(blocks.v_oo))
+        sums_ii = _abs_sums(blocks.v_ii)
+        self.v_sums = (sums_ii, sums_ii if blocks.v_oo is blocks.v_ii else _abs_sums(blocks.v_oo))
         self.basis_sums = tuple(m.sum(axis=1) for m in (self.a_i, self.b_i, self.a_o, self.b_o))
 
     def _irregular(self, points: np.ndarray) -> np.ndarray:
@@ -914,20 +922,17 @@ class CouplingExpansion:
 def solve_grid(pair: GeometryPair, data: CartesianDataFamily, grid):
     """Densities at each eps of a grid, yielded in grid order.
 
-    A one-point grid is assembled and solved alone (``assemble``, ``solve``):
-    factoring both self blocks for the expansion would cost as much as it
-    saves.  A longer grid builds V_ii and V_oo once.  Every eps that
-    ``expansion_degree`` certifies is then solved through one
-    ``CouplingExpansion``, built to the largest such degree; any other is
-    assembled with the shared blocks and solved as a single system.
+    Every eps that ``expansion_degree`` certifies, a grid's only point
+    included, is solved through one ``CouplingExpansion``, built to the
+    largest such degree around V_ii and V_oo, each built and factored once.
+    Any other eps is assembled and solved as a single system: with those
+    shared blocks, or, when it is the grid's only point, with its blocks
+    built in place, so that no second copy of them is held.
     """
     grid = [float(eps) for eps in grid]
-    if len(grid) == 1:
-        yield solve(assemble(pair, data, grid[0]))
-        return
-    blocks = self_blocks(pair)
     degrees = [expansion_degree(pair, eps) for eps in grid]
     certified = [p for p in degrees if p is not None]
+    blocks = self_blocks(pair) if certified or len(grid) > 1 else None
     expansion = CouplingExpansion(pair, blocks, max(certified)) if certified else None
     for eps, degree in zip(grid, degrees):
         if degree is None:

@@ -172,7 +172,7 @@ def _spectral_grid(problem: SphereProblem, data, grid, targets, clearance_factor
 
 
 def _bem_grid(pair: GeometryPair, data, grid, targets, clearance_factor):
-    # a longer grid shares the self blocks and expands the couplings in eps
+    # solve_grid builds the self blocks once per grid and expands every certified eps
     for eps, dens in zip(grid, bem_mod.solve_grid(pair, data, grid)):
         yield bem_mod.eval_field(pair, dens, eps, targets.points, targets.frame,
                                  clearance_factor=clearance_factor), dens.cond

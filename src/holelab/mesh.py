@@ -603,17 +603,6 @@ class GeometryPair:
         return ClearanceReport(eps, mesh_to_mesh_distance(hole, self.outer),
                                self.clearance_min, "exact")
 
-    @property
-    def eps_max(self) -> float:
-        """Largest |eps| that the ball bound certifies.
-
-        A certified lower bound on sup{|eps| : clearance(eps) >= clearance_min}:
-        the closed form (d0 - clearance_min) / R_i, shrunk by the bound's
-        rounding slack.
-        """
-        d0, r_i, s = self.origin_distance, self.inner_radius, _ROUNDING_SLACK
-        return max(0.0, (d0 * (1.0 - s) - self.clearance_min) / (r_i * (1.0 + s)))
-
     def require_admissible(self, eps: float) -> None:
         report = self.admissibility(eps)
         if not report.ok:

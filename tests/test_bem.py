@@ -901,10 +901,110 @@ def test_solve_grid_mixes_expanded_and_assembled_points(monkeypatch):
     got = list(bem.solve_grid(pair, BLOCK_DATA, grid))
     assert assembled == [-0.5]
     assert len(list(bem.solve_grid(pair, BLOCK_DATA, [0.2]))) == 1
-    assert assembled == [-0.5, 0.2]  # a single point is assembled
+    assert assembled == [-0.5]  # a certified single point is expanded too
     monkeypatch.undo()
     for eps, dens in zip(grid, got):
         want = solve(assemble(pair, BLOCK_DATA, eps))
         x = np.concatenate([dens.mu_inner, dens.mu_outer])
         x_want = np.concatenate([want.mu_inner, want.mu_outer])
         assert np.max(np.abs(x - x_want)) <= 1e-12 * np.max(np.abs(x_want))
+
+
+@pytest.fixture(scope="module")
+def unit_pair_s3():
+    return GeometryPair(icosphere(1.0, 3), icosphere(1.0, 3))
+
+
+@pytest.mark.parametrize("eps", [0.3, -0.3])
+def test_certified_one_point_grid_matches_assembled_solve(unit_pair_s3, monkeypatch, eps):
+    pair = unit_pair_s3
+    assert bem.expansion_degree(pair, eps) is not None
+    assembled, original = [], bem.assemble
+    monkeypatch.setattr(bem, "assemble", lambda *a, **k: assembled.append(a) or original(*a, **k))
+    (dens,) = bem.solve_grid(pair, BLOCK_DATA, [eps])
+    monkeypatch.undo()
+    assert assembled == []
+    want = solve(assemble(pair, BLOCK_DATA, eps))
+    for got, ref in ((dens.mu_inner, want.mu_inner), (dens.mu_outer, want.mu_outer)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    points = [[0.0, 0.0, 0.6], [0.5, 0.0, 0.0], [0.0, -0.5, 0.1]]
+    got = eval_field(pair, dens, eps, points)
+    ref = eval_field(pair, want, eps, points)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_uncertified_one_point_grid_is_assembled_in_place(unit_pair_s2, monkeypatch):
+    eps = 0.3
+    assert bem.expansion_degree(unit_pair_s2, eps) is None
+    shared, built = [], []
+    original, original_matrix = bem.assemble, bem.single_layer_matrix
+
+    def counting(*args, **kwargs):
+        shared.append(kwargs.get("blocks"))
+        return original(*args, **kwargs)
+
+    def counting_matrix(*args, **kwargs):
+        built.append(kwargs.get("self_mesh", False))
+        return original_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(bem, "assemble", counting)
+    monkeypatch.setattr(bem, "single_layer_matrix", counting_matrix)
+    (dens,) = bem.solve_grid(unit_pair_s2, BLOCK_DATA, [eps])
+    monkeypatch.undo()
+    # assembled once, both self blocks written in place: no shared copy
+    assert shared == [None] and built == [True, True, False, False]
+    want = solve(assemble(unit_pair_s2, BLOCK_DATA, eps))
+    assert np.array_equal(dens.mu_inner, want.mu_inner)
+    assert np.array_equal(dens.mu_outer, want.mu_outer)
+
+
+def test_self_blocks_share_one_block_for_identical_meshes(unit_pair_s2):
+    blocks = self_blocks(unit_pair_s2)
+    assert blocks.v_oo is blocks.v_ii
+    assert blocks.outer_lu is blocks.inner_lu
+    mesh = unit_pair_s2.outer
+    assert np.array_equal(blocks.v_ii, single_layer_matrix(mesh.centroids, mesh))
+    distinct = self_blocks(GeometryPair(icosphere(0.5, 2), icosphere(1.0, 2)))
+    assert distinct.v_oo is not distinct.v_ii
+    assert distinct.outer_lu is not distinct.inner_lu
+    assert np.array_equal(distinct.v_oo, blocks.v_oo)
+
+
+_COND_SCRIPT = """
+from holelab import bem
+from holelab.mesh import GeometryPair, icosphere
+data = bem.CartesianDataFamily(inner=(((0, 0, 0), (0.0, 1.0)),), outer=(((0, 0, 1), (1.0,)),))
+conds = []
+for subdivisions in (3, 2):  # expanded at eps = 0.3, then assembled
+    pair = GeometryPair(icosphere(1.0, subdivisions), icosphere(1.0, subdivisions))
+    (dens,) = bem.solve_grid(pair, data, [0.3])
+    conds.append(dens.cond.hex())
+print(" ".join(conds))
+"""
+
+
+def _conds_in_process(blas_threads: int) -> str:
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import holelab
+
+    src = str(Path(holelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(blas_threads)
+    done = subprocess.run([sys.executable, "-c", _COND_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_condition_estimates_repeat_across_processes(blas_threads):
+    # raw DensityPair.cond, bit for bit, of one expanded and one assembled
+    # one-point solve; across BLAS thread counts the last digits may differ
+    first = _conds_in_process(blas_threads)
+    assert len(first.split()) == 2
+    assert _conds_in_process(blas_threads) == first

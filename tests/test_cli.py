@@ -94,6 +94,14 @@ def bem_sweep_config():
     }
 
 
+def bem_convergence_config():
+    cfg = bem_sweep_config()
+    del cfg["grid"]
+    cfg["data"]["cartesian"]["outer"] = []  # constant data: the spectral oracle applies
+    cfg.update(eps=0.3, subdivision_levels=[2, 3])
+    return cfg
+
+
 def run_cli_process(tmp_path, command, config):
     tmp_path.mkdir(parents=True, exist_ok=True)
     cfg_path = tmp_path / "config.json"
@@ -128,6 +136,10 @@ def test_determinism(tmp_path):
     report = json.loads((out1 / "report.json").read_text())
     for cond in report["positive"]["cond_estimates"]:
         assert cond == float(f"{cond:.6g}")
+    # BEM convergence: level 2 is assembled, level 3 expanded in eps
+    out1 = run_cli_process(tmp_path / "levels_a", "convergence", bem_convergence_config())
+    out2 = run_cli_process(tmp_path / "levels_b", "convergence", bem_convergence_config())
+    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
 def test_solve_command(tmp_path):

@@ -365,14 +365,17 @@ def test_frames_consistent_along_sweep():
 # BEM sweeps share the eps-independent self blocks
 # ---------------------------------------------------------------------------
 
-def test_bem_sweep_matches_per_eps_solves_and_builds_self_blocks_once(monkeypatch):
+def _counted_bem_sweep(monkeypatch, pair):
+    """Sweep a signed grid on ``pair``, check it against per-eps solves.
+
+    Returns the ``self_mesh`` flag of every single-layer block built and the
+    shape of every matrix factored during the sweep.
+    """
     import scipy.linalg
     from scipy.sparse.linalg import LinearOperator, onenormest
 
     from holelab import bem
-    from holelab.mesh import GeometryPair, icosphere
 
-    pair = GeometryPair(icosphere(1.0, 3), icosphere(1.0, 3))
     data = bem.CartesianDataFamily(inner=(((0, 0, 0), (0.0, 1.0)),))
     targets = TargetSet("macroscopic", [[0.0, 0.0, 0.6], [0.5, 0.0, 0.0]])
     grid = np.array([-0.3, -0.1, 0.1, 0.3])
@@ -392,10 +395,8 @@ def test_bem_sweep_matches_per_eps_solves_and_builds_self_blocks_once(monkeypatc
     monkeypatch.setattr(bem, "_factor", counting_factor)
     result = sweep(pair, data, grid, targets, eval_clearance_factor=0.5)
     monkeypatch.undo()
-    # two self blocks, no coupling block: every eps is expanded, and V_ii
-    # and V_oo are factored once for the whole sweep
-    assert built.count(True) == 2 and built.count(False) == 2 * len(grid)  # eval_field's
-    assert factored == [(pair.inner.n_triangles,) * 2, (pair.outer.n_triangles,) * 2]
+    # no coupling block: every eps is expanded
+    assert built.count(False) == 2 * len(grid)  # eval_field's
 
     for i, eps in enumerate(grid):
         system = bem.assemble(pair, data, eps)
@@ -411,6 +412,27 @@ def test_bem_sweep_matches_per_eps_solves_and_builds_self_blocks_once(monkeypatc
                                  dtype=float)
         cond = np.linalg.norm(system.matrix, 1) * onenormest(inverse, t=1)
         assert result.conds[i] == pytest.approx(cond, rel=1e-10)
+    return built, factored
+
+
+def test_bem_sweep_matches_per_eps_solves_and_builds_self_blocks_once(monkeypatch):
+    from holelab.mesh import GeometryPair, icosphere
+
+    pair = GeometryPair(icosphere(1.0, 3), icosphere(1.0, 3))
+    built, factored = _counted_bem_sweep(monkeypatch, pair)
+    # the hole and outer meshes are the same: one self block, V_ii = V_oo,
+    # factored once for the whole sweep
+    assert built.count(True) == 1
+    assert factored == [(pair.inner.n_triangles,) * 2]
+
+
+def test_bem_sweep_on_distinct_meshes_builds_and_factors_both_self_blocks(monkeypatch):
+    from holelab.mesh import GeometryPair, icosphere
+
+    pair = GeometryPair(icosphere(0.5, 3), icosphere(1.0, 3))
+    built, factored = _counted_bem_sweep(monkeypatch, pair)
+    assert built.count(True) == 2
+    assert factored == [(pair.inner.n_triangles,) * 2, (pair.outer.n_triangles,) * 2]
 
 
 def test_sweep_subset_splits_a_signed_sweep():

@@ -196,13 +196,6 @@ def test_admissibility_reports():
         pair.admissibility(0.0)
 
 
-def test_eps_max_bisection():
-    pair = GeometryPair(icosphere(1.0, 1), icosphere(1.0, 1), clearance_min=0.1)
-    assert 0.8 < pair.eps_max < 1.0
-    assert pair.admissibility(0.95 * pair.eps_max).ok
-    assert not pair.admissibility(1.1 * pair.eps_max).ok
-
-
 # ---------------------------------------------------------------------------
 # pruned exact distance against brute force
 # ---------------------------------------------------------------------------
