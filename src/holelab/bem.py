@@ -18,13 +18,11 @@ around the factors with one small capacitance LU.  No N x N matrix is
 formed there; its residual guard adds the certified truncation bound to the
 residual of the expanded system.
 
-Any other eps is assembled and solved as a single system by block
-elimination at the hole/outer split (``_checked_block_solve``): the inner
-block is factored, the hole-to-outer coupling block is compressed to low
-rank by a randomized range finder, and the half-size Schur complement is
-factored.  Iterative refinement against the full assembled matrix brings the
-solution to the accuracy of a dense LU; the residual guard and the 1-norm
-condition estimate both refer to the full matrix.
+Any other eps is assembled and solved as a single system with one dense LU
+of the whole matrix (``_dense_solve``), as is ``direct_solve``.  Both solves
+go through ``_checked_solve``, so both report the same 1-norm condition
+estimate, |M|_1 times onenormest of an exact inverse, under the same rcond
+and residual guards.
 
 Block assembly shares chunks of its target rows (far field) and near pairs
 out to one thread per CPU in the process's affinity set; each entry is
@@ -58,12 +56,6 @@ DIM = 3  # collocation path is three-dimensional only
 NEAR_FIELD_FACTOR = 3.0
 SOLVE_RESIDUAL_RTOL = 1e-10
 RCOND_MIN = 1e-14
-# Relative accuracy of the compressed coupling block; the refinement against
-# the full matrix removes its error from the solution.
-COUPLING_RTOL = 1e-6
-_RANGE_BLOCK = 32
-_RANGE_PROBES = 10
-_REFINE_STEPS = 4
 # Certified relative error of every expanded coupling kernel value.
 EXPANSION_RTOL = 1e-14
 # The expansion serves an eps while its (p+1)^2 basis columns stay below
@@ -356,8 +348,7 @@ class AssembledSystem:
     matrix = [[sign * V_ii, K_io], [eps^(n-2) * K_oi, V_oo]] where V blocks
     are the on-surface single layers, K_io samples the outer layer at the
     rescaled inner collocation points, and K_oi is the unit-scale inner layer
-    seen from the outer surface.  ``blocks`` are the prebuilt self blocks it
-    was assembled from, if any; ``solve`` reuses their factored V_ii.
+    seen from the outer surface.
     """
 
     pair: GeometryPair
@@ -366,7 +357,6 @@ class AssembledSystem:
     matrix: np.ndarray
     rhs: np.ndarray
     n_inner: int
-    blocks: SelfBlocks | None = None
 
     def split(self, solution: np.ndarray) -> DensityPair:
         return DensityPair(solution[: self.n_inner], solution[self.n_inner :])
@@ -400,14 +390,22 @@ class SelfBlocks:
     v_oo: np.ndarray
 
     @cached_property
+    def col_sums(self) -> tuple:
+        """Column sums of |V_ii| and of |V_oo|, one pass over each block."""
+        inner = _abs_col_sums(self.v_ii)
+        return inner, inner if self.v_oo is self.v_ii else _abs_col_sums(self.v_oo)
+
+    @cached_property
     def inner_lu(self) -> tuple:
         """``_factor`` of V_ii, computed at the first solve and shared by the rest."""
-        return _factor(self.v_ii)
+        return _factor(self.v_ii, float(self.col_sums[0].max()))
 
     @cached_property
     def outer_lu(self) -> tuple:
         """``_factor`` of V_oo, computed once; ``inner_lu`` for a shared block."""
-        return self.inner_lu if self.v_oo is self.v_ii else _factor(self.v_oo)
+        if self.v_oo is self.v_ii:
+            return self.inner_lu
+        return _factor(self.v_oo, float(self.col_sums[1].max()))
 
 
 def self_blocks(pair: GeometryPair) -> SelfBlocks:
@@ -458,24 +456,15 @@ def assemble(pair: GeometryPair, data: CartesianDataFamily, eps: float,
     rhs = np.concatenate(
         [data.eval_inner(inner.centroids, eps), data.eval_outer(outer.centroids, eps)]
     )
-    return AssembledSystem(pair, eps, sign_asm, matrix, rhs, n_i, blocks)
+    return AssembledSystem(pair, eps, sign_asm, matrix, rhs, n_i)
 
 
-def _abs_sums(matrix: np.ndarray, rows: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Column and row sums of |matrix|, in row chunks with no |matrix| copy."""
+def _abs_col_sums(matrix: np.ndarray, rows: int = 64) -> np.ndarray:
+    """Column sums of |matrix|, in row chunks with no |matrix| copy."""
     col_sums = np.zeros(matrix.shape[1])
-    row_sums = np.empty(matrix.shape[0])
     for start in range(0, matrix.shape[0], rows):
-        chunk = np.abs(matrix[start : start + rows])
-        col_sums += chunk.sum(axis=0)
-        row_sums[start : start + rows] = chunk.sum(axis=1)
-    return col_sums, row_sums
-
-
-def _norms(matrix: np.ndarray) -> tuple[float, float]:
-    """1-norm and infinity-norm."""
-    col_sums, row_sums = _abs_sums(matrix)
-    return float(col_sums.max()), float(row_sums.max())
+        col_sums += np.abs(matrix[start : start + rows]).sum(axis=0)
+    return col_sums
 
 
 def _lu_factor(a: np.ndarray, **kwargs) -> tuple[np.ndarray, np.ndarray]:
@@ -485,125 +474,34 @@ def _lu_factor(a: np.ndarray, **kwargs) -> tuple[np.ndarray, np.ndarray]:
         return lu_factor(a, **kwargs)
 
 
-def _factor(a: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+def _factor(a: np.ndarray, norm_1: float) -> tuple[tuple[np.ndarray, np.ndarray], float]:
     """LU factors of a^T and the 1-norm reciprocal condition of ``a``.
 
-    A C-ordered ``a`` is a^T in LAPACK's column order, so factoring a^T
-    copies it without a transpose; solve with a through ``trans=1``.
+    ``norm_1`` is |a|_1.  A C-ordered ``a`` is a^T in LAPACK's column order,
+    so factoring a^T copies it without a transpose; solve with a through
+    ``trans=1``.
     """
     lu = _lu_factor(a.T)
     gecon = get_lapack_funcs(("gecon",), (lu[0],))[0]
-    rcond, _ = gecon(lu[0], _norms(a)[0], norm="I")  # |(a^T)^-1|_inf = |a^-1|_1
+    rcond, _ = gecon(lu[0], norm_1, norm="I")  # |(a^T)^-1|_inf = |a^-1|_1
     return lu, float(rcond)
 
 
-def _range_finder(b: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """Factors U, W^T with b ~ U W^T, or (b, None) meaning W^T = I.
-
-    Adaptive randomized range finder (Halko, Martinsson & Tropp, SIAM Rev.
-    53, 2011, alg. 4.2 in blocks): U is an orthonormal basis of b's sampled
-    range, grown by _RANGE_BLOCK Gaussian samples at a time, and W^T = U^T b.
-    It stops when _RANGE_PROBES fixed Gaussian probes b w keep less than
-    rtol of their Frobenius norm outside range(U), which estimates
-    |b - U W^T|_F / |b|_F.  The sampled basis overshoots the rank in whole
-    blocks, so U is then cut to the leading left singular vectors of W^T
-    whose dropped singular values hold at most rtol of |W^T|_F.  Past
-    min(b.shape)/4 columns a low rank saves nothing, and b itself is
-    returned.
-    """
-    rng = np.random.default_rng(0)
-    m, n = b.shape
-    cap = min(m, n) // 4
-    probes = b @ rng.standard_normal((n, _RANGE_PROBES))
-    target = rtol * np.linalg.norm(probes)
-    u = np.empty((m, 0))
-    while np.linalg.norm(probes) > target:
-        if u.shape[1] + _RANGE_BLOCK > cap:
-            return b, None
-        q = b @ rng.standard_normal((n, _RANGE_BLOCK))
-        for _ in range(2):
-            # projected twice: where the new samples are nearly in range(u),
-            # the first QR's columns carry rounding from it back in
-            q -= u @ (u.T @ q)
-            q, _ = np.linalg.qr(q)
-        u = np.hstack([u, q])
-        probes -= q @ (q.T @ probes)
-    wt = u.T @ b
-    if u.shape[1] == 0:
-        return u, wt
-    # W^T = R^T Q^T: its singular values and left singular vectors are
-    # those of the small R^T
-    q, sv, _ = np.linalg.svd(np.linalg.qr(wt.T, mode="r").T)
-    # tail[j] = Frobenius norm of the singular values from j on
-    tail = np.sqrt(np.cumsum(sv[::-1] ** 2))[::-1]
-    keep = int(np.count_nonzero(tail > rtol * tail[0]))
-    return u @ q[:, :keep], q[:, :keep].T @ wt
-
-
-def _block_inverse(matrix: np.ndarray, n_inner: int, label: str, hint: str = "",
-                   inner=None, inner_scale: float = 1.0):
-    """Functions applying the inverse of [[A, U W^T], [C, D]] and its transpose.
-
-    matrix = [[A, B], [C, D]] split at n_inner.  A is factored (or ``inner``
-    holds the ``_factor`` of V with A = inner_scale * V), B is compressed to
-    U W^T by ``_range_finder`` and the Schur complement S = D - C A^-1 U W^T
-    is factored.  Raises SolverError when A is singular to working precision.
-    """
-    a, b = matrix[:n_inner, :n_inner], matrix[:n_inner, n_inner:]
-    c, d = matrix[n_inner:, :n_inner], matrix[n_inner:, n_inner:]
-    if inner is None:
-        inner, inner_scale = _factor(a), 1.0
-    lu_a, rcond_a = inner
-    if not rcond_a >= RCOND_MIN:
-        raise SolverError(
-            f"{label} inner block is singular to working precision (rcond={rcond_a:.2e}){hint}"
-        )
-
-    def solve_a(r, trans=0):  # A^-1 r, or A^-T r with trans=1
-        return lu_solve(lu_a, r, trans=1 - trans, check_finite=False) / inner_scale
-
-    u, wt = _range_finder(b, COUPLING_RTOL)
-    ainv_u = solve_a(u)
-    left, right = (c, ainv_u) if wt is None else (c @ ainv_u, wt)
-    s = np.array(d)
-    for start in range(0, len(s), 256):
-        s[start : start + 256] -= left[start : start + 256] @ right
-    # factored in place as S^T, as in _factor
-    lu_s = _lu_factor(s.T, overwrite_a=True, check_finite=False)
-    del s, left, right
-
-    def apply(r):
-        y = solve_a(r[:n_inner])
-        x2 = lu_solve(lu_s, r[n_inner:] - c @ y, trans=1, check_finite=False)
-        return np.concatenate([y - ainv_u @ (x2 if wt is None else wt @ x2), x2])
-
-    def apply_t(r):
-        z = ainv_u.T @ r[:n_inner]
-        x2 = lu_solve(lu_s, r[n_inner:] - (z if wt is None else wt.T @ z), check_finite=False)
-        return np.concatenate([solve_a(r[:n_inner] - c.T @ x2, trans=1), x2])
-
-    return apply, apply_t
-
-
-def _checked_solve(matvec, apply, apply_t, norms: tuple[float, float], rhs: np.ndarray,
-                   label: str, hint: str = "", truncation=None,
-                   refine: bool = True) -> tuple[np.ndarray, float, float]:
-    """Solve a system through its inverse apply, with both guards.
+def _checked_solve(matvec, apply, apply_t, norm_1: float, rhs: np.ndarray,
+                   label: str, hint: str = "", truncation=None) -> tuple[np.ndarray, float, float]:
+    """Solve a system through its exact inverse apply, with both guards.
 
     ``matvec`` applies the system matrix, ``apply`` and ``apply_t`` a
-    factored inverse and its transpose, ``norms`` are the matrix's 1- and
-    infinity-norms.  With ``refine``, up to _REFINE_STEPS steps of iterative
-    refinement with ``matvec`` follow the first solve; an exact inverse
-    needs none.  ``truncation(x)``, if given, bounds
-    the residual that ``matvec`` leaves out and is added to it.  Returns
-    (solution, 1-norm condition estimate, relative residual), the estimate
-    being |matrix|_1 times onenormest of the inverse.  Raises SolverError
-    when the system is singular to working precision (rcond < RCOND_MIN) or
-    the residual exceeds SOLVE_RESIDUAL_RTOL.
+    factored inverse and its transpose, ``norm_1`` is the matrix's 1-norm.
+    ``truncation(x)``, if given, bounds the residual that ``matvec`` leaves
+    out and is added to it.  Returns (solution, 1-norm condition estimate,
+    relative residual), the estimate being |matrix|_1 times onenormest of
+    the inverse.  Raises SolverError when the system is singular to working
+    precision (rcond < RCOND_MIN) or the residual exceeds
+    SOLVE_RESIDUAL_RTOL.
     """
     from scipy.sparse.linalg import LinearOperator, onenormest
 
-    norm_1, norm_inf = norms
     n = len(rhs)
     with np.errstate(all="ignore"):
         inv_norm = onenormest(LinearOperator((n, n), matvec=apply, rmatvec=apply_t,
@@ -614,17 +512,7 @@ def _checked_solve(matvec, apply, apply_t, norms: tuple[float, float], rhs: np.n
             f"{label} is singular to working precision (rcond={rcond:.2e}){hint}"
         )
     x = apply(rhs)
-    r = rhs - matvec(x)
-    res = float(np.max(np.abs(r)))
-    for _ in range(_REFINE_STEPS if refine else 0):
-        if res <= np.finfo(float).eps * norm_inf * float(np.max(np.abs(x))):
-            break  # at rounding level
-        x_new = x + apply(r)
-        r_new = rhs - matvec(x_new)
-        res_new = float(np.max(np.abs(r_new)))
-        if not res_new < res:
-            break  # stopped falling
-        x, r, res = x_new, r_new, res_new
+    res = float(np.max(np.abs(rhs - matvec(x))))
     if truncation is not None:
         res += truncation(x)
     scale = max(float(np.max(np.abs(rhs))), 1e-300)
@@ -636,28 +524,23 @@ def _checked_solve(matvec, apply, apply_t, norms: tuple[float, float], rhs: np.n
     return x, 1.0 / rcond, residual
 
 
-def _checked_block_solve(matrix: np.ndarray, rhs: np.ndarray, n_inner: int, label: str,
-                         hint: str = "", inner=None,
-                         inner_scale: float = 1.0) -> tuple[np.ndarray, float, float]:
-    """``_checked_solve`` of the full matrix, preconditioned by ``_block_inverse``.
-
-    Same arguments as ``_block_inverse``; refinement, the residual and the
-    condition estimate all refer to the full matrix.
-    """
-    apply, apply_t = _block_inverse(matrix, n_inner, label, hint, inner, inner_scale)
-    return _checked_solve(matrix.__matmul__, apply, apply_t, _norms(matrix), rhs, label, hint)
+def _dense_solve(matrix: np.ndarray, rhs: np.ndarray, label: str,
+                 hint: str = "") -> tuple[np.ndarray, float, float]:
+    """``_checked_solve`` of a dense matrix through one LU of it."""
+    # factored as matrix^T, as in _factor: solve with matrix through trans=1
+    lu = _lu_factor(matrix.T, check_finite=False)
+    return _checked_solve(
+        matrix.__matmul__,
+        lambda r: lu_solve(lu, r, trans=1, check_finite=False),
+        lambda r: lu_solve(lu, r, check_finite=False),
+        float(_abs_col_sums(matrix).max()), rhs, label, hint,
+    )
 
 
 def solve(system: AssembledSystem) -> DensityPair:
-    """Block-elimination solve with a 1-norm condition estimate and residual check.
-
-    A system assembled with prebuilt ``blocks`` reuses their factored V_ii.
-    """
-    inner = system.blocks.inner_lu if system.blocks is not None else None
-    x, cond, residual = _checked_block_solve(
-        system.matrix, system.rhs, system.n_inner, "system",
-        "; check admissibility and the coupling sign", inner, system.sign,
-    )
+    """Dense LU solve with a 1-norm condition estimate and residual check."""
+    x, cond, residual = _dense_solve(system.matrix, system.rhs, "system",
+                                     "; check admissibility and the coupling sign")
     pairdens = system.split(x)
     return DensityPair(pairdens.mu_inner, pairdens.mu_outer, cond, residual)
 
@@ -804,10 +687,8 @@ class CouplingExpansion:
                                        check_finite=False)
         self.g_o = self.b_o @ lu_solve(blocks.outer_lu[0], self.a_o.T, trans=1,
                                        check_finite=False)
-        # block row and column sums of |V|; every single-layer entry is
-        # negative, so those of |K| are -1^T K, taken through the bases
-        sums_ii = _abs_sums(blocks.v_ii)
-        self.v_sums = (sums_ii, sums_ii if blocks.v_oo is blocks.v_ii else _abs_sums(blocks.v_oo))
+        # every single-layer entry is negative, so the row and column sums
+        # of |K| are those of -K, taken through the bases
         self.basis_sums = tuple(m.sum(axis=1) for m in (self.a_i, self.b_i, self.a_o, self.b_o))
 
     def _irregular(self, points: np.ndarray) -> np.ndarray:
@@ -825,11 +706,11 @@ class CouplingExpansion:
     def operators(self, eps: float, degree: int):
         """Functions of the expanded system at eps, cut after ``degree``.
 
-        Returns (matvec, apply, apply_t, norms, truncation) as
+        Returns (matvec, apply, apply_t, norm_1, truncation) as
         ``_checked_solve`` takes them: the expanded matrix, its inverse by
         the Woodbury identity (Hager, SIAM Rev. 31, 1989) and that
-        inverse's transpose, its 1- and infinity-norms, and the certified
-        bound on the residual that the truncation leaves out.
+        inverse's transpose, its 1-norm, and the certified bound on the
+        residual that the truncation leaves out.
         """
         r = (degree + 1) ** 2
         n_i = self.pair.inner.n_triangles
@@ -890,12 +771,11 @@ class CouplingExpansion:
                                    eps * (a_o.T @ (d * (b_i @ x_i))) + v_oo @ x_o])
 
         sum_a_i, sum_b_i, sum_a_o, sum_b_o = (v[:r] for v in self.basis_sums)
-        (col_ii, row_ii), (col_oo, row_oo) = self.v_sums
+        col_ii, col_oo = self.blocks.col_sums
         k_io_rows = -(a_i.T @ (d * sum_b_o))
         k_oi_rows = -abs(eps) * (a_o.T @ (d * sum_b_i))
         norm_1 = max(float(np.max(col_ii - abs(eps) * ((d * sum_a_o) @ b_i))),
                      float(np.max(col_oo - (d * sum_a_i) @ b_o)))
-        norm_inf = max(float(np.max(row_ii + k_io_rows)), float(np.max(row_oo + k_oi_rows)))
         tau = _truncation_bound(abs(eps) * self.radius / self.distance, degree)
         k_io_norm, k_oi_norm = float(np.max(k_io_rows)), float(np.max(k_oi_rows))
 
@@ -903,18 +783,17 @@ class CouplingExpansion:
             return tau * (k_io_norm * float(np.max(np.abs(x[n_i:])))
                           + k_oi_norm * float(np.max(np.abs(x[:n_i]))))
 
-        return matvec, apply, apply_t, (norm_1, norm_inf), truncation
+        return matvec, apply, apply_t, norm_1, truncation
 
     def solve(self, data: CartesianDataFamily, eps: float, degree: int) -> DensityPair:
         """Densities at eps through the expansion cut after ``degree``."""
         inner, outer = self.pair.inner, self.pair.outer
         rhs = np.concatenate([data.eval_inner(inner.centroids, eps),
                               data.eval_outer(outer.centroids, eps)])
-        matvec, apply, apply_t, norms, truncation = self.operators(eps, degree)
-        # the Woodbury inverse is exact, so refinement would gain nothing
-        x, cond, residual = _checked_solve(matvec, apply, apply_t, norms, rhs, "system",
+        matvec, apply, apply_t, norm_1, truncation = self.operators(eps, degree)
+        x, cond, residual = _checked_solve(matvec, apply, apply_t, norm_1, rhs, "system",
                                            "; check admissibility and the coupling sign",
-                                           truncation, refine=False)
+                                           truncation)
         n_i = inner.n_triangles
         return DensityPair(x[:n_i], x[n_i:], cond, residual)
 
@@ -925,9 +804,10 @@ def solve_grid(pair: GeometryPair, data: CartesianDataFamily, grid):
     Every eps that ``expansion_degree`` certifies, a grid's only point
     included, is solved through one ``CouplingExpansion``, built to the
     largest such degree around V_ii and V_oo, each built and factored once.
-    Any other eps is assembled and solved as a single system: with those
-    shared blocks, or, when it is the grid's only point, with its blocks
-    built in place, so that no second copy of them is held.
+    Any other eps is assembled and solved by ``solve``, one dense LU of the
+    whole system: its self blocks are copied from the shared ones, or, when
+    it is the grid's only point, built in place, so that no second copy of
+    them is held.  A grid with no certified eps factors no self block.
     """
     grid = [float(eps) for eps in grid]
     degrees = [expansion_degree(pair, eps) for eps in grid]
@@ -1033,5 +913,5 @@ def direct_solve(pair: GeometryPair, data: CartesianDataFamily, eps: float) -> D
     rhs = np.concatenate(
         [data.eval_inner(pair.inner.centroids, eps), data.eval_outer(outer.centroids, eps)]
     )
-    x, cond, residual = _checked_block_solve(matrix, rhs, n_h, "direct system")
+    x, cond, residual = _dense_solve(matrix, rhs, "direct system")
     return DirectSolution(hole, outer, x[:n_h], x[n_h:], cond, residual)

@@ -306,8 +306,9 @@ COND_DIGITS = 6
 def _conds(conds) -> list[float]:
     """Condition estimates rounded to COND_DIGITS significant digits.
 
-    The estimate can differ between processes in its last digits, so
-    sweep.csv and report.json carry only the digits that repeat.
+    The estimate repeats bit for bit across processes at one BLAS thread
+    count, but its last digits differ across thread counts, so sweep.csv
+    and report.json carry only the digits that agree.
     """
     return [float(f"{c:.{COND_DIGITS}g}") for c in conds]
 

@@ -10,7 +10,6 @@ from math import factorial, pi
 from holelab.annulus import SphereProblem, ZonalDataFamily, closed_form_annulus, eval_solution, solve_modes
 from holelab import bem
 from holelab.bem import (
-    COUPLING_RTOL,
     NEAR_FIELD_FACTOR,
     AssemblyError,
     CartesianDataFamily,
@@ -20,7 +19,6 @@ from holelab.bem import (
     _TRI_BARY,
     _TRI_W,
     _kernel_sums,
-    _range_finder,
     _triangle_integrals,
     _triangle_quad,
     assemble,
@@ -592,7 +590,7 @@ def test_assemble_in_place_equals_stacked_blocks(eps):
 
 
 # ---------------------------------------------------------------------------
-# block-elimination solve against dense references
+# assembled solve against dense references
 # ---------------------------------------------------------------------------
 
 BLOCK_DATA = CartesianDataFamily(inner=(((0, 0, 0), (0.0, 1.0)),),
@@ -621,20 +619,14 @@ def _dense_cond(matrix):
 def test_block_solve_matches_dense_solve(inner, subdivisions):
     pair = _pair(inner, subdivisions)
     blocks = self_blocks(pair)
-    exact = {}
     for eps in (-0.6, -0.3, -0.05, 0.05, 0.3, 0.6):
-        # sub 2 also factors the inner block in the solve; sub 3 only as a sweep does
+        # sub 2 also assembles its own self blocks; sub 3 only as a sweep does
         for shared in ((None, blocks) if subdivisions == 2 else (blocks,)):
             system = assemble(pair, BLOCK_DATA, eps, blocks=shared)
             dens = solve(system)
             x = np.concatenate([dens.mu_inner, dens.mu_outer])
             _assert_dense_match(x, system.matrix, system.rhs)
             assert dens.residual <= 1e-13
-        n_i = system.n_inner
-        exact[eps] = _range_finder(system.matrix[:n_i, n_i:], COUPLING_RTOL)[1] is None
-    assert not exact[0.05] and not exact[-0.05]
-    if inner == "sphere":  # rank past n/4: exact block elimination
-        assert exact[0.6] and exact[-0.6]
 
 
 def test_block_solve_sign_diagnostic_and_direct_solve(unit_pair_s2):
@@ -662,58 +654,7 @@ def test_block_solve_condition_estimate_near_gecon(unit_pair_s2, eps):
     system = assemble(unit_pair_s2, BLOCK_DATA, eps)
     dens = solve(system)
     assert dens.cond / 3 <= _dense_cond(system.matrix) <= 3 * dens.cond
-
-
-def test_factored_inverse_and_its_transpose(unit_pair_s2):
-    blocks = self_blocks(unit_pair_s2)
-    rng = np.random.default_rng(9)
-    for eps, shared in ((0.05, None), (-0.3, blocks), (-0.6, None)):
-        system = assemble(unit_pair_s2, BLOCK_DATA, eps, blocks=shared)
-        inner = (shared.inner_lu, system.sign) if shared is not None else (None, 1.0)
-        apply, apply_t = bem._block_inverse(system.matrix, system.n_inner, "system", "", *inner)
-        u, v = rng.normal(size=(2, len(system.rhs)))
-        assert v @ apply(u) == pytest.approx(apply_t(v) @ u, rel=1e-12)
-        # an inverse of the full matrix up to the coupling compression
-        assert np.max(np.abs(system.matrix @ apply(u) - u)) <= 1e-4 * np.max(np.abs(u))
-
-
-def test_range_finder_probe_bound():
-    rng = np.random.default_rng(5)
-    # singular values 10^(-k/4): rank 25 at 1e-6, full rank past the cap
-    q1, _ = np.linalg.qr(rng.normal(size=(300, 300)))
-    q2, _ = np.linalg.qr(rng.normal(size=(280, 280)))
-    graded = (q1[:, :280] * 10.0 ** (-np.arange(280) / 4)) @ q2.T
-    pair = GeometryPair(icosphere(1.0, 3), icosphere(1.0, 3))
-    system = assemble(pair, CartesianDataFamily(), 0.3)
-    coupling = system.matrix[: system.n_inner, system.n_inner :]
-    for b in (graded, coupling):
-        sv = np.linalg.svd(b, compute_uv=False)
-        tail = np.sqrt(np.cumsum(sv[::-1] ** 2))[::-1]
-        for rtol in (1e-4, 1e-6, 1e-8):
-            u, wt = _range_finder(b, rtol)
-            assert wt is not None and u.shape[1] <= min(b.shape) // 4
-            assert np.allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
-            err = np.linalg.norm(b - u @ wt) / np.linalg.norm(b)
-            assert err <= 10 * rtol
-            # no more columns than the SVD needs for rtol, plus one block
-            svd_rank = int(np.count_nonzero(tail > rtol * tail[0]))
-            assert u.shape[1] <= svd_rank + bem._RANGE_BLOCK
-    full_rank = rng.normal(size=(200, 240))
-    u, wt = _range_finder(full_rank, 1e-6)
-    assert wt is None and u is full_rank
-    assert _range_finder(np.zeros((40, 30)), 1e-6)[0].shape == (40, 0)
-
-
-def test_coarse_coupling_is_refined_against_the_full_matrix(unit_pair_s2, monkeypatch):
-    system = assemble(unit_pair_s2, BLOCK_DATA, 0.3)
-    monkeypatch.setattr(bem, "COUPLING_RTOL", 1e-3)
-    dens = solve(system)
-    _assert_dense_match(np.concatenate([dens.mu_inner, dens.mu_outer]),
-                        system.matrix, system.rhs)
-    # without refinement the residual guard sees the compression error
-    monkeypatch.setattr(bem, "_REFINE_STEPS", 0)
-    with pytest.raises(SolverError, match="residual"):
-        solve(system)
+    assert dens.cond == pytest.approx(_dense_onenormest_cond(system.matrix), rel=1e-10)
 
 
 def test_block_solve_refuses_singular_systems(unit_pair_s2):
@@ -728,16 +669,19 @@ def test_block_solve_refuses_singular_systems(unit_pair_s2):
         return dataclasses.replace(system, matrix=matrix)
 
     def zero_inner_row(m):
-        m[3, :n_i] = 0.0  # A singular, the full matrix not
+        m[3, :n_i] = 0.0  # V_ii singular, the full matrix not
 
     def repeated_outer_row(m):
-        m[-1] = m[-2]  # A intact, the Schur complement singular
+        m[-1] = m[-2]
 
     def nearly_repeated_outer_row(m):
         m[-1] = m[-2] + 1e-17 * m[-3]
 
-    with pytest.raises(SolverError, match="inner block is singular"):
-        solve(edited(zero_inner_row))
+    # only the full matrix need be invertible
+    regular = edited(zero_inner_row)
+    dens = solve(regular)
+    _assert_dense_match(np.concatenate([dens.mu_inner, dens.mu_outer]),
+                        regular.matrix, regular.rhs)
     for change in (repeated_outer_row, nearly_repeated_outer_row):
         with pytest.raises(SolverError, match="system is singular"):
             solve(edited(change))
@@ -853,12 +797,12 @@ def test_woodbury_solve_matches_assembled_solve(expansions, inner):
 @pytest.mark.parametrize("eps", [0.3, -0.2])
 def test_expanded_operators_are_the_matrix_and_its_inverse(expansions, eps):
     expansion = expansions("ellipsoid", 2)
-    matvec, apply, apply_t, norms, _ = expansion.operators(eps, 27)
+    matvec, apply, apply_t, norm_1, _ = expansion.operators(eps, 27)
     matrix = assemble(expansion.pair, BLOCK_DATA, eps, blocks=expansion.blocks).matrix
     rng = np.random.default_rng(11)
     u, v = rng.normal(size=(2, len(matrix)))
     assert np.max(np.abs(matvec(u) - matrix @ u)) <= 1e-13 * np.max(np.abs(matrix @ u))
-    assert norms == pytest.approx(bem._norms(matrix), rel=1e-12)
+    assert norm_1 == pytest.approx(np.linalg.norm(matrix, 1), rel=1e-12)
     for got, want in ((apply(u), scipy.linalg.solve(matrix, u)),
                       (apply_t(v), scipy.linalg.solve(matrix.T, v))):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -887,21 +831,32 @@ def test_truncation_bound_enters_the_residual(expansions):
         expansion.solve(BLOCK_DATA, eps, 6)
 
 
-def test_solve_grid_mixes_expanded_and_assembled_points(monkeypatch):
+def test_solve_grid_mixes_expanded_and_assembled_points(unit_pair_s2, monkeypatch):
     pair = GeometryPair(icosphere(1.0, 3), icosphere(1.0, 3))
     grid = [-0.5, -0.2, 0.1]
     assert [bem.expansion_degree(pair, eps) is None for eps in grid] == [True, False, False]
-    assembled, original = [], bem.assemble
+    assembled, factored = [], []
+    original, original_factor = bem.assemble, bem._factor
 
     def counting(pair, data, eps, *args, **kwargs):
         assembled.append(eps)
         return original(pair, data, eps, *args, **kwargs)
 
+    def counting_factor(a, *args):
+        factored.append(a.shape)
+        return original_factor(a, *args)
+
     monkeypatch.setattr(bem, "assemble", counting)
+    monkeypatch.setattr(bem, "_factor", counting_factor)
     got = list(bem.solve_grid(pair, BLOCK_DATA, grid))
     assert assembled == [-0.5]
+    assert factored == [(pair.inner.n_triangles,) * 2]  # one self block, for the expansion
     assert len(list(bem.solve_grid(pair, BLOCK_DATA, [0.2]))) == 1
     assert assembled == [-0.5]  # a certified single point is expanded too
+    # a grid with no certified eps shares its self blocks but factors none
+    factored.clear()
+    assert len(list(bem.solve_grid(unit_pair_s2, BLOCK_DATA, [-0.3, 0.3]))) == 2
+    assert assembled[-2:] == [-0.3, 0.3] and factored == []
     monkeypatch.undo()
     for eps, dens in zip(grid, got):
         want = solve(assemble(pair, BLOCK_DATA, eps))
@@ -962,6 +917,7 @@ def test_self_blocks_share_one_block_for_identical_meshes(unit_pair_s2):
     blocks = self_blocks(unit_pair_s2)
     assert blocks.v_oo is blocks.v_ii
     assert blocks.outer_lu is blocks.inner_lu
+    assert blocks.col_sums[1] is blocks.col_sums[0]
     mesh = unit_pair_s2.outer
     assert np.array_equal(blocks.v_ii, single_layer_matrix(mesh.centroids, mesh))
     distinct = self_blocks(GeometryPair(icosphere(0.5, 2), icosphere(1.0, 2)))
