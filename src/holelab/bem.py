@@ -16,13 +16,17 @@ solid-harmonic bases built once per geometry, and at every eps where
 ``expansion_degree`` certifies the truncation the solve is a Woodbury solve
 around the factors with one small capacitance LU.  No N x N matrix is
 formed there; its residual guard adds the certified truncation bound to the
-residual of the expanded system.
+residual of the expanded system.  The certified eps of a grid are solved in
+lockstep: every self-block solve and basis product serves all of them in
+one multi-column call, and only the capacitance solves go per eps.
 
 Any other eps is assembled and solved as a single system with one dense LU
 of the whole matrix (``_dense_solve``), as is ``direct_solve``.  Both solves
-go through ``_checked_solve``, so both report the same 1-norm condition
-estimate, |M|_1 times onenormest of an exact inverse, under the same rcond
-and residual guards.
+go through ``_checked_solve``, the dense one as a batch of one, so both
+report the same 1-norm condition estimate, |M|_1 times the Higham-Tisseur
+estimate of |M^-1|_1 from an exact inverse (``_onenormest``, the iteration
+of scipy's onenormest with t = 1, run for all columns of a batch at once),
+under the same rcond and residual guards, checked per eps.
 
 Block assembly shares chunks of its target rows (far field) and near pairs
 out to one thread per CPU in the process's affinity set; each entry is
@@ -58,6 +62,8 @@ SOLVE_RESIDUAL_RTOL = 1e-10
 RCOND_MIN = 1e-14
 # Certified relative error of every expanded coupling kernel value.
 EXPANSION_RTOL = 1e-14
+# Iterations of the 1-norm estimator, scipy.sparse.linalg.onenormest's default.
+_ONENORMEST_ITMAX = 5
 # The expansion serves an eps while its (p+1)^2 basis columns stay below
 # this fraction of the smaller mesh's triangles; nearer square, the bases
 # cost as much as the blocks they replace.
@@ -487,54 +493,112 @@ def _factor(a: np.ndarray, norm_1: float) -> tuple[tuple[np.ndarray, np.ndarray]
     return lu, float(rcond)
 
 
-def _checked_solve(matvec, apply, apply_t, norm_1: float, rhs: np.ndarray,
-                   label: str, hint: str = "", truncation=None) -> tuple[np.ndarray, float, float]:
-    """Solve a system through its exact inverse apply, with both guards.
+def _columns(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The columns ``cols`` of ``a`` along its last axis, 1-D for one column.
 
-    ``matvec`` applies the system matrix, ``apply`` and ``apply_t`` a
-    factored inverse and its transpose, ``norm_1`` is the matrix's 1-norm.
-    ``truncation(x)``, if given, bounds the residual that ``matvec`` leaves
-    out and is added to it.  Returns (solution, 1-norm condition estimate,
-    relative residual), the estimate being |matrix|_1 times onenormest of
-    the inverse.  Raises SolverError when the system is singular to working
-    precision (rcond < RCOND_MIN) or the residual exceeds
-    SOLVE_RESIDUAL_RTOL.
+    A batch of one system keeps level-2 BLAS calls: a threaded call on two
+    or more columns pays the thread wake-up, which a single vector does not.
     """
-    from scipy.sparse.linalg import LinearOperator, onenormest
+    return a[..., cols[0]] if len(cols) == 1 else a[..., cols]
 
-    n = len(rhs)
+
+def _onenormest(matmat, rmatmat, n: int, count: int) -> np.ndarray:
+    """Lower bounds on |A_j|_1 for ``count`` n x n operators, estimated in lockstep.
+
+    Column j runs the t = 1 iteration of Higham and Tisseur's block 1-norm
+    estimator (SIAM J. Matrix Anal. Appl. 21, 2000, Algorithm 2.4) step for
+    step as ``scipy.sparse.linalg.onenormest(A_j, t=1)`` does, and leaves
+    the batch when its own iteration stops.  ``matmat(x, cols)`` and
+    ``rmatmat(x, cols)`` apply A_j and A_j^T to column k of x for
+    j = cols[k], so each step is one call of each for all live columns.
+    """
+    est = np.zeros(count)
+    x = np.full((n, count), 1.0 / n)
+    signs = np.zeros((n, count))
+    best = np.zeros(count, dtype=np.intp)
+    cols = np.arange(count)
     with np.errstate(all="ignore"):
-        inv_norm = onenormest(LinearOperator((n, n), matvec=apply, rmatvec=apply_t,
-                                             dtype=float), t=1)
-    rcond = 1.0 / (norm_1 * inv_norm)
-    if not rcond >= RCOND_MIN:
-        raise SolverError(
-            f"{label} is singular to working precision (rcond={rcond:.2e}){hint}"
-        )
-    x = apply(rhs)
-    res = float(np.max(np.abs(rhs - matvec(x))))
+        for k in range(1, _ONENORMEST_ITMAX + 2):
+            y = matmat(_columns(x, cols), cols).reshape(n, -1)
+            # each column summed contiguously, as onenormest sums its one
+            mags = np.abs(np.ascontiguousarray(y.T)).sum(axis=1)
+            # a step that does not raise the estimate ends the column
+            keep = ~(mags <= est[cols]) if k > 1 else np.ones(len(cols), bool)
+            cols, y = cols[keep], y[:, keep]
+            est[cols] = mags[keep]
+            if k > _ONENORMEST_ITMAX or not len(cols):
+                break
+            s = y.copy()
+            s[s == 0] = 1.0
+            s /= np.abs(s)
+            # so does a sign vector repeated from the step before
+            keep = np.einsum("ij,ij->j", s, signs[:, cols]) != n
+            cols = cols[keep]
+            if not len(cols):
+                break
+            signs[:, cols] = s[:, keep]
+            z = np.abs(rmatmat(_columns(signs, cols), cols)).reshape(n, -1)
+            if k > 1:  # or a best unit vector that is the one just used
+                keep = z.max(axis=0) != z[best[cols], np.arange(len(cols))]
+                cols, z = cols[keep], z[:, keep]
+                if not len(cols):
+                    break
+            best[cols] = np.argsort(z, axis=0)[-1]
+            x[:, cols] = 0.0
+            x[best[cols], cols] = 1.0
+    return est
+
+
+def _checked_solve(matvec, apply, apply_t, norm_1: np.ndarray, rhs: np.ndarray,
+                   label: str, hint: str = "", truncation=None):
+    """Solve a batch of systems through exact inverse applies, each with both guards.
+
+    Column j of ``rhs`` (N, B) is the right-hand side of system j.
+    ``matvec``, ``apply`` and ``apply_t`` take (x, cols) and apply system
+    cols[k]'s matrix, its factored inverse and that inverse's transpose to
+    column k of x (1-D for one column, see ``_columns``); ``norm_1`` holds
+    the matrices' 1-norms.  ``truncation(x, cols)``, if given, bounds per
+    column the residual that ``matvec`` leaves out; it is added to it.
+    Yields (solution, 1-norm condition estimate, relative residual) per
+    system in column order, the estimate being |matrix|_1 times
+    ``_onenormest`` of the inverse.  Raises SolverError at the first system
+    that is singular to working precision (rcond < RCOND_MIN) or whose
+    residual exceeds SOLVE_RESIDUAL_RTOL, once the systems before it are
+    yielded.
+    """
+    n, count = rhs.shape
+    cols = np.arange(count)
+    inv_norm = _onenormest(apply, apply_t, n, count)
+    with np.errstate(all="ignore"):
+        rcond = 1.0 / (norm_1 * inv_norm)
+        x = apply(_columns(rhs, cols), cols).reshape(n, count)
+        res = np.abs(rhs - matvec(_columns(x, cols), cols).reshape(n, count)).max(axis=0)
     if truncation is not None:
-        res += truncation(x)
-    scale = max(float(np.max(np.abs(rhs))), 1e-300)
-    residual = res / scale
-    if residual > SOLVE_RESIDUAL_RTOL:
-        raise SolverError(
-            f"{label} residual {residual:.2e} exceeds {SOLVE_RESIDUAL_RTOL:.0e}"
-        )
-    return x, 1.0 / rcond, residual
+        res += truncation(x, cols)
+    residual = res / np.maximum(np.abs(rhs).max(axis=0), 1e-300)
+    for j in range(count):
+        if not rcond[j] >= RCOND_MIN:
+            raise SolverError(
+                f"{label} is singular to working precision (rcond={rcond[j]:.2e}){hint}"
+            )
+        if residual[j] > SOLVE_RESIDUAL_RTOL:
+            raise SolverError(
+                f"{label} residual {residual[j]:.2e} exceeds {SOLVE_RESIDUAL_RTOL:.0e}"
+            )
+        yield x[:, j].copy(), float(1.0 / rcond[j]), float(residual[j])
 
 
 def _dense_solve(matrix: np.ndarray, rhs: np.ndarray, label: str,
                  hint: str = "") -> tuple[np.ndarray, float, float]:
-    """``_checked_solve`` of a dense matrix through one LU of it."""
+    """``_checked_solve`` of one dense system, a batch of one, through one LU of it."""
     # factored as matrix^T, as in _factor: solve with matrix through trans=1
     lu = _lu_factor(matrix.T, check_finite=False)
-    return _checked_solve(
-        matrix.__matmul__,
-        lambda r: lu_solve(lu, r, trans=1, check_finite=False),
-        lambda r: lu_solve(lu, r, check_finite=False),
-        float(_abs_col_sums(matrix).max()), rhs, label, hint,
-    )
+    return next(_checked_solve(
+        lambda x, cols: matrix @ x,
+        lambda r, cols: lu_solve(lu, r, trans=1, check_finite=False),
+        lambda r, cols: lu_solve(lu, r, check_finite=False),
+        np.array([_abs_col_sums(matrix).max()]), rhs[:, None], label, hint,
+    ))
 
 
 def solve(system: AssembledSystem) -> DensityPair:
@@ -703,99 +767,156 @@ class CouplingExpansion:
         k = self.row_degrees[: (degree + 1) ** 2]
         return _KERNEL_SCALE / self.distance * (eps * self.radius / self.distance) ** k
 
-    def operators(self, eps: float, degree: int):
-        """Functions of the expanded system at eps, cut after ``degree``.
+    def operators(self, eps_list, degrees):
+        """Functions of the expanded systems at a set of eps, solved in lockstep.
 
-        Returns (matvec, apply, apply_t, norm_1, truncation) as
-        ``_checked_solve`` takes them: the expanded matrix, its inverse by
-        the Woodbury identity (Hager, SIAM Rev. 31, 1989) and that
-        inverse's transpose, its 1-norm, and the certified bound on the
-        residual that the truncation leaves out.
+        System j is the expanded system at eps_list[j], cut after
+        degrees[j].  Returns (matvec, apply, apply_t, norm_1, truncation) as
+        ``_checked_solve`` takes them: the expanded matrices, their inverses
+        by the Woodbury identity (Hager, SIAM Rev. 31, 1989) and those
+        inverses' transposes, their 1-norms, and the certified bounds on the
+        residuals that the truncation leaves out.  Each self-block solve and
+        each basis product is one call for all the columns passed; only the
+        r_j x r_j capacitance solves go per eps.
         """
-        r = (degree + 1) ** 2
+        eps = np.array(eps_list, dtype=float)
+        sizes = [(p + 1) ** 2 for p in degrees]
+        r = max(sizes)
         n_i = self.pair.inner.n_triangles
-        s = coupling_sign(eps, DIM)
+        s = np.array([coupling_sign(e, DIM) for e in eps])
         c = eps / s
-        d = self.scales(eps, degree)
+        # D(eps) of each system in its column, zero past its own degree: the
+        # bases are in degree order, so the system then sees only its rows
+        d = np.zeros((r, len(eps)))
+        for j, (e, p) in enumerate(zip(eps, degrees)):
+            d[: sizes[j], j] = self.scales(e, p)
         a_i, b_i, a_o, b_o = (m[:r] for m in (self.a_i, self.b_i, self.a_o, self.b_o))
         g_i, g_o = self.g_i[:r, :r], self.g_o[:r, :r]
         v_ii, v_oo = self.blocks.v_ii, self.blocks.v_oo
         lu_i, lu_o = self.blocks.inner_lu[0], self.blocks.outer_lu[0]
 
-        def solve_i(v, trans=0):  # V_ii^-1 v, or V_ii^-T v with trans=1
-            return lu_solve(lu_i, v, trans=1 - trans, check_finite=False)
-
-        def solve_o(v, trans=0):
-            return lu_solve(lu_o, v, trans=1 - trans, check_finite=False)
+        def solve_v(v_i, v_o, trans=0):
+            # (V_ii^-1 v_i, V_oo^-1 v_o), or with trans=1 V^-T on each side;
+            # a shared block takes both sides in one call, unless that would
+            # widen a 1-D call
+            if lu_o is lu_i and v_i.ndim == 2:
+                both = lu_solve(lu_i, np.hstack([v_i, v_o]), trans=1 - trans,
+                                check_finite=False)
+                return np.hsplit(both, 2)
+            return (lu_solve(lu_i, v_i, trans=1 - trans, check_finite=False),
+                    lu_solve(lu_o, v_o, trans=1 - trans, check_finite=False))
 
         # With alpha = D B_i mu_i and beta = D B_o mu_o the system reads
         # mu_i = V_ii^-1 (f_i - A_i^T beta) / s and
         # mu_o = V_oo^-1 (f_o - eps A_o^T alpha); eliminating alpha leaves
         # the capacitance system T beta = D (h_o - c G_o D h_i), with
         # h = B V^-1 f on each side, T = I - c D G_o D G_i and c = eps / s.
-        t = g_o * d
-        t *= d[:, None]
-        t = t @ g_i
-        t *= -c
-        t.flat[:: r + 1] += 1.0
-        # factored in place as T^T, as in _factor: solve T through trans=1
-        lu_t = _lu_factor(t.T, overwrite_a=True, check_finite=False)
-        del t
+        lu_t = []
+        for j, size in enumerate(sizes):
+            d_j = d[:size, j]
+            t = g_o[:size, :size] * d_j
+            t *= d_j[:, None]
+            t = t @ g_i[:size, :size]
+            t *= -c[j]
+            t.flat[:: size + 1] += 1.0
+            # factored in place as T^T, as in _factor: solve T through trans=1
+            lu_t.append(_lu_factor(t.T, overwrite_a=True, check_finite=False))
+            del t
 
-        # onenormest passes (N, 1) columns; the diagonal scalings need vectors
-        def apply(f):
-            f = np.ravel(f)
+        def solve_t(v, cols, trans):
+            # T_j^-1 (trans=1) or T_j^-T (trans=0) on the leading r_j rows of
+            # column k, j = cols[k]; the rows past r_j stay zero
+            v = v.reshape(r, -1)
+            out = np.zeros_like(v)
+            for k, j in enumerate(cols):
+                out[: sizes[j], k] = lu_solve(lu_t[j], v[: sizes[j], k], trans=trans,
+                                              check_finite=False)
+            return out.reshape(-1) if len(cols) == 1 else out
+
+        def apply(f, cols):
+            dc, cc, sc, ec = (_columns(v, cols) for v in (d, c, s, eps))
             f_i, f_o = f[:n_i], f[n_i:]
-            h_i, h_o = b_i @ solve_i(f_i), b_o @ solve_o(f_o)
-            beta = lu_solve(lu_t, d * (h_o - c * (g_o @ (d * h_i))), trans=1,
-                            check_finite=False)
-            alpha = d * (h_i - g_i @ beta) / s
-            return np.concatenate([solve_i(f_i - a_i.T @ beta) / s,
-                                   solve_o(f_o - eps * (a_o.T @ alpha))])
+            u_i, u_o = solve_v(f_i, f_o)
+            h_i, h_o = b_i @ u_i, b_o @ u_o
+            beta = solve_t(dc * (h_o - cc * (g_o @ (dc * h_i))), cols, 1)
+            alpha = dc * (h_i - g_i @ beta) / sc
+            x_i, x_o = solve_v(f_i - a_i.T @ beta, f_o - ec * (a_o.T @ alpha))
+            return np.concatenate([x_i / sc, x_o])
 
-        def apply_t(y):
+        def apply_t(y, cols):
             # the transpose, with a = D A_i x_i = D a' and b = D A_o x_o:
             # T^T a' = k_i / s - c G_i^T D k_o, with k = A V^-T y on each side
-            y = np.ravel(y)
+            dc, cc, sc, ec = (_columns(v, cols) for v in (d, c, s, eps))
             y_i, y_o = y[:n_i], y[n_i:]
-            k_i, k_o = a_i @ solve_i(y_i, 1), a_o @ solve_o(y_o, 1)
-            a = d * lu_solve(lu_t, k_i / s - c * (g_i.T @ (d * k_o)), check_finite=False)
-            b = d * (k_o - g_o.T @ a)
-            return np.concatenate([solve_i(y_i - eps * (b_i.T @ b), 1) / s,
-                                   solve_o(y_o - b_o.T @ a, 1)])
+            w_i, w_o = solve_v(y_i, y_o, 1)
+            k_i, k_o = a_i @ w_i, a_o @ w_o
+            a = dc * solve_t(k_i / sc - cc * (g_i.T @ (dc * k_o)), cols, 0)
+            b = dc * (k_o - g_o.T @ a)
+            z_i, z_o = solve_v(y_i - ec * (b_i.T @ b), y_o - b_o.T @ a, 1)
+            return np.concatenate([z_i / sc, z_o])
 
-        def matvec(x):
-            x = np.ravel(x)
+        def matvec(x, cols):
+            dc, sc, ec = (_columns(v, cols) for v in (d, s, eps))
             x_i, x_o = x[:n_i], x[n_i:]
-            return np.concatenate([s * (v_ii @ x_i) + a_i.T @ (d * (b_o @ x_o)),
-                                   eps * (a_o.T @ (d * (b_i @ x_i))) + v_oo @ x_o])
+            return np.concatenate([sc * (v_ii @ x_i) + a_i.T @ (dc * (b_o @ x_o)),
+                                   ec * (a_o.T @ (dc * (b_i @ x_i))) + v_oo @ x_o])
 
-        sum_a_i, sum_b_i, sum_a_o, sum_b_o = (v[:r] for v in self.basis_sums)
-        col_ii, col_oo = self.blocks.col_sums
-        k_io_rows = -(a_i.T @ (d * sum_b_o))
-        k_oi_rows = -abs(eps) * (a_o.T @ (d * sum_b_i))
-        norm_1 = max(float(np.max(col_ii - abs(eps) * ((d * sum_a_o) @ b_i))),
-                     float(np.max(col_oo - (d * sum_a_i) @ b_o)))
-        tau = _truncation_bound(abs(eps) * self.radius / self.distance, degree)
-        k_io_norm, k_oi_norm = float(np.max(k_io_rows)), float(np.max(k_oi_rows))
+        sum_a_i, sum_b_i, sum_a_o, sum_b_o = (v[:r, None] for v in self.basis_sums)
+        col_ii, col_oo = (v[:, None] for v in self.blocks.col_sums)
+        k_io_norm = np.max(-(a_i.T @ (d * sum_b_o)), axis=0)
+        k_oi_norm = np.max(-np.abs(eps) * (a_o.T @ (d * sum_b_i)), axis=0)
+        norm_1 = np.maximum(np.max(col_ii - np.abs(eps) * (b_i.T @ (d * sum_a_o)), axis=0),
+                            np.max(col_oo - b_o.T @ (d * sum_a_i), axis=0))
+        tau = np.array([_truncation_bound(abs(e) * self.radius / self.distance, p)
+                        for e, p in zip(eps, degrees)])
 
-        def truncation(x):
-            return tau * (k_io_norm * float(np.max(np.abs(x[n_i:])))
-                          + k_oi_norm * float(np.max(np.abs(x[:n_i]))))
+        def truncation(x, cols):  # x is (N, len(cols))
+            return tau[cols] * (k_io_norm[cols] * np.max(np.abs(x[n_i:]), axis=0)
+                                + k_oi_norm[cols] * np.max(np.abs(x[:n_i]), axis=0))
 
         return matvec, apply, apply_t, norm_1, truncation
 
-    def solve(self, data: CartesianDataFamily, eps: float, degree: int) -> DensityPair:
-        """Densities at eps through the expansion cut after ``degree``."""
+    def solve(self, data: CartesianDataFamily, eps_list, degrees):
+        """Densities at each eps through the expansion cut after its degree.
+
+        The eps are solved in lockstep (see ``operators``); yields one
+        DensityPair per eps in order, and raises SolverError at the first eps
+        whose system fails a guard, once the ones before it are yielded.
+        """
         inner, outer = self.pair.inner, self.pair.outer
-        rhs = np.concatenate([data.eval_inner(inner.centroids, eps),
-                              data.eval_outer(outer.centroids, eps)])
-        matvec, apply, apply_t, norm_1, truncation = self.operators(eps, degree)
-        x, cond, residual = _checked_solve(matvec, apply, apply_t, norm_1, rhs, "system",
-                                           "; check admissibility and the coupling sign",
-                                           truncation)
+        rhs = np.stack([np.concatenate([data.eval_inner(inner.centroids, eps),
+                                        data.eval_outer(outer.centroids, eps)])
+                        for eps in eps_list], axis=1)
+        matvec, apply, apply_t, norm_1, truncation = self.operators(eps_list, degrees)
         n_i = inner.n_triangles
-        return DensityPair(x[:n_i], x[n_i:], cond, residual)
+        for x, cond, residual in _checked_solve(
+                matvec, apply, apply_t, norm_1, rhs, "system",
+                "; check admissibility and the coupling sign", truncation):
+            yield DensityPair(x[:n_i], x[n_i:], cond, residual)
+
+
+def _lockstep_solves(pair: GeometryPair, data: CartesianDataFamily,
+                     expansion: CouplingExpansion, certified: list):
+    """``expansion.solve`` over the certified (eps, degree) pairs, group by group.
+
+    A group starts at the next eps, which must be admissible, and takes the
+    admissible eps after it while its capacitance factors stay within twice
+    the bytes of G_i and G_o; an inadmissible eps starts the next group, and
+    raises there.  One group's factors are held at a time.
+    """
+    budget = 2 * (expansion.g_i.nbytes + expansion.g_o.nbytes)
+    start = 0
+    while start < len(certified):
+        pair.require_admissible(certified[start][0])
+        group, held = [], 0
+        for eps, degree in certified[start:]:
+            t_bytes = expansion.g_i.itemsize * (degree + 1) ** 4
+            if group and (held + t_bytes > budget or not pair.admissibility(eps).ok):
+                break
+            group.append((eps, degree))
+            held += t_bytes
+        yield from expansion.solve(data, *zip(*group))
+        start += len(group)
 
 
 def solve_grid(pair: GeometryPair, data: CartesianDataFamily, grid):
@@ -804,6 +925,12 @@ def solve_grid(pair: GeometryPair, data: CartesianDataFamily, grid):
     Every eps that ``expansion_degree`` certifies, a grid's only point
     included, is solved through one ``CouplingExpansion``, built to the
     largest such degree around V_ii and V_oo, each built and factored once.
+    The certified eps are solved in lockstep, in groups taken in grid order
+    (``_lockstep_solves``): each step of their condition estimates, and
+    their solve, is one multi-column call per self-block solve and basis
+    product, and only the capacitance solves go per eps.  Each eps keeps its
+    own admissibility check and guards: the first eps in grid order that
+    fails raises, and no later point is yielded.
     Any other eps is assembled and solved by ``solve``, one dense LU of the
     whole system: its self blocks are copied from the shared ones, or, when
     it is the grid's only point, built in place, so that no second copy of
@@ -811,17 +938,18 @@ def solve_grid(pair: GeometryPair, data: CartesianDataFamily, grid):
     """
     grid = [float(eps) for eps in grid]
     degrees = [expansion_degree(pair, eps) for eps in grid]
-    certified = [p for p in degrees if p is not None]
+    certified = [(eps, p) for eps, p in zip(grid, degrees) if p is not None]
     blocks = self_blocks(pair) if certified or len(grid) > 1 else None
-    expansion = CouplingExpansion(pair, blocks, max(certified)) if certified else None
+    if certified:
+        expansion = CouplingExpansion(pair, blocks, max(p for _, p in certified))
+        lockstep = _lockstep_solves(pair, data, expansion, certified)
     for eps, degree in zip(grid, degrees):
         if degree is None:
             system = assemble(pair, data, eps, blocks=blocks)
             dens = solve(system)
             del system  # its matrix is not kept alive through the next assembly
         else:
-            pair.require_admissible(eps)
-            dens = expansion.solve(data, eps, degree)
+            dens = next(lockstep)
         yield dens
 
 

@@ -782,8 +782,9 @@ def _dense_onenormest_cond(matrix):
 def test_woodbury_solve_matches_assembled_solve(expansions, inner):
     expansion = expansions(inner, 3)
     pair = expansion.pair
-    for eps in (-0.3, -0.12, 0.05, 0.3):
-        dens = expansion.solve(BLOCK_DATA, eps, bem.expansion_degree(pair, eps))
+    grid = (-0.3, -0.12, 0.05, 0.3)
+    solved = expansion.solve(BLOCK_DATA, grid, [bem.expansion_degree(pair, e) for e in grid])
+    for eps, dens in zip(grid, solved, strict=True):
         system = assemble(pair, BLOCK_DATA, eps, blocks=expansion.blocks)
         want = solve(system)
         x = np.concatenate([dens.mu_inner, dens.mu_outer])
@@ -797,16 +798,33 @@ def test_woodbury_solve_matches_assembled_solve(expansions, inner):
 @pytest.mark.parametrize("eps", [0.3, -0.2])
 def test_expanded_operators_are_the_matrix_and_its_inverse(expansions, eps):
     expansion = expansions("ellipsoid", 2)
-    matvec, apply, apply_t, norm_1, _ = expansion.operators(eps, 27)
-    matrix = assemble(expansion.pair, BLOCK_DATA, eps, blocks=expansion.blocks).matrix
+    pair = expansion.pair
+    # a batch of two systems at different degrees: the second, cut lower,
+    # must not see the rows its padded scales leave out
+    batch, degrees = (eps, -eps / 2), (27, 20)
+    rho = abs(batch[1]) * pair.inner_radius / pair.origin_distance
+    assert bem._truncation_bound(rho, degrees[1]) <= bem.EXPANSION_RTOL
+    matvec, apply, apply_t, norm_1, _ = expansion.operators(batch, degrees)
     rng = np.random.default_rng(11)
-    u, v = rng.normal(size=(2, len(matrix)))
-    assert np.max(np.abs(matvec(u) - matrix @ u)) <= 1e-13 * np.max(np.abs(matrix @ u))
-    assert norm_1 == pytest.approx(np.linalg.norm(matrix, 1), rel=1e-12)
-    for got, want in ((apply(u), scipy.linalg.solve(matrix, u)),
-                      (apply_t(v), scipy.linalg.solve(matrix.T, v))):
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    assert v @ apply(u) == pytest.approx(apply_t(v) @ u, rel=1e-12)
+    n = pair.inner.n_triangles + pair.outer.n_triangles
+    u, v = rng.normal(size=(2, n, 2))
+    cols = np.arange(2)
+    applied, applied_t, products = apply(u, cols), apply_t(v, cols), matvec(u, cols)
+    for j, e in enumerate(batch):
+        matrix = assemble(pair, BLOCK_DATA, e, blocks=expansion.blocks).matrix
+        want = matrix @ u[:, j]
+        assert np.max(np.abs(products[:, j] - want)) <= 1e-13 * np.max(np.abs(want))
+        assert norm_1[j] == pytest.approx(np.linalg.norm(matrix, 1), rel=1e-12)
+        for got, want in ((applied[:, j], scipy.linalg.solve(matrix, u[:, j])),
+                          (applied_t[:, j], scipy.linalg.solve(matrix.T, v[:, j]))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert v[:, j] @ applied[:, j] == pytest.approx(applied_t[:, j] @ u[:, j], rel=1e-12)
+        # a one-column call takes 1-D vectors and gives the same column
+        one = np.array([j])
+        for op, x, batched in ((apply, u, applied), (apply_t, v, applied_t), (matvec, u, products)):
+            got = op(x[:, j], one)
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - batched[:, j])) <= 1e-13 * np.max(np.abs(batched[:, j]))
 
 
 def test_truncation_bound_enters_the_residual(expansions):
@@ -814,7 +832,7 @@ def test_truncation_bound_enters_the_residual(expansions):
     pair = expansion.pair
     eps = 0.3
     degree = bem.expansion_degree(pair, eps)
-    dens = expansion.solve(BLOCK_DATA, eps, degree)
+    (dens,) = expansion.solve(BLOCK_DATA, [eps], [degree])
     x = np.concatenate([dens.mu_inner, dens.mu_outer])
     matrix = assemble(pair, BLOCK_DATA, eps, blocks=expansion.blocks).matrix
     rhs = np.concatenate([BLOCK_DATA.eval_inner(pair.inner.centroids, eps),
@@ -824,11 +842,200 @@ def test_truncation_bound_enters_the_residual(expansions):
     k_io, k_oi = matrix[:n_i, n_i:], matrix[n_i:, :n_i]
     bound = tau * (np.linalg.norm(k_io, np.inf) * np.max(np.abs(x[n_i:]))
                    + np.linalg.norm(k_oi, np.inf) * np.max(np.abs(x[:n_i])))
-    expanded = np.max(np.abs(rhs - expansion.operators(eps, degree)[0](x)))
+    expanded = np.max(np.abs(rhs - expansion.operators([eps], [degree])[0](x, [0])))
     assert dens.residual == pytest.approx((expanded + bound) / np.max(np.abs(rhs)), rel=1e-6)
     # cut far below the certified degree, the bound alone exceeds the guard
     with pytest.raises(SolverError, match="residual"):
-        expansion.solve(BLOCK_DATA, eps, 6)
+        list(expansion.solve(BLOCK_DATA, [eps], [6]))
+    # in a batch, the system before the failing one is still solved
+    solved = expansion.solve(BLOCK_DATA, [-eps, eps], [degree, 6])
+    first = next(solved)
+    assert first.residual <= 1e-13
+    with pytest.raises(SolverError, match="residual"):
+        next(solved)
+
+
+@pytest.fixture(scope="module")
+def unit_pair_s3():
+    return GeometryPair(icosphere(1.0, 3), icosphere(1.0, 3))
+
+
+# ---------------------------------------------------------------------------
+# lockstep solves: the batched estimator and the grid semantics
+# ---------------------------------------------------------------------------
+
+def _lu_operators(matrices):
+    """matmat and rmatmat of the inverses of ``matrices``, as ``_onenormest`` takes them."""
+    lus = [scipy.linalg.lu_factor(m) for m in matrices]
+
+    def op(trans):
+        def apply(x, cols):
+            if x.ndim == 1:
+                return scipy.linalg.lu_solve(lus[cols[0]], x, trans=trans)
+            return np.stack([scipy.linalg.lu_solve(lus[j], x[:, k], trans=trans)
+                             for k, j in enumerate(cols)], axis=1)
+        return apply
+
+    return op(0), op(1), lus
+
+
+def _recorded(op, calls):
+    """``op``, recording the systems and the vector rank of each call."""
+    return lambda x, cols: calls.append((list(cols), x.ndim)) or op(x, cols)
+
+
+def _scipy_onenormest(lu):
+    from scipy.sparse.linalg import LinearOperator, onenormest
+
+    n = len(lu[0])
+    return onenormest(LinearOperator((n, n), matvec=lambda v: scipy.linalg.lu_solve(lu, v),
+                                     rmatvec=lambda v: scipy.linalg.lu_solve(lu, v, trans=1),
+                                     dtype=float), t=1)
+
+
+def _random_matrices(rng, n, kinds):
+    out = []
+    for kind in kinds:  # "normal" is left as drawn
+        a = rng.normal(size=(n, n))
+        if kind == "well":
+            a += 3.0 * np.sqrt(n) * np.eye(n)
+        elif kind == "ill":
+            u, _, vt = np.linalg.svd(a)
+            a = (u * np.logspace(0, -12, n)) @ vt
+        elif kind == "nonnegative":  # its inverse is nonnegative
+            a = np.linalg.inv(np.abs(a) + n * np.eye(n))
+        out.append(a)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 7, 160])
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_estimator_matches_scipy_onenormest(n, seed):
+    rng = np.random.default_rng(seed)
+    kinds = ["well", "ill", "nonnegative", "normal", "ill", "normal"]
+    matmat, rmatmat, lus = _lu_operators(_random_matrices(rng, n, kinds))
+    got = bem._onenormest(matmat, rmatmat, n, len(kinds))
+    for est, lu in zip(got, lus, strict=True):
+        assert est == pytest.approx(_scipy_onenormest(lu), rel=1e-14)
+    # a batch of one passes 1-D vectors and gives the same estimate
+    matmat, rmatmat, lus = _lu_operators(_random_matrices(rng, n, ["ill"]))
+    calls = []
+    (est,) = bem._onenormest(_recorded(matmat, calls), _recorded(rmatmat, calls), n, 1)
+    assert est == pytest.approx(_scipy_onenormest(lus[0]), rel=1e-14)
+    assert {ndim for _, ndim in calls} == {1}
+
+
+def test_batched_estimator_drops_each_column_at_its_own_step():
+    rng = np.random.default_rng(4)
+    n = 60
+    kinds = ["nonnegative", "normal", "normal", "normal", "normal", "ill"]
+    matrices = _random_matrices(rng, n, kinds)
+    matmat, rmatmat, lus = _lu_operators(matrices)
+    inverse_calls = []
+    got = bem._onenormest(_recorded(matmat, inverse_calls), rmatmat, n, len(kinds))
+    for est, lu in zip(got, lus, strict=True):
+        assert est == pytest.approx(_scipy_onenormest(lu), rel=1e-14)
+    steps = [sum(j in cols for cols, _ in inverse_calls) for j in range(len(kinds))]
+    assert steps == [2, 3, 2, 2, 4, 2]
+    # a nonnegative inverse is estimated exactly, at k = 2
+    assert got[0] == pytest.approx(np.linalg.norm(np.linalg.inv(matrices[0]), 1), rel=1e-12)
+    # each step is one call for the columns still running, the last one 1-D
+    assert inverse_calls == [(list(range(6)), 2), (list(range(6)), 2), ([1, 4], 2), ([4], 1)]
+
+
+SWEEP_GRID = np.concatenate([-np.linspace(0.3, 0.05, 7), np.linspace(0.05, 0.3, 7)])
+
+
+def test_signed_sweep_matches_one_point_solves(unit_pair_s3, monkeypatch):
+    pair = unit_pair_s3
+    assert all(bem.expansion_degree(pair, eps) is not None for eps in SWEEP_GRID)
+    swept = list(bem.solve_grid(pair, BLOCK_DATA, SWEEP_GRID))
+    blocks = self_blocks(pair)
+    monkeypatch.setattr(bem, "self_blocks", lambda p: blocks)  # built once for the 14
+    for eps, dens in zip(SWEEP_GRID, swept, strict=True):
+        (want,) = bem.solve_grid(pair, BLOCK_DATA, [eps])
+        for got, ref in ((dens.mu_inner, want.mu_inner), (dens.mu_outer, want.mu_outer)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert dens.cond == pytest.approx(want.cond, rel=1e-12)
+        assert dens.residual <= 1e-13
+
+
+def test_failing_eps_mid_grid_raises_and_yields_nothing_after(unit_pair_s3, monkeypatch):
+    pair = unit_pair_s3
+    grid = [-0.3, -0.1, 0.1, 0.3]
+    original = bem.expansion_degree
+    # cut far below the certified degree at -0.1, as in
+    # test_truncation_bound_enters_the_residual
+    monkeypatch.setattr(bem, "expansion_degree",
+                        lambda p, eps: 6 if eps == -0.1 else original(p, eps))
+    with pytest.raises(SolverError) as alone:
+        list(bem.solve_grid(pair, BLOCK_DATA, [-0.1]))
+    got = []
+    with pytest.raises(SolverError) as swept:
+        for dens in bem.solve_grid(pair, BLOCK_DATA, grid):
+            got.append(dens)
+    assert str(swept.value) == str(alone.value)
+    assert str(swept.value).startswith("system residual ")
+    assert len(got) == 1  # -0.3 only
+    monkeypatch.undo()
+    (want,) = bem.solve_grid(pair, BLOCK_DATA, [-0.3])
+    assert np.max(np.abs(got[0].mu_inner - want.mu_inner)) <= 1e-12 * np.max(np.abs(want.mu_inner))
+
+
+def test_inadmissible_eps_mid_grid_raises_at_its_turn(unit_pair_s3):
+    # certified at every eps, but 0.3 comes closer to the outer mesh than
+    # this clearance_min allows: it ends the first lockstep group
+    pair = GeometryPair(unit_pair_s3.inner, unit_pair_s3.outer, clearance_min=0.72)
+    grid = [0.1, 0.3, 0.2]
+    assert all(bem.expansion_degree(pair, eps) is not None for eps in grid)
+    got = []
+    with pytest.raises(AdmissibilityError, match="eps=0.3"):
+        for dens in bem.solve_grid(pair, BLOCK_DATA, grid):
+            got.append(dens)
+    assert len(got) == 1
+    (want,) = bem.solve_grid(pair, BLOCK_DATA, [0.1])
+    assert np.max(np.abs(got[0].mu_outer - want.mu_outer)) <= 1e-12 * np.max(np.abs(want.mu_outer))
+
+
+def _self_factor_solves(monkeypatch, pair, grid):
+    """Columns of each ``lu_solve`` call on the self-block factor in a grid solve."""
+    blocks = self_blocks(pair)
+    monkeypatch.setattr(bem, "self_blocks", lambda p: blocks)
+    widths, groups, original = [], [], bem.lu_solve
+    original_solve = bem.CouplingExpansion.solve
+
+    def counting(lu, b, *args, **kwargs):
+        if lu is blocks.inner_lu[0]:
+            widths.append(1 if b.ndim == 1 else b.shape[1])
+        return original(lu, b, *args, **kwargs)
+
+    def counting_solve(self, data, eps_list, degrees):
+        groups.append(len(eps_list))
+        return original_solve(self, data, eps_list, degrees)
+
+    monkeypatch.setattr(bem, "lu_solve", counting)
+    monkeypatch.setattr(bem.CouplingExpansion, "solve", counting_solve)
+    assert len(list(bem.solve_grid(pair, BLOCK_DATA, grid))) == len(grid)
+    monkeypatch.undo()
+    return widths, groups
+
+
+def test_self_block_solves_do_not_grow_with_the_certified_eps(unit_pair_s3, monkeypatch):
+    pair = unit_pair_s3
+    few = [-0.3, -0.1, 0.1, 0.3]
+    many = np.concatenate([-np.array([0.3, 0.12, 0.1, 0.08, 0.06, 0.04, 0.02]),
+                           [0.02, 0.04, 0.06, 0.08, 0.1, 0.12, 0.3]])
+    few_widths, few_groups = _self_factor_solves(monkeypatch, pair, few)
+    many_widths, many_groups = _self_factor_solves(monkeypatch, pair, many)
+    # both grids are one lockstep group: the capacitance factors fit
+    assert few_groups == [4] and many_groups == [14]
+    # the expansion's two basis solves, then each step is one call for both
+    # sides of the shared block; the widths carry the eps
+    assert len(many_widths) <= len(few_widths)
+    assert max(many_widths[2:]) == 2 * 14 and max(few_widths[2:]) == 2 * 4
+    # the benchmark's sweep is cut into two groups by the memory bound
+    _, groups = _self_factor_solves(monkeypatch, pair, SWEEP_GRID)
+    assert groups == [13, 1]
 
 
 def test_solve_grid_mixes_expanded_and_assembled_points(unit_pair_s2, monkeypatch):
@@ -857,17 +1064,16 @@ def test_solve_grid_mixes_expanded_and_assembled_points(unit_pair_s2, monkeypatc
     factored.clear()
     assert len(list(bem.solve_grid(unit_pair_s2, BLOCK_DATA, [-0.3, 0.3]))) == 2
     assert assembled[-2:] == [-0.3, 0.3] and factored == []
+    # an assembled point between two expanded ones of one lockstep group
+    unsorted = [-0.2, -0.5, 0.1]
+    got_unsorted = list(bem.solve_grid(pair, BLOCK_DATA, unsorted))
+    assert assembled[-1:] == [-0.5]
     monkeypatch.undo()
-    for eps, dens in zip(grid, got):
+    for eps, dens in zip(grid + unsorted, got + got_unsorted, strict=True):
         want = solve(assemble(pair, BLOCK_DATA, eps))
         x = np.concatenate([dens.mu_inner, dens.mu_outer])
         x_want = np.concatenate([want.mu_inner, want.mu_outer])
         assert np.max(np.abs(x - x_want)) <= 1e-12 * np.max(np.abs(x_want))
-
-
-@pytest.fixture(scope="module")
-def unit_pair_s3():
-    return GeometryPair(icosphere(1.0, 3), icosphere(1.0, 3))
 
 
 @pytest.mark.parametrize("eps", [0.3, -0.3])
