@@ -26,7 +26,9 @@ go through ``_checked_solve``, the dense one as a batch of one, so both
 report the same 1-norm condition estimate, |M|_1 times the Higham-Tisseur
 estimate of |M^-1|_1 from an exact inverse (``_onenormest``, the iteration
 of scipy's onenormest with t = 1, run for all columns of a batch at once),
-under the same rcond and residual guards, checked per eps.
+under the same rcond and residual guards, checked per eps.  Every dense
+product goes through ``_mm`` on scipy's BLAS, the OpenBLAS those factors
+and solves run on, so the solve path wakes one BLAS thread pool, not two.
 
 Block assembly shares chunks of its target rows (far field) and near pairs
 out to one thread per CPU in the process's affinity set; each entry is
@@ -45,6 +47,7 @@ from math import pi, sqrt
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg.blas import dgemm, dgemv
 
 from .annulus import coupling_sign
 from .mesh import (
@@ -375,9 +378,9 @@ class AssembledSystem:
         """
         if sign is None:
             sign = coupling_sign(self.eps, DIM)
-        v_ii = self.matrix[: self.n_inner, : self.n_inner] / self.sign
-        k_io = self.matrix[: self.n_inner, self.n_inner :]
-        return sign * (v_ii @ densities.mu_inner) + k_io @ densities.mu_outer
+        # the inner rows are [sign_asm * V_ii, K_io]: one product over them
+        scaled = densities.mu_inner * (sign / self.sign)
+        return _mm(self.matrix[: self.n_inner], np.concatenate([scaled, densities.mu_outer]))
 
     def inner_residual(self, densities: DensityPair, sign: float | None = None) -> float:
         trace = self.inner_trace(densities, sign)
@@ -478,6 +481,31 @@ def _lu_factor(a: np.ndarray, **kwargs) -> tuple[np.ndarray, np.ndarray]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
         return lu_factor(a, **kwargs)
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a 2-D ``a`` on scipy's BLAS, which its LU factors and solves use.
+
+    numpy bundles a second OpenBLAS with its own thread pool; keeping every
+    product of the solve path on scipy's leaves one pool to wake.  A 1-D
+    ``b`` keeps a level-2 call (dgemv) and a 1-D result.  A 2-D product is
+    formed as (b^T a^T)^T in column order, as numpy forms a C-ordered one,
+    so the result is C-ordered.  C- and F-contiguous operands, ``.T`` views
+    included, reach BLAS uncopied; any other is copied once along its rows.
+    """
+    if b.ndim == 1:
+        if _f_only(a):
+            return dgemv(1.0, a, b)
+        return dgemv(1.0, a.T, b, trans=1)
+    x, trans_x = (b, 1) if _f_only(b) else (b.T, 0)
+    y, trans_y = (a, 1) if _f_only(a) else (a.T, 0)
+    return dgemm(1.0, x, y, trans_a=trans_x, trans_b=trans_y).T
+
+
+def _f_only(a: np.ndarray) -> bool:
+    # an operand contiguous both ways (one row or one column) is taken as
+    # C-ordered, as numpy takes it, so that BLAS is called as numpy calls it
+    return a.flags.f_contiguous and not a.flags.c_contiguous
 
 
 def _factor(a: np.ndarray, norm_1: float) -> tuple[tuple[np.ndarray, np.ndarray], float]:
@@ -594,7 +622,7 @@ def _dense_solve(matrix: np.ndarray, rhs: np.ndarray, label: str,
     # factored as matrix^T, as in _factor: solve with matrix through trans=1
     lu = _lu_factor(matrix.T, check_finite=False)
     return next(_checked_solve(
-        lambda x, cols: matrix @ x,
+        lambda x, cols: _mm(matrix, x),
         lambda r, cols: lu_solve(lu, r, trans=1, check_finite=False),
         lambda r, cols: lu_solve(lu, r, check_finite=False),
         np.array([_abs_col_sums(matrix).max()]), rhs[:, None], label, hint,
@@ -747,10 +775,10 @@ class CouplingExpansion:
         self.b_i = _moments(inner, lambda x: _solid_harmonics(x / self.radius, degree), size)
         self.a_o = self._irregular(outer.centroids)
         self.b_o = _moments(outer, self._irregular, size)
-        self.g_i = self.b_i @ lu_solve(blocks.inner_lu[0], self.a_i.T, trans=1,
-                                       check_finite=False)
-        self.g_o = self.b_o @ lu_solve(blocks.outer_lu[0], self.a_o.T, trans=1,
-                                       check_finite=False)
+        self.g_i = _mm(self.b_i, lu_solve(blocks.inner_lu[0], self.a_i.T, trans=1,
+                                          check_finite=False))
+        self.g_o = _mm(self.b_o, lu_solve(blocks.outer_lu[0], self.a_o.T, trans=1,
+                                          check_finite=False))
         # every single-layer entry is negative, so the row and column sums
         # of |K| are those of -K, taken through the bases
         self.basis_sums = tuple(m.sum(axis=1) for m in (self.a_i, self.b_i, self.a_o, self.b_o))
@@ -816,7 +844,7 @@ class CouplingExpansion:
             d_j = d[:size, j]
             t = g_o[:size, :size] * d_j
             t *= d_j[:, None]
-            t = t @ g_i[:size, :size]
+            t = _mm(t, g_i[:size, :size])
             t *= -c[j]
             t.flat[:: size + 1] += 1.0
             # factored in place as T^T, as in _factor: solve T through trans=1
@@ -837,10 +865,10 @@ class CouplingExpansion:
             dc, cc, sc, ec = (_columns(v, cols) for v in (d, c, s, eps))
             f_i, f_o = f[:n_i], f[n_i:]
             u_i, u_o = solve_v(f_i, f_o)
-            h_i, h_o = b_i @ u_i, b_o @ u_o
-            beta = solve_t(dc * (h_o - cc * (g_o @ (dc * h_i))), cols, 1)
-            alpha = dc * (h_i - g_i @ beta) / sc
-            x_i, x_o = solve_v(f_i - a_i.T @ beta, f_o - ec * (a_o.T @ alpha))
+            h_i, h_o = _mm(b_i, u_i), _mm(b_o, u_o)
+            beta = solve_t(dc * (h_o - cc * _mm(g_o, dc * h_i)), cols, 1)
+            alpha = dc * (h_i - _mm(g_i, beta)) / sc
+            x_i, x_o = solve_v(f_i - _mm(a_i.T, beta), f_o - ec * _mm(a_o.T, alpha))
             return np.concatenate([x_i / sc, x_o])
 
         def apply_t(y, cols):
@@ -849,24 +877,24 @@ class CouplingExpansion:
             dc, cc, sc, ec = (_columns(v, cols) for v in (d, c, s, eps))
             y_i, y_o = y[:n_i], y[n_i:]
             w_i, w_o = solve_v(y_i, y_o, 1)
-            k_i, k_o = a_i @ w_i, a_o @ w_o
-            a = dc * solve_t(k_i / sc - cc * (g_i.T @ (dc * k_o)), cols, 0)
-            b = dc * (k_o - g_o.T @ a)
-            z_i, z_o = solve_v(y_i - ec * (b_i.T @ b), y_o - b_o.T @ a, 1)
+            k_i, k_o = _mm(a_i, w_i), _mm(a_o, w_o)
+            a = dc * solve_t(k_i / sc - cc * _mm(g_i.T, dc * k_o), cols, 0)
+            b = dc * (k_o - _mm(g_o.T, a))
+            z_i, z_o = solve_v(y_i - ec * _mm(b_i.T, b), y_o - _mm(b_o.T, a), 1)
             return np.concatenate([z_i / sc, z_o])
 
         def matvec(x, cols):
             dc, sc, ec = (_columns(v, cols) for v in (d, s, eps))
             x_i, x_o = x[:n_i], x[n_i:]
-            return np.concatenate([sc * (v_ii @ x_i) + a_i.T @ (dc * (b_o @ x_o)),
-                                   ec * (a_o.T @ (dc * (b_i @ x_i))) + v_oo @ x_o])
+            return np.concatenate([sc * _mm(v_ii, x_i) + _mm(a_i.T, dc * _mm(b_o, x_o)),
+                                   ec * _mm(a_o.T, dc * _mm(b_i, x_i)) + _mm(v_oo, x_o)])
 
         sum_a_i, sum_b_i, sum_a_o, sum_b_o = (v[:r, None] for v in self.basis_sums)
         col_ii, col_oo = (v[:, None] for v in self.blocks.col_sums)
-        k_io_norm = np.max(-(a_i.T @ (d * sum_b_o)), axis=0)
-        k_oi_norm = np.max(-np.abs(eps) * (a_o.T @ (d * sum_b_i)), axis=0)
-        norm_1 = np.maximum(np.max(col_ii - np.abs(eps) * (b_i.T @ (d * sum_a_o)), axis=0),
-                            np.max(col_oo - b_o.T @ (d * sum_a_i), axis=0))
+        k_io_norm = np.max(-_mm(a_i.T, d * sum_b_o), axis=0)
+        k_oi_norm = np.max(-np.abs(eps) * _mm(a_o.T, d * sum_b_i), axis=0)
+        norm_1 = np.maximum(np.max(col_ii - np.abs(eps) * _mm(b_i.T, d * sum_a_o), axis=0),
+                            np.max(col_oo - _mm(b_o.T, d * sum_a_i), axis=0))
         tau = np.array([_truncation_bound(abs(e) * self.radius / self.distance, p)
                         for e, p in zip(eps, degrees)])
 
@@ -990,8 +1018,8 @@ def eval_field(pair: GeometryPair, densities: DensityPair, eps: float, points,
             raise ValueError(f"point {p.tolist()} is inside the hole")
     if clearance_factor > 0:
         _clearance_guard(pts, (hole, pair.outer), clearance_factor)
-    inner_part = single_layer_matrix(pts, hole) @ densities.mu_inner / eps ** (4 - DIM)
-    outer_part = single_layer_matrix(pts, pair.outer) @ densities.mu_outer
+    inner_part = _mm(single_layer_matrix(pts, hole), densities.mu_inner) / eps ** (4 - DIM)
+    outer_part = _mm(single_layer_matrix(pts, pair.outer), densities.mu_outer)
     values = inner_part + outer_part
     return values if np.asarray(points).ndim > 1 else float(values[0])
 
@@ -1017,8 +1045,8 @@ class DirectSolution:
         if clearance_factor > 0:
             _clearance_guard(pts, (self.hole, self.outer), clearance_factor)
         values = (
-            single_layer_matrix(pts, self.hole) @ self.sigma_hole
-            + single_layer_matrix(pts, self.outer) @ self.sigma_outer
+            _mm(single_layer_matrix(pts, self.hole), self.sigma_hole)
+            + _mm(single_layer_matrix(pts, self.outer), self.sigma_outer)
         )
         return values if np.asarray(points).ndim > 1 else float(values[0])
 

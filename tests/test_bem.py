@@ -1170,3 +1170,78 @@ def test_condition_estimates_repeat_across_processes(blas_threads):
     first = _conds_in_process(blas_threads)
     assert len(first.split()) == 2
     assert _conds_in_process(blas_threads) == first
+
+
+# ---------------------------------------------------------------------------
+# every product on scipy's BLAS
+# ---------------------------------------------------------------------------
+
+def _operand_layouts(rng, rows, cols):
+    """One (rows, cols) matrix as C- and F-ordered arrays, a .T view and a slice."""
+    a = rng.normal(size=(rows, cols))
+    wide = rng.normal(size=(rows + 3, cols + 2))
+    wide[:rows, :cols] = a
+    return {"C": a, "F": np.asfortranarray(a), ".T": np.ascontiguousarray(a.T).T,
+            "slice": wide[:rows, :cols]}
+
+
+def _assert_product(a, b):
+    got, want = bem._mm(a, b), a @ b
+    assert got.shape == want.shape
+    # to a few ulps of |a| |b|: BLAS kernels may sum in another order
+    scale = np.abs(a) @ np.abs(b)
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+    return got
+
+
+# (5, 5, 1) and (1, 6, 4) pass a column and a row, contiguous both ways
+@pytest.mark.parametrize("shape", [(7, 5, 3), (5, 5, 1), (1, 6, 4), (40, 33, 2)])
+def test_product_matches_matmul_in_every_layout(shape):
+    m, k, n = shape
+    rng = np.random.default_rng(sum(shape))
+    for a in _operand_layouts(rng, m, k).values():
+        for b in _operand_layouts(rng, k, n).values():
+            assert _assert_product(a, b).flags.c_contiguous
+        # a 1-D vector keeps a 1-D result, contiguous or strided
+        vectors = (rng.normal(size=k), rng.normal(size=(k, 3))[:, 1])
+        for v in vectors:
+            assert _assert_product(a, v).ndim == 1
+
+
+def test_product_on_the_shapes_operators_passes(expansions):
+    # the bases' leading rows, their .T views, the [:r, :r] slices of G and
+    # the self blocks, against 2-D batches and the 1-D column of a batch of one
+    expansion = expansions("ellipsoid", 2)
+    rng = np.random.default_rng(13)
+    r = (20 + 1) ** 2
+    a_i, b_o, g_i = expansion.a_i[:r], expansion.b_o[:r], expansion.g_i[:r, :r]
+    n_i, n_o = a_i.shape[1], b_o.shape[1]
+    batch = rng.normal(size=(n_i, 2))
+    lu = scipy.linalg.lu_factor(expansion.blocks.v_oo.T)
+    solved = np.hsplit(scipy.linalg.lu_solve(lu, rng.normal(size=(n_o, 4)), trans=1), 2)[0]
+    assert solved.flags.f_contiguous and not solved.flags.c_contiguous
+    for a, b in ((a_i, batch), (a_i, batch[:, 0]), (b_o, solved), (b_o, solved[:, 1]),
+                 (a_i.T, rng.normal(size=(r, 2))), (a_i.T, rng.normal(size=r)),
+                 (g_i, rng.normal(size=(r, 2))), (g_i.T, rng.normal(size=r)),
+                 (rng.normal(size=(r, r)), g_i), (expansion.blocks.v_ii, batch)):
+        _assert_product(a, b)
+
+
+def test_bem_forms_no_numpy_product():
+    # numpy's products run on numpy's own OpenBLAS, whose thread pool then
+    # competes with scipy's, which the LU factors and solves use
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(bem.__file__).read_text())
+    names = {"dot", "matmul", "vdot", "inner", "tensordot", "multi_dot"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"@ at line {node.lineno}")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in names:
+                found.append(f"{name}() at line {node.lineno}")
+    assert not found, found
