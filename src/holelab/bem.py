@@ -33,8 +33,8 @@ and solves run on, so the solve path wakes one BLAS thread pool, not two.
 Block assembly shares chunks of its target rows (far field) and near pairs
 out to one thread per CPU in the process's affinity set; each entry is
 computed by the same floating-point operations whatever the split, so blocks
-are identical for any CPU count.  Blocks are written in place into the
-system matrix.
+are identical for any CPU count.  An assembled system copies its self
+blocks from a ``SelfBlocks`` and has its coupling blocks written in place.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 from scipy.linalg.blas import dgemm, dgemv
 
-from .annulus import coupling_sign
+from .annulus import MACROSCOPIC, MICROSCOPIC, coupling_sign
 from .mesh import (
     GeometryPair,
     TriMesh,
     pairs_within,
-    point_to_triangles_distance,
+    points_to_triangles_distance,
     scale_signed,
 )
 
@@ -144,6 +144,11 @@ class CartesianDataFamily:
 
     def eval_outer(self, points, eps: float) -> np.ndarray:
         return self._eval(self.outer, points, eps)
+
+    def rhs(self, pair: GeometryPair, eps: float) -> np.ndarray:
+        """Data at the inner then the outer centroids: a system's right-hand side."""
+        return np.concatenate([self.eval_inner(pair.inner.centroids, eps),
+                               self.eval_outer(pair.outer.centroids, eps)])
 
 
 @dataclass(frozen=True)
@@ -367,9 +372,6 @@ class AssembledSystem:
     rhs: np.ndarray
     n_inner: int
 
-    def split(self, solution: np.ndarray) -> DensityPair:
-        return DensityPair(solution[: self.n_inner], solution[self.n_inner :])
-
     def inner_trace(self, densities: DensityPair, sign: float | None = None) -> np.ndarray:
         """Boundary values of the layer representation at inner collocation points.
 
@@ -434,38 +436,31 @@ def assemble(pair: GeometryPair, data: CartesianDataFamily, eps: float,
     ``sign`` overrides the coupling sign in the inner self block (diagnostic
     use); the default follows the sign rule for n = 3, i.e. sgn(eps).
     ``blocks`` are prebuilt self blocks of this pair (see ``self_blocks``);
-    without them both are built here.  Every block is written in place into
-    its view of the system matrix.
+    without them they are built here and freed on return.  The self blocks
+    are copied into the system matrix, the coupling blocks written in place
+    into their views of it.
     """
     if eps == 0:
         raise AssemblyError("eps = 0 is not a perforated geometry")
     pair.require_admissible(eps)
-    sign_true = coupling_sign(eps, DIM)
-    sign_asm = sign_true if sign is None else float(sign)
+    sign_asm = coupling_sign(eps, DIM) if sign is None else float(sign)
+    if blocks is None:
+        blocks = self_blocks(pair)
     inner, outer = pair.inner, pair.outer
     hole = scale_signed(inner, eps)
 
     n_i = inner.n_triangles
     n_o = outer.n_triangles
     matrix = np.empty((n_i + n_o, n_i + n_o))
-    v_ii, v_oo = matrix[:n_i, :n_i], matrix[n_i:, n_i:]
-    if blocks is not None:
-        np.multiply(sign_asm, blocks.v_ii, out=v_ii)
-        v_oo[...] = blocks.v_oo
-    else:
-        single_layer_matrix(inner.centroids, inner, self_mesh=True, out=v_ii)
-        v_ii *= sign_asm
-        single_layer_matrix(outer.centroids, outer, self_mesh=True, out=v_oo)
+    np.multiply(sign_asm, blocks.v_ii, out=matrix[:n_i, :n_i])
+    matrix[n_i:, n_i:] = blocks.v_oo
     single_layer_matrix(hole.centroids, outer, out=matrix[:n_i, n_i:])
     # Integral over the unit-scale inner surface of the kernel at x - eps*y
     # equals eps^-2 times the integral over the physically scaled hole.
     k_oi = single_layer_matrix(outer.centroids, hole, out=matrix[n_i:, :n_i])
     k_oi /= eps**2
     k_oi *= eps ** (DIM - 2)
-    rhs = np.concatenate(
-        [data.eval_inner(inner.centroids, eps), data.eval_outer(outer.centroids, eps)]
-    )
-    return AssembledSystem(pair, eps, sign_asm, matrix, rhs, n_i)
+    return AssembledSystem(pair, eps, sign_asm, matrix, data.rhs(pair, eps), n_i)
 
 
 def _abs_col_sums(matrix: np.ndarray, rows: int = 64) -> np.ndarray:
@@ -633,8 +628,8 @@ def solve(system: AssembledSystem) -> DensityPair:
     """Dense LU solve with a 1-norm condition estimate and residual check."""
     x, cond, residual = _dense_solve(system.matrix, system.rhs, "system",
                                      "; check admissibility and the coupling sign")
-    pairdens = system.split(x)
-    return DensityPair(pairdens.mu_inner, pairdens.mu_outer, cond, residual)
+    n_i = system.n_inner
+    return DensityPair(x[:n_i], x[n_i:], cond, residual)
 
 
 def _solid_harmonics(points: np.ndarray, degree: int) -> np.ndarray:
@@ -911,35 +906,30 @@ class CouplingExpansion:
         DensityPair per eps in order, and raises SolverError at the first eps
         whose system fails a guard, once the ones before it are yielded.
         """
-        inner, outer = self.pair.inner, self.pair.outer
-        rhs = np.stack([np.concatenate([data.eval_inner(inner.centroids, eps),
-                                        data.eval_outer(outer.centroids, eps)])
-                        for eps in eps_list], axis=1)
+        rhs = np.stack([data.rhs(self.pair, eps) for eps in eps_list], axis=1)
         matvec, apply, apply_t, norm_1, truncation = self.operators(eps_list, degrees)
-        n_i = inner.n_triangles
+        n_i = self.pair.inner.n_triangles
         for x, cond, residual in _checked_solve(
                 matvec, apply, apply_t, norm_1, rhs, "system",
                 "; check admissibility and the coupling sign", truncation):
             yield DensityPair(x[:n_i], x[n_i:], cond, residual)
 
 
-def _lockstep_solves(pair: GeometryPair, data: CartesianDataFamily,
-                     expansion: CouplingExpansion, certified: list):
+def _lockstep_solves(data: CartesianDataFamily, expansion: CouplingExpansion,
+                     certified: list):
     """``expansion.solve`` over the certified (eps, degree) pairs, group by group.
 
-    A group starts at the next eps, which must be admissible, and takes the
-    admissible eps after it while its capacitance factors stay within twice
-    the bytes of G_i and G_o; an inadmissible eps starts the next group, and
-    raises there.  One group's factors are held at a time.
+    A group starts at the next eps and takes the eps after it while its
+    capacitance factors stay within twice the bytes of G_i and G_o.  One
+    group's factors are held at a time.
     """
     budget = 2 * (expansion.g_i.nbytes + expansion.g_o.nbytes)
     start = 0
     while start < len(certified):
-        pair.require_admissible(certified[start][0])
         group, held = [], 0
         for eps, degree in certified[start:]:
             t_bytes = expansion.g_i.itemsize * (degree + 1) ** 4
-            if group and (held + t_bytes > budget or not pair.admissibility(eps).ok):
+            if group and held + t_bytes > budget:
                 break
             group.append((eps, degree))
             held += t_bytes
@@ -950,6 +940,7 @@ def _lockstep_solves(pair: GeometryPair, data: CartesianDataFamily,
 def solve_grid(pair: GeometryPair, data: CartesianDataFamily, grid):
     """Densities at each eps of a grid, yielded in grid order.
 
+    Every eps is checked for admissibility before any block is built.
     Every eps that ``expansion_degree`` certifies, a grid's only point
     included, is solved through one ``CouplingExpansion``, built to the
     largest such degree around V_ii and V_oo, each built and factored once.
@@ -957,20 +948,22 @@ def solve_grid(pair: GeometryPair, data: CartesianDataFamily, grid):
     (``_lockstep_solves``): each step of their condition estimates, and
     their solve, is one multi-column call per self-block solve and basis
     product, and only the capacitance solves go per eps.  Each eps keeps its
-    own admissibility check and guards: the first eps in grid order that
-    fails raises, and no later point is yielded.
+    own guards: the first eps in grid order that fails raises, and no later
+    point is yielded.
     Any other eps is assembled and solved by ``solve``, one dense LU of the
-    whole system: its self blocks are copied from the shared ones, or, when
-    it is the grid's only point, built in place, so that no second copy of
-    them is held.  A grid with no certified eps factors no self block.
+    whole system, its self blocks copied from the shared ones; a grid's
+    only point shares none, so ``assemble`` frees its own before the LU.  A
+    grid with no certified eps factors no self block.
     """
     grid = [float(eps) for eps in grid]
+    for eps in grid:
+        pair.require_admissible(eps)
     degrees = [expansion_degree(pair, eps) for eps in grid]
     certified = [(eps, p) for eps, p in zip(grid, degrees) if p is not None]
     blocks = self_blocks(pair) if certified or len(grid) > 1 else None
     if certified:
         expansion = CouplingExpansion(pair, blocks, max(p for _, p in certified))
-        lockstep = _lockstep_solves(pair, data, expansion, certified)
+        lockstep = _lockstep_solves(data, expansion, certified)
     for eps, degree in zip(grid, degrees):
         if degree is None:
             system = assemble(pair, data, eps, blocks=blocks)
@@ -983,21 +976,24 @@ def solve_grid(pair: GeometryPair, data: CartesianDataFamily, grid):
 
 def _clearance_guard(points: np.ndarray, meshes: tuple[TriMesh, ...],
                      clearance_factor: float) -> None:
-    for p in points:
-        for m in meshes:
-            d = point_to_triangles_distance(p, m.corner_array())
-            nearest = int(np.argmin(d))
-            limit = clearance_factor * m.diameters[nearest]
-            if d[nearest] <= limit:
+    # one distance sweep per mesh; the first point too near, in point order
+    # and then mesh order, is refused
+    found = []  # (distance, limit) per mesh, at each point's nearest triangle
+    for m in meshes:
+        d = points_to_triangles_distance(points, m.corner_array())
+        found.append((d.min(axis=1), clearance_factor * m.diameters[np.argmin(d, axis=1)]))
+    for i, p in enumerate(points):
+        for dist, limit in found:
+            if dist[i] <= limit[i]:
                 raise EvaluationTooCloseError(
-                    f"point {p.tolist()} is {d[nearest]:.4g} from a surface; "
-                    f"accuracy guard requires > {limit:.4g} "
+                    f"point {p.tolist()} is {dist[i]:.4g} from a surface; "
+                    f"accuracy guard requires > {limit[i]:.4g} "
                     f"({clearance_factor:g} local triangle diameters)"
                 )
 
 
 def eval_field(pair: GeometryPair, densities: DensityPair, eps: float, points,
-               frame: str = "macroscopic",
+               frame: str = MACROSCOPIC,
                clearance_factor: float = EVAL_CLEARANCE_FACTOR) -> np.ndarray:
     """Evaluate the layer representation at interior points.
 
@@ -1005,10 +1001,10 @@ def eval_field(pair: GeometryPair, densities: DensityPair, eps: float, points,
     must be inside the perforated domain with distance to both surfaces above
     clearance_factor local triangle diameters (set 0 to disable the guard).
     """
-    if frame not in ("macroscopic", "microscopic"):
+    if frame not in (MACROSCOPIC, MICROSCOPIC):
         raise ValueError(f"unknown frame {frame!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if frame == "microscopic":
+    if frame == MICROSCOPIC:
         pts = eps * pts
     hole = scale_signed(pair.inner, eps)
     for p in pts:
@@ -1066,8 +1062,5 @@ def direct_solve(pair: GeometryPair, data: CartesianDataFamily, eps: float) -> D
     single_layer_matrix(outer.centroids, outer, self_mesh=True, out=matrix[n_h:, n_h:])
     # The hole datum is prescribed in the rescaled variable: value at hole
     # point x is the inner datum at x/eps, which is the unit-mesh centroid.
-    rhs = np.concatenate(
-        [data.eval_inner(pair.inner.centroids, eps), data.eval_outer(outer.centroids, eps)]
-    )
-    x, cond, residual = _dense_solve(matrix, rhs, "direct system")
+    x, cond, residual = _dense_solve(matrix, data.rhs(pair, eps), "direct system")
     return DirectSolution(hole, outer, x[:n_h], x[n_h:], cond, residual)

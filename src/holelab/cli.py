@@ -357,16 +357,21 @@ def _mark_undefined(payload: dict, keys) -> list[str]:
     return undefined
 
 
-def _swept(cfg, solver, data, targets, out_dir, signs=None) -> cont.SweepResult:
-    """Sweep the configured grid on ``signs`` and write sweep.csv.
+def _check_eps(check, grid, field: str) -> None:
+    """Every eps of ``grid`` through ``check`` before any solve; a refusal names ``field``.
 
-    Every grid point is checked before any solve, the negative ones too:
-    on a mesh pair admissibility is not symmetric under eps -> -eps.
+    The negative points are checked too: on a mesh pair admissibility is not
+    symmetric under eps -> -eps.
     """
-    grid = _parse_grid(cfg, signs)
-    with _refused_as("grid", InadmissibleEpsError, MeshError):
+    with _refused_as(field, InadmissibleEpsError, MeshError):
         for eps in grid:
-            solver.check_eps(float(eps))
+            check(float(eps))
+
+
+def _swept(cfg, solver, data, targets, out_dir, signs=None) -> cont.SweepResult:
+    """Sweep the configured grid on ``signs``, every point checked first, and write sweep.csv."""
+    grid = _parse_grid(cfg, signs)
+    _check_eps(solver.check_eps, grid, "grid")
     result = cont.sweep(solver.problem, data, grid, targets,
                         eval_clearance_factor=_clearance_factor(cfg))
     _write_csv(os.path.join(out_dir, "sweep.csv"), result)
@@ -375,8 +380,7 @@ def _swept(cfg, solver, data, targets, out_dir, signs=None) -> cont.SweepResult:
 
 def _solve_command(cfg, solver, data, targets, out_dir):
     eps = float(_require(cfg, "eps", (int, float)))
-    if eps == 0.0:
-        raise ConfigError("field eps: must be nonzero")
+    _check_eps(solver.check_eps, [eps], "eps")
     result = cont.sweep(solver.problem, data, np.array([eps]), targets,
                         eval_clearance_factor=_clearance_factor(cfg))
     _write_csv(os.path.join(out_dir, "sweep.csv"), result)
@@ -498,12 +502,18 @@ def _convergence_levels(cfg: dict) -> list[int]:
 
 
 def _convergence_command(cfg, solver, data, targets, out_dir, levels):
-    """One solve per level; ``solver.problem`` is the pair of the first level."""
+    """One solve per level, every level's pair checked at eps before any solve.
+
+    ``solver.problem`` is the pair of the first level.
+    """
     geom = cfg["geometry"]
     inner_spec = geom["inner"]
     outer_spec = geom["outer"]
     eps = float(_require(cfg, "eps", (int, float)))
     clearance = _clearance_factor(cfg)
+    pairs = [solver.problem] + [_parse_problem(cfg, s)[0] for s in levels[1:]]
+    for pair in pairs:
+        _check_eps(pair.require_admissible, [eps], "eps")
 
     spheres = (
         inner_spec.get("builtin") == "icosphere" and outer_spec.get("builtin") == "icosphere"
@@ -516,11 +526,7 @@ def _convergence_command(cfg, solver, data, targets, out_dir, levels):
     values = []
     edges = []
     meshes = []
-    for i, s in enumerate(levels):
-        pair = solver.problem if i == 0 else GeometryPair(
-            _build_mesh(inner_spec, s, "geometry.inner"),
-            _build_mesh(outer_spec, s, "geometry.outer"),
-        )
+    for s, pair in zip(levels, pairs):
         values.append(cont.sweep(pair, data, np.array([eps]), targets,
                                  eval_clearance_factor=clearance).values[0])
         edges.append(pair.outer.mean_edge_length)

@@ -320,13 +320,8 @@ def points_to_triangles_distance(points, corners: np.ndarray,
     return out
 
 
-def point_to_triangles_distance(point, corners: np.ndarray) -> np.ndarray:
-    """Exact distances from one point to each triangle, shape (T,)."""
-    return points_to_triangles_distance(np.asarray(point, dtype=float)[None, :], corners)[0]
-
-
 def point_to_mesh_distance(point, mesh: TriMesh) -> float:
-    return float(point_to_triangles_distance(point, mesh.corner_array()).min())
+    return float(points_to_triangles_distance(point, mesh.corner_array()).min())
 
 
 _PAIR_BLOCK = 1 << 20  # point-center pairs a chunk may hold at most

@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -319,6 +320,22 @@ def test_eval_guards(unit_pair_s2):
         eval_field(unit_pair_s2, dens, 0.5, np.array([0.0, 0.0, 1.5]), clearance_factor=0.0)
     with pytest.raises(ValueError, match="frame"):
         eval_field(unit_pair_s2, dens, 0.5, np.array([0.0, 0.0, 0.7]), "sideways")
+
+
+@pytest.mark.parametrize("heights, factor, refused, distance", [
+    # 0.97 is near only the outer mesh, 0.52 only the hole: point order wins
+    ([0.97, 0.52], 0.5, 0.97, "0.02949"),
+    # 0.75 is near both at two diameters: the hole is checked first
+    ([0.75, 0.97], 2.0, 0.75, "0.25"),
+])
+def test_clearance_guard_refuses_the_first_point_hole_before_outer(unit_pair_s2, heights,
+                                                                   factor, refused, distance):
+    meshes = (scale_signed(unit_pair_s2.inner, 0.5), unit_pair_s2.outer)
+    points = np.array([[0.0, 0.0, z] for z in heights])
+    with pytest.raises(EvaluationTooCloseError) as err:
+        bem._clearance_guard(points, meshes, factor)
+    assert str(err.value).startswith(f"point {[0.0, 0.0, refused]} is {distance} from")
+    assert str(err.value).endswith(f"({factor:g} local triangle diameters)")
 
 
 # ---------------------------------------------------------------------------
@@ -982,19 +999,20 @@ def test_failing_eps_mid_grid_raises_and_yields_nothing_after(unit_pair_s3, monk
     assert np.max(np.abs(got[0].mu_inner - want.mu_inner)) <= 1e-12 * np.max(np.abs(want.mu_inner))
 
 
-def test_inadmissible_eps_mid_grid_raises_at_its_turn(unit_pair_s3):
+def test_inadmissible_eps_mid_grid_raises_before_any_solve(unit_pair_s3, monkeypatch):
     # certified at every eps, but 0.3 comes closer to the outer mesh than
-    # this clearance_min allows: it ends the first lockstep group
+    # this clearance_min allows: the whole grid is refused up front
     pair = GeometryPair(unit_pair_s3.inner, unit_pair_s3.outer, clearance_min=0.72)
     grid = [0.1, 0.3, 0.2]
     assert all(bem.expansion_degree(pair, eps) is not None for eps in grid)
+    built, original = [], bem.single_layer_matrix
+    monkeypatch.setattr(bem, "single_layer_matrix",
+                        lambda *a, **k: built.append(a) or original(*a, **k))
     got = []
     with pytest.raises(AdmissibilityError, match="eps=0.3"):
         for dens in bem.solve_grid(pair, BLOCK_DATA, grid):
             got.append(dens)
-    assert len(got) == 1
-    (want,) = bem.solve_grid(pair, BLOCK_DATA, [0.1])
-    assert np.max(np.abs(got[0].mu_outer - want.mu_outer)) <= 1e-12 * np.max(np.abs(want.mu_outer))
+    assert got == [] and built == []
 
 
 def _self_factor_solves(monkeypatch, pair, grid):
@@ -1094,11 +1112,14 @@ def test_certified_one_point_grid_matches_assembled_solve(unit_pair_s3, monkeypa
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_uncertified_one_point_grid_is_assembled_in_place(unit_pair_s2, monkeypatch):
+def test_uncertified_one_point_grid_frees_its_self_blocks_before_the_lu(unit_pair_s2,
+                                                                        monkeypatch):
     eps = 0.3
     assert bem.expansion_degree(unit_pair_s2, eps) is None
-    shared, built = [], []
+    shared, built, alive = [], [], []
     original, original_matrix = bem.assemble, bem.single_layer_matrix
+    original_blocks, original_dense = bem.self_blocks, bem._dense_solve
+    refs = []
 
     def counting(*args, **kwargs):
         shared.append(kwargs.get("blocks"))
@@ -1108,15 +1129,29 @@ def test_uncertified_one_point_grid_is_assembled_in_place(unit_pair_s2, monkeypa
         built.append(kwargs.get("self_mesh", False))
         return original_matrix(*args, **kwargs)
 
+    def watched_blocks(pair):
+        blocks = original_blocks(pair)
+        refs.append(weakref.ref(blocks))
+        return blocks
+
+    def dense(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return original_dense(*args, **kwargs)
+
     monkeypatch.setattr(bem, "assemble", counting)
     monkeypatch.setattr(bem, "single_layer_matrix", counting_matrix)
+    monkeypatch.setattr(bem, "self_blocks", watched_blocks)
+    monkeypatch.setattr(bem, "_dense_solve", dense)
     (dens,) = bem.solve_grid(unit_pair_s2, BLOCK_DATA, [eps])
     monkeypatch.undo()
-    # assembled once, both self blocks written in place: no shared copy
-    assert shared == [None] and built == [True, True, False, False]
+    # assembled once from blocks that assemble built: one self block for the
+    # identical meshes, gone before the LU, so no second copy is held there
+    assert shared == [None] and built == [True, False, False]
+    assert alive == [[False]]
     want = solve(assemble(unit_pair_s2, BLOCK_DATA, eps))
     assert np.array_equal(dens.mu_inner, want.mu_inner)
     assert np.array_equal(dens.mu_outer, want.mu_outer)
+    assert dens.cond == want.cond and dens.residual == want.residual
 
 
 def test_self_blocks_share_one_block_for_identical_meshes(unit_pair_s2):

@@ -8,6 +8,7 @@ import pytest
 
 import holelab
 from holelab import continuation as cont
+from holelab.bem import expansion_degree
 from holelab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -15,6 +16,7 @@ from holelab.cli import (
     EXIT_STRICT_INCONCLUSIVE,
     main,
 )
+from holelab.mesh import AdmissibilityError, GeometryPair, icosphere
 
 
 def base_config(n=4):
@@ -136,6 +138,17 @@ def test_determinism(tmp_path):
     report = json.loads((out1 / "report.json").read_text())
     for cond in report["positive"]["cond_estimates"]:
         assert cond == float(f"{cond:.6g}")
+    # BEM signed sweep at subdivision 3: every eps is certified, so all six
+    # are solved in lockstep, as the benchmark's sweep is
+    cfg = bem_sweep_config()
+    cfg["geometry"]["subdivisions"] = 3
+    pair = GeometryPair(icosphere(1.0, 3), icosphere(1.0, 3))
+    grid = cont.make_grid(0.1, 0.3, 3)
+    assert all(expansion_degree(pair, eps) is not None for eps in [*-grid, *grid])
+    out1 = run_cli_process(tmp_path / "lockstep_a", "sweep", cfg)
+    out2 = run_cli_process(tmp_path / "lockstep_b", "sweep", cfg)
+    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
     # BEM convergence: level 2 is assembled, level 3 expanded in eps
     out1 = run_cli_process(tmp_path / "levels_a", "convergence", bem_convergence_config())
     out2 = run_cli_process(tmp_path / "levels_b", "convergence", bem_convergence_config())
@@ -320,20 +333,15 @@ def test_off_file_geometry(tmp_path):
     assert report["provenance"]["geometry"]["inner_mesh"]["triangles"] == 80
 
 
-def test_solver_failure_exit_code(tmp_path):
-    # admissible per config validation, but the mesh clearance check refuses
-    cfg = {
-        "dimension": 3,
-        "geometry": {"kind": "meshes",
-                     "inner": {"builtin": "icosphere"}, "outer": {"builtin": "icosphere"},
-                     "subdivisions": 1},
-        "data": {"cartesian": {"inner": [{"exponents": [0, 0, 0], "coeffs": ["1"]}],
-                               "outer": []}},
-        "targets": {"frame": "macroscopic", "radii": [0.5]},
-        "eps": 0.999,
-    }
-    code, _, _ = run_cli(tmp_path, "solve", cfg)
-    assert code == EXIT_SOLVER
+def test_solver_failure_exit_code(tmp_path, capsys):
+    # admissible, since |eps| r_i < r_o, and a valid target, but the hole all
+    # but fills the outer sphere: mode 0 is singular to working precision
+    cfg = base_config(3)
+    cfg.update(eps=0.99999999999999, targets={"frame": "microscopic", "radii": [1.0]})
+    code, report, _ = run_cli(tmp_path, "solve", cfg)
+    err = capsys.readouterr().err
+    assert code == EXIT_SOLVER and report is None
+    assert "solver failure" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, fit", [
@@ -409,6 +417,62 @@ def test_mesh_grid_checked_before_any_solve(tmp_path, monkeypatch, capsys, geome
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG and report is None
     assert "'grid'" in err and "clearance" in err and "Traceback" not in err
+
+
+def mesh_solve_config(eps):
+    cfg = bem_sweep_config()
+    del cfg["grid"]
+    cfg["geometry"]["subdivisions"] = 1
+    cfg["eps"] = eps
+    return cfg
+
+
+@pytest.mark.parametrize("command, geometry, eps", [
+    ("solve", "spheres", 0.0),
+    ("solve", "spheres", 1.5),
+    ("solve", "meshes", 0.0),
+    # unit spheres: at eps = 0.999 the hole all but touches the outer sphere
+    ("solve", "meshes", 0.999),
+    ("convergence", "meshes", 0.0),
+    ("convergence", "meshes", 0.999),
+])
+def test_eps_checked_before_any_solve(tmp_path, monkeypatch, capsys, command, geometry, eps):
+    def no_sweep(*args, **kwargs):
+        raise SweepReached
+
+    monkeypatch.setattr(cont, "sweep", no_sweep)
+    if geometry == "spheres":
+        cfg = base_config(3)
+        cfg["eps"] = eps
+    else:
+        cfg = mesh_solve_config(eps)
+    if command == "convergence":
+        cfg["subdivision_levels"] = [1, 2]
+    code, report, _ = run_cli(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and report is None
+    assert "'eps'" in err and "Traceback" not in err
+
+
+def test_convergence_checks_every_level_before_solving_one(tmp_path, monkeypatch, capsys):
+    def no_sweep(*args, **kwargs):
+        raise SweepReached
+
+    original = GeometryPair.require_admissible
+
+    def refuse_level_2(pair, eps):
+        if pair.inner.n_triangles == 320:
+            raise AdmissibilityError(f"refused at eps={eps:g}")
+        original(pair, eps)
+
+    monkeypatch.setattr(cont, "sweep", no_sweep)
+    monkeypatch.setattr(GeometryPair, "require_admissible", refuse_level_2)
+    cfg = mesh_solve_config(0.3)
+    cfg["subdivision_levels"] = [1, 2]
+    code, report, _ = run_cli(tmp_path, "convergence", cfg)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and report is None
+    assert "'eps'" in err and "refused at eps=0.3" in err
 
 
 def test_config_errors_exit_2_naming_the_field(tmp_path, capsys):
