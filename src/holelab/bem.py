@@ -30,6 +30,13 @@ under the same rcond and residual guards, checked per eps.  Every dense
 product goes through ``_mm`` on scipy's BLAS, the OpenBLAS those factors
 and solves run on, so the solve path wakes one BLAS thread pool, not two.
 
+Field evaluation goes through ``GridField`` for a whole grid at once, a
+single ``eval_field`` as a grid of one.  Every target is checked at every
+eps first; the outer mesh's matrix is built once on the distinct physical
+points, and the hole's on the points x/eps against the unit-scale inner mesh,
+by S(x, eps G) = |eps| S(x/eps, G), so no hole mesh is built per eps and each
+eps costs two products.
+
 Block assembly shares chunks of its target rows (far field) and near pairs
 out to one thread per CPU in the process's affinity set; each entry is
 computed by the same floating-point operations whatever the split, so blocks
@@ -52,9 +59,10 @@ from scipy.linalg.blas import dgemm, dgemv
 from .annulus import MACROSCOPIC, MICROSCOPIC, coupling_sign
 from .mesh import (
     GeometryPair,
+    MeshError,
     TriMesh,
+    nearest_triangles,
     pairs_within,
-    points_to_triangles_distance,
     scale_signed,
 )
 
@@ -974,49 +982,127 @@ def solve_grid(pair: GeometryPair, data: CartesianDataFamily, grid):
         yield dens
 
 
-def _clearance_guard(points: np.ndarray, meshes: tuple[TriMesh, ...],
-                     clearance_factor: float) -> None:
-    # one distance sweep per mesh; the first point too near, in point order
-    # and then mesh order, is refused
-    found = []  # (distance, limit) per mesh, at each point's nearest triangle
-    for m in meshes:
-        d = points_to_triangles_distance(points, m.corner_array())
-        found.append((d.min(axis=1), clearance_factor * m.diameters[np.argmin(d, axis=1)]))
+def _nearest(points: np.ndarray, mesh: TriMesh, factor: float) -> tuple:
+    """Each point's distance to the mesh, and ``factor`` times its nearest triangle's diameter."""
+    dist, nearest = nearest_triangles(points, mesh)
+    return dist, factor * mesh.diameters[nearest]
+
+
+def _refuse_too_close(points: np.ndarray, found, factor: float) -> None:
+    # found holds (distance, limit) per mesh for each point; the first point
+    # too near, in point order and then mesh order, is refused
     for i, p in enumerate(points):
         for dist, limit in found:
             if dist[i] <= limit[i]:
                 raise EvaluationTooCloseError(
                     f"point {p.tolist()} is {dist[i]:.4g} from a surface; "
                     f"accuracy guard requires > {limit[i]:.4g} "
-                    f"({clearance_factor:g} local triangle diameters)"
+                    f"({factor:g} local triangle diameters)"
                 )
+
+
+def _clearance_guard(points: np.ndarray, meshes: tuple[TriMesh, ...],
+                     clearance_factor: float) -> None:
+    _refuse_too_close(points, [_nearest(points, m, clearance_factor) for m in meshes],
+                      clearance_factor)
+
+
+class GridField:
+    """The layer representation at fixed targets over a grid of eps.
+
+    Every target is checked at every eps when the object is made, so that a
+    grid is refused before its solve starts.  The outer mesh sees the
+    distinct physical points: the targets themselves in the macroscopic
+    frame, eps*q at each eps in the microscopic one.  The hole eps*inner is
+    never built: its layer is S(x, eps G) = |eps| S(x/eps, G), the unit-scale
+    inner mesh seen from the rescaled points x/eps, so its containment test,
+    its distances and its matrix are taken there, for all eps at once, and
+    the distances are scaled back by |eps|.  A refusal names the first
+    target refused in grid order, then point order: outside the outer
+    surface or inside the hole first, then the clearance guard, the hole
+    before the outer mesh.  One single-layer matrix per mesh serves the
+    whole grid, built at the first ``values``; each eps then costs two
+    products.
+    """
+
+    def __init__(self, pair: GeometryPair, grid, points, frame: str = MACROSCOPIC,
+                 clearance_factor: float = EVAL_CLEARANCE_FACTOR):
+        if frame not in (MACROSCOPIC, MICROSCOPIC):
+            raise ValueError(f"unknown frame {frame!r}")
+        self.grid = np.array(grid, dtype=float).reshape(-1)
+        if np.any(self.grid == 0):
+            raise MeshError("eps = 0 has no hole to evaluate")
+        targets = np.atleast_2d(np.asarray(points, dtype=float))
+        eps = self.grid[:, None, None]
+        # physical points (G, P, 3), and their images x/eps near the unit hole,
+        # formed alike in both frames
+        if frame == MICROSCOPIC:
+            physical = eps * targets
+            outer_points = physical.reshape(-1, 3)
+        else:
+            physical = np.broadcast_to(targets, (len(self.grid),) + targets.shape)
+            outer_points = targets
+        rescaled = (physical / eps).reshape(-1, 3)
+        self._n_points = len(targets)
+        self._outer_stride = len(targets) if frame == MICROSCOPIC else 0
+        self._check(pair, physical, rescaled, outer_points, clearance_factor)
+        self._points = (pair, rescaled, outer_points)
+
+    @cached_property
+    def _matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        # the hole's and the outer mesh's matrix; built at the first values
+        # call, when a grid's lockstep solve has passed its peak memory
+        pair, rescaled, outer_points = self._points
+        return (single_layer_matrix(rescaled, pair.inner),
+                single_layer_matrix(outer_points, pair.outer))
+
+    def _rows(self, index: int) -> tuple[slice, slice]:
+        # rows of grid[index]'s targets in the inner and the outer matrix
+        n, start = self._n_points, index * self._outer_stride
+        return slice(index * n, (index + 1) * n), slice(start, start + n)
+
+    def _check(self, pair, physical, rescaled, outer_points, factor) -> None:
+        n_eps, n = physical.shape[:2]
+        outside = ~pair.outer.contains_points(outer_points)
+        inside = pair.inner.contains_points(rescaled)
+        if factor > 0:
+            scale = np.repeat(np.abs(self.grid), n)
+            hole_dist, hole_limit = (scale * v for v in _nearest(rescaled, pair.inner, factor))
+            outer_dist, outer_limit = _nearest(outer_points, pair.outer, factor)
+        for j in range(n_eps):
+            rows_i, rows_o = self._rows(j)
+            for x, out, hole in zip(physical[j], outside[rows_o], inside[rows_i]):
+                if out:
+                    raise ValueError(f"point {x.tolist()} is outside the outer surface")
+                if hole:
+                    raise ValueError(f"point {x.tolist()} is inside the hole")
+            if factor > 0:
+                _refuse_too_close(physical[j], ((hole_dist[rows_i], hole_limit[rows_i]),
+                                                (outer_dist[rows_o], outer_limit[rows_o])),
+                                  factor)
+
+    def values(self, index: int, densities: DensityPair) -> np.ndarray:
+        """The field at the targets at eps = grid[index], from that eps's densities."""
+        eps = self.grid[index]
+        rows_i, rows_o = self._rows(index)
+        inner, outer = self._matrices
+        # |eps| from the hole's rescaling over the eps^(4-n) of mu_i: sgn(eps)
+        return (abs(eps) / eps ** (4 - DIM) * _mm(inner[rows_i], densities.mu_inner)
+                + _mm(outer[rows_o], densities.mu_outer))
 
 
 def eval_field(pair: GeometryPair, densities: DensityPair, eps: float, points,
                frame: str = MACROSCOPIC,
                clearance_factor: float = EVAL_CLEARANCE_FACTOR) -> np.ndarray:
-    """Evaluate the layer representation at interior points.
+    """Evaluate the layer representation at interior points: a ``GridField`` of one eps.
 
     Microscopic points q are mapped to physical points eps*q first.  Points
     must be inside the perforated domain with distance to both surfaces above
     clearance_factor local triangle diameters (set 0 to disable the guard).
+    The hole's part is the unit-scale inner layer at the rescaled points, so
+    no hole mesh is built.  A 1-D point gives a float.
     """
-    if frame not in (MACROSCOPIC, MICROSCOPIC):
-        raise ValueError(f"unknown frame {frame!r}")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if frame == MICROSCOPIC:
-        pts = eps * pts
-    hole = scale_signed(pair.inner, eps)
-    for p in pts:
-        if not pair.outer.contains(p):
-            raise ValueError(f"point {p.tolist()} is outside the outer surface")
-        if hole.contains(p):
-            raise ValueError(f"point {p.tolist()} is inside the hole")
-    if clearance_factor > 0:
-        _clearance_guard(pts, (hole, pair.outer), clearance_factor)
-    inner_part = _mm(single_layer_matrix(pts, hole), densities.mu_inner) / eps ** (4 - DIM)
-    outer_part = _mm(single_layer_matrix(pts, pair.outer), densities.mu_outer)
-    values = inner_part + outer_part
+    values = GridField(pair, [eps], points, frame, clearance_factor).values(0, densities)
     return values if np.asarray(points).ndim > 1 else float(values[0])
 
 

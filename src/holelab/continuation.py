@@ -172,10 +172,11 @@ def _spectral_grid(problem: SphereProblem, data, grid, targets, clearance_factor
 
 
 def _bem_grid(pair: GeometryPair, data, grid, targets, clearance_factor):
-    # solve_grid builds the self blocks once per grid and expands every certified eps
-    for eps, dens in zip(grid, bem_mod.solve_grid(pair, data, grid)):
-        yield bem_mod.eval_field(pair, dens, eps, targets.points, targets.frame,
-                                 clearance_factor=clearance_factor), dens.cond
+    # every target is checked at every eps, and the field's matrices built,
+    # before solve_grid builds any block
+    field = bem_mod.GridField(pair, grid, targets.points, targets.frame, clearance_factor)
+    for j, dens in enumerate(bem_mod.solve_grid(pair, data, grid)):
+        yield field.values(j, dens), dens.cond
 
 
 def _zonal_hypothesis(data: ZonalDataFamily, zeta: int, claimed: bool) -> tuple[dict, bool]:

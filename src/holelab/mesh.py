@@ -45,8 +45,8 @@ _DEGENERATE_REL_AREA = 1e-14
 class TriMesh:
     """Closed, outward-oriented triangle mesh with per-triangle geometry.
 
-    Derived arrays (centroids, unit normals, areas, diameters) are computed
-    once; all arrays are frozen read-only after construction.
+    Derived arrays (corners, centroids, unit normals, areas, diameters) are
+    computed once; all arrays are frozen read-only after construction.
     """
 
     def __init__(self, vertices, triangles):
@@ -60,7 +60,7 @@ class TriMesh:
             raise MeshError("triangle indices out of range")
         self.vertices = v
         self.triangles = t
-        corners = v[t]  # (T, 3, 3)
+        self._corners = corners = v[t]  # (T, 3, 3)
         e1 = corners[:, 1] - corners[:, 0]
         e2 = corners[:, 2] - corners[:, 0]
         cross = np.cross(e1, e2)
@@ -86,7 +86,7 @@ class TriMesh:
             raise OrientationError(
                 f"signed volume {self.signed_volume:.3e} <= 0: winding is inward"
             )
-        for arr in (self.vertices, self.triangles, self.areas, self.normals,
+        for arr in (self.vertices, self.triangles, corners, self.areas, self.normals,
                     self.centroids, self.diameters):
             arr.setflags(write=False)
 
@@ -118,15 +118,28 @@ class TriMesh:
         return float(np.linalg.norm(edges, axis=2).mean())
 
     def corner_array(self) -> np.ndarray:
-        """Triangle corner coordinates, shape (T, 3, 3)."""
-        return self.vertices[self.triangles]
+        """Triangle corner coordinates, shape (T, 3, 3), read-only."""
+        return self._corners
 
     def bounding_radius(self) -> float:
         return float(np.linalg.norm(self.vertices, axis=1).max())
 
     def contains(self, point) -> bool:
         """Point-in-volume test by summed solid angle (~4*pi inside)."""
-        return abs(solid_angle_sum(self, point)) > 2.0 * np.pi
+        return bool(self.contains_points(point)[0])
+
+    def contains_points(self, points) -> np.ndarray:
+        """``contains`` for each of points (P, 3), as a boolean array.
+
+        A point beyond the vertices' bounding radius is outside the volume,
+        and is given no solid-angle sum.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        inside = np.zeros(len(points), dtype=bool)
+        near = (np.linalg.norm(points, axis=1)
+                <= self.bounding_radius() * (1.0 + _ROUNDING_SLACK))
+        inside[near] = np.abs(solid_angle_sums(self, points[near])) > 2.0 * np.pi
+        return inside
 
     def stats(self) -> dict:
         return {
@@ -139,25 +152,32 @@ class TriMesh:
         }
 
 
-def solid_angle_sum(mesh: TriMesh, point) -> float:
-    """Total signed solid angle of the surface seen from a point.
+# point-triangle pairs per chunk of solid_angle_sums and nearest_triangles
+_POINT_TRIANGLE_CHUNK = 1 << 12
 
-    Returns ~4*pi for interior points and ~0 for exterior points (outward
-    orientation), by the van Oosterom-Strackee triangle formula.
+
+def solid_angle_sums(mesh: TriMesh, points) -> np.ndarray:
+    """Total signed solid angle of the surface seen from each of points (P, 3).
+
+    ~4*pi for interior points and ~0 for exterior points (outward
+    orientation), by the van Oosterom-Strackee triangle formula, summed over
+    the triangles in their order.  Points go in chunks of about
+    ``_POINT_TRIANGLE_CHUNK`` point-triangle pairs.
     """
-    p = np.asarray(point, dtype=float)
-    a, b, c = (mesh.corner_array()[:, i] - p for i in range(3))
-    la = np.linalg.norm(a, axis=1)
-    lb = np.linalg.norm(b, axis=1)
-    lc = np.linalg.norm(c, axis=1)
-    det = np.einsum("ij,ij->i", a, np.cross(b, c))
-    denom = (
-        la * lb * lc
-        + np.einsum("ij,ij->i", a, b) * lc
-        + np.einsum("ij,ij->i", b, c) * la
-        + np.einsum("ij,ij->i", c, a) * lb
-    )
-    return float(np.sum(2.0 * np.arctan2(det, denom)))
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    corners = mesh.corner_array()
+    out = np.empty(len(points))
+    rows = max(1, _POINT_TRIANGLE_CHUNK // len(corners))
+    for start in range(0, len(points), rows):
+        p = points[start : start + rows, None, :]
+        a, b, c = (corners[:, i] - p for i in range(3))  # (rows, T, 3)
+        la = np.linalg.norm(a, axis=-1)
+        lb = np.linalg.norm(b, axis=-1)
+        lc = np.linalg.norm(c, axis=-1)
+        det = _dot(a, np.cross(b, c))
+        denom = la * lb * lc + _dot(a, b) * lc + _dot(b, c) * la + _dot(c, a) * lb
+        out[start : start + rows] = np.sum(2.0 * np.arctan2(det, denom), axis=-1)
+    return out
 
 
 # Icosahedron with unit circumradius after normalization.
@@ -318,6 +338,35 @@ def points_to_triangles_distance(points, corners: np.ndarray,
         p = points[start : start + chunk, None, :]
         out[start : start + chunk] = _triangle_distance(p, a, b, c)
     return out
+
+
+def nearest_triangles(points, mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Exact distance from each of points (P, 3) to the mesh, and its nearest triangle.
+
+    Equal to the row minima of ``points_to_triangles_distance`` and their
+    first argmin.  A centroid lies on its triangle, so the nearest centroid
+    bounds a point's distance from above; a triangle whose centroid is
+    farther than that bound plus the triangle's reach cannot be nearer, and
+    only the others are evaluated exactly.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    corners = mesh.corner_array()
+    reach = _triangle_reach(mesh)
+    slack = _bound_slack(points, corners)
+    rows = max(1, _POINT_TRIANGLE_CHUNK // len(corners))
+    p_parts, t_parts = [], []
+    for start in range(0, len(points), rows):
+        gap = np.linalg.norm(points[start : start + rows, None, :] - mesh.centroids, axis=-1)
+        p, t = np.nonzero(gap - reach <= gap.min(axis=1)[:, None] + slack)
+        p_parts.append(p + start)
+        t_parts.append(t)
+    p_idx, t_idx = np.concatenate(p_parts), np.concatenate(t_parts)
+    d = _triangle_distance(points[p_idx], corners[t_idx, 0], corners[t_idx, 1],
+                           corners[t_idx, 2])
+    # per point, the least distance and the first triangle that attains it
+    order = np.lexsort((t_idx, d, p_idx))
+    first = order[np.r_[0, np.flatnonzero(np.diff(p_idx[order])) + 1]]
+    return d[first], t_idx[first]
 
 
 def point_to_mesh_distance(point, mesh: TriMesh) -> float:
@@ -593,7 +642,7 @@ class GeometryPair:
         if bound >= self.clearance_min:
             return ClearanceReport(eps, bound, self.clearance_min, "ball")
         hole = scale_signed(self.inner, eps)
-        if not all(self.outer.contains(v) for v in hole.vertices):
+        if not self.outer.contains_points(hole.vertices).all():
             return ClearanceReport(eps, -np.inf, self.clearance_min, "exact")
         return ClearanceReport(eps, mesh_to_mesh_distance(hole, self.outer),
                                self.clearance_min, "exact")

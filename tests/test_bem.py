@@ -1280,3 +1280,115 @@ def test_bem_forms_no_numpy_product():
             if name in names:
                 found.append(f"{name}() at line {node.lineno}")
     assert not found, found
+
+
+# ---------------------------------------------------------------------------
+# field evaluation over a grid: the hole through its rescaling
+# ---------------------------------------------------------------------------
+
+def _around_unit_hole(mesh: bem.TriMesh) -> np.ndarray:
+    """Microscopic targets within NEAR_FIELD_FACTOR diameters of the unit hole, and beyond."""
+    d = float(mesh.diameters.max())
+    dirs = np.random.default_rng(5).normal(size=(6, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    return np.concatenate([r * dirs for r in (1 + 0.5 * d, 1 + 1.5 * d, 1 + 2.5 * d, 2.0, 3.5)])
+
+
+@pytest.mark.parametrize("eps", [0.3, -0.3, 0.1, -0.1, -0.05])
+def test_hole_layer_is_the_unit_layer_at_rescaled_points(unit_pair_s3, eps):
+    # S(x, eps G) = |eps| S(x/eps, G), on exact near-field integrals and the rule
+    inner = unit_pair_s3.inner
+    x = eps * _around_unit_hole(inner)
+    near_rows = set(bem._near_pairs(x / eps, inner)[0].tolist())
+    assert 0 < len(near_rows) < len(x)
+    want = single_layer_matrix(x, scale_signed(inner, eps))
+    got = abs(eps) * single_layer_matrix(x / eps, inner)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # the layer of a smooth density, target by target
+    mu = 1.0 + 0.5 * inner.centroids[:, 2]
+    assert np.max(np.abs((got - want) @ mu) / np.abs(want @ mu)) <= 1e-14
+
+
+FIELD_TARGETS = {
+    "macroscopic": [[0.0, 0.0, 0.6], [0.5, 0.0, 0.0], [0.0, -0.5, 0.1]],
+    "microscopic": [[0.0, 0.0, 1.8], [1.5, 0.3, 0.0], [0.0, -2.0, 0.4]],
+}
+FIELD_GRID = [-0.3, -0.1, -0.05, 0.05, 0.1, 0.3]
+
+
+@pytest.fixture(scope="module")
+def field_densities(unit_pair_s3):
+    return list(bem.solve_grid(unit_pair_s3, BLOCK_DATA, FIELD_GRID))
+
+
+@pytest.mark.parametrize("frame", ["macroscopic", "microscopic"])
+def test_grid_field_equals_per_eps_evaluation(unit_pair_s3, field_densities, frame):
+    pair = unit_pair_s3
+    points = np.array(FIELD_TARGETS[frame])
+    built, original = [], bem.single_layer_matrix
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bem, "single_layer_matrix",
+                      lambda *a, **k: built.append(len(a[0])) or original(*a, **k))
+        field = bem.GridField(pair, FIELD_GRID, points, frame, clearance_factor=0.5)
+        got = [field.values(j, dens) for j, dens in enumerate(field_densities)]
+    # one matrix per mesh: the hole's rows at every eps, the outer mesh's
+    # distinct physical points
+    distinct = len(points) * (len(FIELD_GRID) if frame == "microscopic" else 1)
+    assert built == [len(points) * len(FIELD_GRID), distinct]
+    for eps, dens, got in zip(FIELD_GRID, field_densities, got, strict=True):
+        one = eval_field(pair, dens, eps, points, frame, clearance_factor=0.5)
+        assert np.max(np.abs(got - one)) <= 1e-14 * np.max(np.abs(one))
+        # against the physically scaled hole mesh
+        physical = eps * points if frame == "microscopic" else points
+        ref = (single_layer_matrix(physical, scale_signed(pair.inner, eps)) @ dens.mu_inner / eps
+               + single_layer_matrix(physical, pair.outer) @ dens.mu_outer)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _per_eps_refusal(pair, eps, points, frame, factor):
+    """The refusal of a per-eps check on the physically scaled hole mesh, or None."""
+    physical = eps * points if frame == "microscopic" else points
+    hole = scale_signed(pair.inner, eps)
+    for p in physical:
+        if not pair.outer.contains(p):
+            return f"point {p.tolist()} is outside the outer surface"
+        if hole.contains(p):
+            return f"point {p.tolist()} is inside the hole"
+    try:
+        bem._clearance_guard(physical, (hole, pair.outer), factor)
+    except EvaluationTooCloseError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("frame, points, refused_at", [
+    # the second point passes at |eps| = 0.1, and is too near the hole at 0.3
+    ("macroscopic", [[0.0, 0.0, 0.6], [0.0, 0.0, 0.33]], 0.3),
+    # inside the hole at 0.3 only
+    ("macroscopic", [[0.0, 0.6, 0.0], [0.2, 0.0, 0.0]], 0.3),
+    # containment before clearance: the second point, inside the hole, is refused
+    ("macroscopic", [[0.0, 0.0, 0.33], [0.2, 0.0, 0.0]], 0.3),
+    # grid order before point order: the second point is refused at -0.1
+    ("macroscopic", [[0.0, 0.0, 0.33], [0.12, 0.0, 0.0]], -0.1),
+    # eps*q too near the outer surface at 0.3 only
+    ("microscopic", [[0.0, 0.0, 1.8], [0.0, 3.2, 0.0]], 0.3),
+    # eps*q outside the outer surface at 0.3 only
+    ("microscopic", [[0.0, 0.0, 1.8], [3.5, 0.0, 0.0]], 0.3),
+])
+def test_grid_refuses_the_first_target_before_any_self_block(unit_pair_s3, monkeypatch,
+                                                             frame, points, refused_at):
+    from holelab.continuation import TargetSet, sweep
+
+    pair, grid, points = unit_pair_s3, [-0.1, 0.1, 0.3], np.array(points)
+    messages = [_per_eps_refusal(pair, eps, points, frame, 2.0) for eps in grid]
+    first = next(j for j, m in enumerate(messages) if m is not None)
+    assert grid[first] == refused_at
+    built, factored = [], []
+    original, original_factor = bem.single_layer_matrix, bem._factor
+    monkeypatch.setattr(bem, "single_layer_matrix",
+                        lambda *a, **k: built.append(k.get("self_mesh", False)) or original(*a, **k))
+    monkeypatch.setattr(bem, "_factor", lambda *a: factored.append(1) or original_factor(*a))
+    with pytest.raises(ValueError) as err:
+        sweep(pair, BLOCK_DATA, grid, TargetSet(frame, points))
+    assert str(err.value) == messages[first]
+    assert built == [] and factored == []

@@ -58,6 +58,19 @@ def test_continuation_odd_dimension_breaks_is_a_finding(tmp_path):
     assert report["verdict"] == "BREAKS"
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the auto basis reports BREAKS for "
+                   "data whose family continues (even n always continues)")
+def test_even_dimension_hole_data_continues(tmp_path):
+    # op 444 of the seed-1 spectral-lab benchmark workload
+    cfg = base_config(6)
+    cfg["geometry"]["r_o"] = 1.094
+    cfg["data"]["zonal"]["inner"] = {"1": ["0", "-0.4641"], "0": ["0", "0", "0.7733"]}
+    cfg["targets"]["radii"] = [0.537, 0.614, 0.742]
+    code, report, _ = run_cli(tmp_path, "continuation", cfg)
+    assert code == EXIT_OK
+    assert report["verdict"] == "CONTINUES"
+
+
 def test_continuation_strict_inconclusive_exit(tmp_path):
     cfg = base_config(3)
     cfg["thresholds"] = {"rtol_break": 10.0}
