@@ -61,8 +61,8 @@ from .mesh import (
     GeometryPair,
     MeshError,
     TriMesh,
-    nearest_triangles,
     pairs_within,
+    points_to_triangles_distance,
     scale_signed,
 )
 
@@ -984,8 +984,8 @@ def solve_grid(pair: GeometryPair, data: CartesianDataFamily, grid):
 
 def _nearest(points: np.ndarray, mesh: TriMesh, factor: float) -> tuple:
     """Each point's distance to the mesh, and ``factor`` times its nearest triangle's diameter."""
-    dist, nearest = nearest_triangles(points, mesh)
-    return dist, factor * mesh.diameters[nearest]
+    d = points_to_triangles_distance(points, mesh.corner_array())
+    return d.min(axis=1), factor * mesh.diameters[d.argmin(axis=1)]
 
 
 def _refuse_too_close(points: np.ndarray, found, factor: float) -> None:

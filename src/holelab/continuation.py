@@ -172,8 +172,8 @@ def _spectral_grid(problem: SphereProblem, data, grid, targets, clearance_factor
 
 
 def _bem_grid(pair: GeometryPair, data, grid, targets, clearance_factor):
-    # every target is checked at every eps, and the field's matrices built,
-    # before solve_grid builds any block
+    # every target is checked at every eps before solve_grid builds any
+    # block; the field's matrices are built at the first values call
     field = bem_mod.GridField(pair, grid, targets.points, targets.frame, clearance_factor)
     for j, dens in enumerate(bem_mod.solve_grid(pair, data, grid)):
         yield field.values(j, dens), dens.cond

@@ -45,8 +45,8 @@ _DEGENERATE_REL_AREA = 1e-14
 class TriMesh:
     """Closed, outward-oriented triangle mesh with per-triangle geometry.
 
-    Derived arrays (corners, centroids, unit normals, areas, diameters) are
-    computed once; all arrays are frozen read-only after construction.
+    Derived arrays (centroids, unit normals, areas, diameters) are computed
+    once; all arrays are frozen read-only after construction.
     """
 
     def __init__(self, vertices, triangles):
@@ -60,7 +60,7 @@ class TriMesh:
             raise MeshError("triangle indices out of range")
         self.vertices = v
         self.triangles = t
-        self._corners = corners = v[t]  # (T, 3, 3)
+        corners = v[t]  # (T, 3, 3)
         e1 = corners[:, 1] - corners[:, 0]
         e2 = corners[:, 2] - corners[:, 0]
         cross = np.cross(e1, e2)
@@ -86,7 +86,7 @@ class TriMesh:
             raise OrientationError(
                 f"signed volume {self.signed_volume:.3e} <= 0: winding is inward"
             )
-        for arr in (self.vertices, self.triangles, corners, self.areas, self.normals,
+        for arr in (self.vertices, self.triangles, self.areas, self.normals,
                     self.centroids, self.diameters):
             arr.setflags(write=False)
 
@@ -118,8 +118,8 @@ class TriMesh:
         return float(np.linalg.norm(edges, axis=2).mean())
 
     def corner_array(self) -> np.ndarray:
-        """Triangle corner coordinates, shape (T, 3, 3), read-only."""
-        return self._corners
+        """Triangle corner coordinates, shape (T, 3, 3)."""
+        return self.vertices[self.triangles]
 
     def bounding_radius(self) -> float:
         return float(np.linalg.norm(self.vertices, axis=1).max())
@@ -152,7 +152,7 @@ class TriMesh:
         }
 
 
-# point-triangle pairs per chunk of solid_angle_sums and nearest_triangles
+# point-triangle pairs per chunk of solid_angle_sums
 _POINT_TRIANGLE_CHUNK = 1 << 12
 
 
@@ -338,35 +338,6 @@ def points_to_triangles_distance(points, corners: np.ndarray,
         p = points[start : start + chunk, None, :]
         out[start : start + chunk] = _triangle_distance(p, a, b, c)
     return out
-
-
-def nearest_triangles(points, mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Exact distance from each of points (P, 3) to the mesh, and its nearest triangle.
-
-    Equal to the row minima of ``points_to_triangles_distance`` and their
-    first argmin.  A centroid lies on its triangle, so the nearest centroid
-    bounds a point's distance from above; a triangle whose centroid is
-    farther than that bound plus the triangle's reach cannot be nearer, and
-    only the others are evaluated exactly.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    corners = mesh.corner_array()
-    reach = _triangle_reach(mesh)
-    slack = _bound_slack(points, corners)
-    rows = max(1, _POINT_TRIANGLE_CHUNK // len(corners))
-    p_parts, t_parts = [], []
-    for start in range(0, len(points), rows):
-        gap = np.linalg.norm(points[start : start + rows, None, :] - mesh.centroids, axis=-1)
-        p, t = np.nonzero(gap - reach <= gap.min(axis=1)[:, None] + slack)
-        p_parts.append(p + start)
-        t_parts.append(t)
-    p_idx, t_idx = np.concatenate(p_parts), np.concatenate(t_parts)
-    d = _triangle_distance(points[p_idx], corners[t_idx, 0], corners[t_idx, 1],
-                           corners[t_idx, 2])
-    # per point, the least distance and the first triangle that attains it
-    order = np.lexsort((t_idx, d, p_idx))
-    first = order[np.r_[0, np.flatnonzero(np.diff(p_idx[order])) + 1]]
-    return d[first], t_idx[first]
 
 
 def point_to_mesh_distance(point, mesh: TriMesh) -> float:

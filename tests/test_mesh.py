@@ -202,33 +202,6 @@ def test_batched_containment_equals_the_per_point_test(mesh, monkeypatch):
     assert [mesh.contains(p) for p in points[:50]] == inside[:50].tolist()
 
 
-@pytest.mark.parametrize("mesh", [icosphere(1.0, 3), ellipsoid(1.0, 0.6, 0.4, 2)])
-def test_nearest_triangles_equal_the_all_pairs_sweep(mesh, monkeypatch):
-    # vertices and edge midpoints are equidistant from several triangles:
-    # the first of them is taken, as argmin takes it
-    from holelab import mesh as mesh_mod
-
-    monkeypatch.setattr(mesh_mod, "_POINT_TRIANGLE_CHUNK", 3 * mesh.n_triangles + 1)
-    rng = np.random.default_rng(12)
-    mid = 0.5 * (mesh.vertices[mesh.triangles[:, 0]] + mesh.vertices[mesh.triangles[:, 1]])
-    near = np.concatenate([mesh.vertices, mid, mesh.centroids])
-    points = np.concatenate([near, near * (1.0 + rng.normal(scale=1e-3, size=(len(near), 1))),
-                             rng.normal(scale=2.0, size=(200, 3))])
-    dist, nearest = mesh_mod.nearest_triangles(points, mesh)
-    full = mesh_mod.points_to_triangles_distance(points, mesh.corner_array())
-    assert np.array_equal(dist, full.min(axis=1))
-    assert np.array_equal(nearest, full.argmin(axis=1))
-
-
-def test_corner_array_is_kept_read_only():
-    m = icosphere(1.0, 1)
-    corners = m.corner_array()
-    assert corners is m.corner_array()
-    assert np.array_equal(corners, m.vertices[m.triangles])
-    with pytest.raises(ValueError):
-        corners[0, 0, 0] = 1.0
-
-
 def test_point_and_mesh_distances():
     # Facet planes sag inside the sphere by ~edge^2/8, hence the tolerances.
     m = icosphere(1.0, 2)
