@@ -23,6 +23,7 @@ exterior correction seen at the hole scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import copysign
 
 import numpy as np
@@ -63,28 +64,22 @@ def coupling_sign(eps: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class SphereProblem:
-    """Concentric-sphere geometry: unit-scale inner radius, outer radius, zonal axis."""
+    """Concentric-sphere geometry: unit-scale inner radius and outer radius."""
 
     n: int
     r_i: float = 1.0
     r_o: float = 1.0
-    axis: tuple = None  # unit vector; defaults to the last coordinate axis
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"dimension must be >= 3, got n={self.n}")
         if self.r_i <= 0 or self.r_o <= 0:
             raise ValueError("sphere radii must be positive")
-        axis = self.axis
-        if axis is None:
-            axis = tuple(0.0 if i < self.n - 1 else 1.0 for i in range(self.n))
-        axis = np.asarray(axis, dtype=float)
-        if axis.shape != (self.n,):
-            raise ValueError(f"axis must have length n={self.n}")
-        norm = np.linalg.norm(axis)
-        if norm == 0:
-            raise ValueError("axis must be nonzero")
-        object.__setattr__(self, "axis", tuple(axis / norm))
+
+    @cached_property
+    def axis(self) -> tuple:
+        """The zonal axis: the last coordinate axis."""
+        return tuple(0.0 if i < self.n - 1 else 1.0 for i in range(self.n))
 
     def check_eps(self, eps: float) -> None:
         if eps == 0.0:

@@ -56,7 +56,7 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 from scipy.linalg.blas import dgemm, dgemv
 
-from .annulus import MACROSCOPIC, MICROSCOPIC, coupling_sign
+from .annulus import MACROSCOPIC, MICROSCOPIC, DomainError, coupling_sign
 from .mesh import (
     GeometryPair,
     MeshError,
@@ -81,6 +81,8 @@ _ONENORMEST_ITMAX = 5
 _EXPANSION_RANK_FRACTION = 2.0 / 3.0
 # Bytes of one chunk of quadrature-node harmonics while moments are summed.
 _HARMONIC_CHUNK_BYTES = 1 << 22
+# Rows per chunk of an absolute column sum.
+_ABS_SUM_ROWS = 64
 EVAL_CLEARANCE_FACTOR = 2.0
 
 _KERNEL_SCALE = -1.0 / (4.0 * pi)
@@ -117,7 +119,7 @@ class SolverError(RuntimeError):
     """Singular system or residual beyond tolerance."""
 
 
-class EvaluationTooCloseError(ValueError):
+class EvaluationTooCloseError(DomainError):
     """Evaluation point closer to a surface than the accuracy guard allows."""
 
 
@@ -471,11 +473,11 @@ def assemble(pair: GeometryPair, data: CartesianDataFamily, eps: float,
     return AssembledSystem(pair, eps, sign_asm, matrix, data.rhs(pair, eps), n_i)
 
 
-def _abs_col_sums(matrix: np.ndarray, rows: int = 64) -> np.ndarray:
+def _abs_col_sums(matrix: np.ndarray) -> np.ndarray:
     """Column sums of |matrix|, in row chunks with no |matrix| copy."""
     col_sums = np.zeros(matrix.shape[1])
-    for start in range(0, matrix.shape[0], rows):
-        col_sums += np.abs(matrix[start : start + rows]).sum(axis=0)
+    for start in range(0, matrix.shape[0], _ABS_SUM_ROWS):
+        col_sums += np.abs(matrix[start : start + _ABS_SUM_ROWS]).sum(axis=0)
     return col_sums
 
 
@@ -827,13 +829,7 @@ class CouplingExpansion:
         lu_i, lu_o = self.blocks.inner_lu[0], self.blocks.outer_lu[0]
 
         def solve_v(v_i, v_o, trans=0):
-            # (V_ii^-1 v_i, V_oo^-1 v_o), or with trans=1 V^-T on each side;
-            # a shared block takes both sides in one call, unless that would
-            # widen a 1-D call
-            if lu_o is lu_i and v_i.ndim == 2:
-                both = lu_solve(lu_i, np.hstack([v_i, v_o]), trans=1 - trans,
-                                check_finite=False)
-                return np.hsplit(both, 2)
+            # (V_ii^-1 v_i, V_oo^-1 v_o), or with trans=1 V^-T on each side
             return (lu_solve(lu_i, v_i, trans=1 - trans, check_finite=False),
                     lu_solve(lu_o, v_o, trans=1 - trans, check_finite=False))
 
@@ -1007,6 +1003,15 @@ def _clearance_guard(points: np.ndarray, meshes: tuple[TriMesh, ...],
                       clearance_factor)
 
 
+def _refuse_outside(points: np.ndarray, outside: np.ndarray, inside: np.ndarray) -> None:
+    # the first point outside the outer surface or inside the hole, in point order
+    for x, out, hole in zip(points, outside, inside):
+        if out:
+            raise DomainError(f"point {x.tolist()} is outside the outer surface")
+        if hole:
+            raise DomainError(f"point {x.tolist()} is inside the hole")
+
+
 class GridField:
     """The layer representation at fixed targets over a grid of eps.
 
@@ -1021,7 +1026,7 @@ class GridField:
     target refused in grid order, then point order: outside the outer
     surface or inside the hole first, then the clearance guard, the hole
     before the outer mesh.  One single-layer matrix per mesh serves the
-    whole grid, built at the first ``values``; each eps then costs two
+    whole grid, built once the targets pass; each eps then costs two
     products.
     """
 
@@ -1046,15 +1051,8 @@ class GridField:
         self._n_points = len(targets)
         self._outer_stride = len(targets) if frame == MICROSCOPIC else 0
         self._check(pair, physical, rescaled, outer_points, clearance_factor)
-        self._points = (pair, rescaled, outer_points)
-
-    @cached_property
-    def _matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        # the hole's and the outer mesh's matrix; built at the first values
-        # call, when a grid's lockstep solve has passed its peak memory
-        pair, rescaled, outer_points = self._points
-        return (single_layer_matrix(rescaled, pair.inner),
-                single_layer_matrix(outer_points, pair.outer))
+        self._inner = single_layer_matrix(rescaled, pair.inner)
+        self._outer = single_layer_matrix(outer_points, pair.outer)
 
     def _rows(self, index: int) -> tuple[slice, slice]:
         # rows of grid[index]'s targets in the inner and the outer matrix
@@ -1071,11 +1069,7 @@ class GridField:
             outer_dist, outer_limit = _nearest(outer_points, pair.outer, factor)
         for j in range(n_eps):
             rows_i, rows_o = self._rows(j)
-            for x, out, hole in zip(physical[j], outside[rows_o], inside[rows_i]):
-                if out:
-                    raise ValueError(f"point {x.tolist()} is outside the outer surface")
-                if hole:
-                    raise ValueError(f"point {x.tolist()} is inside the hole")
+            _refuse_outside(physical[j], outside[rows_o], inside[rows_i])
             if factor > 0:
                 _refuse_too_close(physical[j], ((hole_dist[rows_i], hole_limit[rows_i]),
                                                 (outer_dist[rows_o], outer_limit[rows_o])),
@@ -1085,10 +1079,9 @@ class GridField:
         """The field at the targets at eps = grid[index], from that eps's densities."""
         eps = self.grid[index]
         rows_i, rows_o = self._rows(index)
-        inner, outer = self._matrices
         # |eps| from the hole's rescaling over the eps^(4-n) of mu_i: sgn(eps)
-        return (abs(eps) / eps ** (4 - DIM) * _mm(inner[rows_i], densities.mu_inner)
-                + _mm(outer[rows_o], densities.mu_outer))
+        return (abs(eps) / eps ** (4 - DIM) * _mm(self._inner[rows_i], densities.mu_inner)
+                + _mm(self._outer[rows_o], densities.mu_outer))
 
 
 def eval_field(pair: GeometryPair, densities: DensityPair, eps: float, points,
@@ -1123,7 +1116,9 @@ class DirectSolution:
     residual: float
 
     def eval(self, points, clearance_factor: float = EVAL_CLEARANCE_FACTOR) -> np.ndarray:
+        """The field at physical points, refused as ``GridField`` refuses them."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        _refuse_outside(pts, ~self.outer.contains_points(pts), self.hole.contains_points(pts))
         if clearance_factor > 0:
             _clearance_guard(pts, (self.hole, self.outer), clearance_factor)
         values = (

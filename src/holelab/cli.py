@@ -6,7 +6,8 @@ Outputs are deterministic for identical configurations: no timestamps, sorted
 JSON keys, and an optional caller-supplied run id for provenance.  Files are
 written atomically (temp file then rename).
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure,
+Exit codes: 0 success, 2 configuration error (a target outside the domain,
+inside the hole or too close to a surface included), 3 solver failure,
 4 INCONCLUSIVE continuation verdict under --strict.
 """
 
@@ -27,6 +28,7 @@ from . import continuation as cont
 from .annulus import (
     MACROSCOPIC,
     MICROSCOPIC,
+    DomainError,
     InadmissibleEpsError,
     SphereProblem,
     ZonalDataFamily,
@@ -125,11 +127,7 @@ def _parse_zonal(data_cfg: dict) -> ZonalDataFamily:
                 l = int(key)
             except ValueError:
                 raise ConfigError(f"field data.zonal.{name}: mode key {key!r} not an integer") from None
-            if not isinstance(coeffs, list):
-                raise ConfigError(f"field data.zonal.{name}.{key} must be a coefficient list")
-            out[l] = tuple(
-                _parse_decimal(c, f"data.zonal.{name}.{key}[{i}]") for i, c in enumerate(coeffs)
-            )
+            out[l] = tuple(_decimals(coeffs, f"data.zonal.{name}.{key}"))
         return out
 
     return ZonalDataFamily(inner=side("inner"), outer=side("outer"))
@@ -145,20 +143,11 @@ def _parse_cartesian(data_cfg: dict) -> CartesianDataFamily:
             if not isinstance(term, dict):
                 raise ConfigError(f"field data.cartesian.{name}[{i}] must be an object")
             exps = term.get("exponents")
-            coeffs = term.get("coeffs")
             if not (isinstance(exps, list) and len(exps) == 3):
                 raise ConfigError(f"field data.cartesian.{name}[{i}].exponents must have 3 entries")
-            if not isinstance(coeffs, list):
-                raise ConfigError(f"field data.cartesian.{name}[{i}].coeffs must be a list")
-            terms.append(
-                (
-                    tuple(_integers(exps, f"data.cartesian.{name}[{i}].exponents")),
-                    tuple(
-                        _parse_decimal(c, f"data.cartesian.{name}[{i}].coeffs[{j}]")
-                        for j, c in enumerate(coeffs)
-                    ),
-                )
-            )
+            terms.append((tuple(_integers(exps, f"data.cartesian.{name}[{i}].exponents")),
+                          tuple(_decimals(term.get("coeffs"),
+                                          f"data.cartesian.{name}[{i}].coeffs"))))
         return tuple(terms)
 
     return CartesianDataFamily(inner=side("inner"), outer=side("outer"))
@@ -372,8 +361,9 @@ def _swept(cfg, solver, data, targets, out_dir, signs=None) -> cont.SweepResult:
     """Sweep the configured grid on ``signs``, every point checked first, and write sweep.csv."""
     grid = _parse_grid(cfg, signs)
     _check_eps(solver.check_eps, grid, "grid")
-    result = cont.sweep(solver.problem, data, grid, targets,
-                        eval_clearance_factor=_clearance_factor(cfg))
+    with _refused_as("targets", DomainError):
+        result = cont.sweep(solver.problem, data, grid, targets,
+                            eval_clearance_factor=_clearance_factor(cfg))
     _write_csv(os.path.join(out_dir, "sweep.csv"), result)
     return result
 
@@ -381,8 +371,9 @@ def _swept(cfg, solver, data, targets, out_dir, signs=None) -> cont.SweepResult:
 def _solve_command(cfg, solver, data, targets, out_dir):
     eps = float(_require(cfg, "eps", (int, float)))
     _check_eps(solver.check_eps, [eps], "eps")
-    result = cont.sweep(solver.problem, data, np.array([eps]), targets,
-                        eval_clearance_factor=_clearance_factor(cfg))
+    with _refused_as("targets", DomainError):
+        result = cont.sweep(solver.problem, data, np.array([eps]), targets,
+                            eval_clearance_factor=_clearance_factor(cfg))
     _write_csv(os.path.join(out_dir, "sweep.csv"), result)
     return {
         "command": "solve",
@@ -527,8 +518,9 @@ def _convergence_command(cfg, solver, data, targets, out_dir, levels):
     edges = []
     meshes = []
     for s, pair in zip(levels, pairs):
-        values.append(cont.sweep(pair, data, np.array([eps]), targets,
-                                 eval_clearance_factor=clearance).values[0])
+        with _refused_as("targets", DomainError):
+            values.append(cont.sweep(pair, data, np.array([eps]), targets,
+                                     eval_clearance_factor=clearance).values[0])
         edges.append(pair.outer.mean_edge_length)
         meshes.append({"subdivisions": s, "inner_mesh": pair.inner.stats(),
                        "outer_mesh": pair.outer.stats()})

@@ -26,7 +26,7 @@ when the restricted model explains the data as well as the full one.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -35,6 +35,7 @@ from . import bem as bem_mod
 from .annulus import (
     MACROSCOPIC,
     MICROSCOPIC,
+    DomainError,
     SphereProblem,
     ZonalDataFamily,
     eval_solution,
@@ -86,6 +87,7 @@ class TargetSet:
 
     Macroscopic points are physical locations bounded away from the origin;
     microscopic points are rescaled locations outside the unit-scale hole.
+    A set holds at least one point.
     """
 
     frame: str
@@ -95,6 +97,8 @@ class TargetSet:
         if self.frame not in (MACROSCOPIC, MICROSCOPIC):
             raise ValueError(f"unknown frame {self.frame!r}")
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        if pts.size == 0:
+            raise ValueError("a target set needs at least one point")
         if self.frame == MACROSCOPIC and np.any(np.linalg.norm(pts, axis=1) < 1e-12):
             raise ValueError("macroscopic targets must be bounded away from the origin")
         object.__setattr__(self, "points", pts)
@@ -111,7 +115,7 @@ def axis_targets(problem: SphereProblem, radii, frame: str) -> TargetSet:
 
 
 def validate_targets(problem: SphereProblem, targets: TargetSet, grids) -> None:
-    """Check every target is admissible for every eps of every grid."""
+    """Check every target is admissible for every eps of every grid; DomainError if not."""
     eps_abs = max(float(np.max(np.abs(np.asarray(g)))) for g in grids)
     radii = np.linalg.norm(targets.points, axis=1)
     if targets.frame == MACROSCOPIC:
@@ -119,7 +123,7 @@ def validate_targets(problem: SphereProblem, targets: TargetSet, grids) -> None:
     else:
         bad = (radii < problem.r_i) | (radii > problem.r_o / eps_abs)
     if np.any(bad):
-        raise ValueError(
+        raise DomainError(
             f"{int(bad.sum())} target(s) not admissible across the grid "
             f"(|eps| up to {eps_abs:g}) in the {targets.frame} frame"
         )
@@ -133,12 +137,10 @@ class SweepResult:
     values: np.ndarray
     frame: str
     conds: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def subset(self, mask) -> "SweepResult":
         """The rows of the grid points selected by a boolean mask."""
-        return SweepResult(self.grid[mask], self.values[mask], self.frame,
-                           self.conds[mask], self.meta)
+        return SweepResult(self.grid[mask], self.values[mask], self.frame, self.conds[mask])
 
 
 @dataclass(frozen=True)
@@ -172,8 +174,8 @@ def _spectral_grid(problem: SphereProblem, data, grid, targets, clearance_factor
 
 
 def _bem_grid(pair: GeometryPair, data, grid, targets, clearance_factor):
-    # every target is checked at every eps before solve_grid builds any
-    # block; the field's matrices are built at the first values call
+    # every target is checked at every eps, and the field's two matrices
+    # built, before solve_grid builds any block
     field = bem_mod.GridField(pair, grid, targets.points, targets.frame, clearance_factor)
     for j, dens in enumerate(bem_mod.solve_grid(pair, data, grid)):
         yield field.values(j, dens), dens.cond
@@ -222,8 +224,7 @@ def sweep(problem, data, grid, targets: TargetSet, *,
         values[i], conds[i] = row, cond
     if not np.all(np.isfinite(values)):
         raise RuntimeError("sweep produced non-finite values")
-    meta = {"solver": solver.name, "dimension": len(solver.axis)}
-    return SweepResult(grid, values, targets.frame, conds, meta)
+    return SweepResult(grid, values, targets.frame, conds)
 
 
 def _basis_columns(degree: int, basis: str) -> np.ndarray:

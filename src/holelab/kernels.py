@@ -111,15 +111,14 @@ def _eigenvalue_integrand(n: int, a: float, l: int, theta):
 
 
 @lru_cache(maxsize=4096)
-def sphere_single_layer_eigenvalue(
-    n: int, a: float, l: int, rtol: float = EIGENVALUE_RTOL
-) -> float:
+def sphere_single_layer_eigenvalue(n: int, a: float, l: int) -> float:
     """Eigenvalue of the single-layer operator on the radius-a sphere in R^n.
 
     The single layer of the zonal density of degree l on the radius-a sphere,
     evaluated on the sphere, equals this value times the same zonal function.
     Computed by panel-doubled Gauss-Legendre quadrature of the polar-angle
-    reduction; refinement stops when the relative change drops below rtol.
+    reduction; refinement stops when the relative change drops below
+    EIGENVALUE_RTOL.
     All eigenvalues are strictly negative and decrease in magnitude as l grows.
     """
     if n < 3:
@@ -145,7 +144,7 @@ def sphere_single_layer_eigenvalue(
         panels *= 2
         refined = integrate(panels)
         change = abs(refined - value) / max(abs(refined), 1e-300)
-        if change <= rtol:
+        if change <= EIGENVALUE_RTOL:
             return refined
         value = refined
     raise QuadratureError(

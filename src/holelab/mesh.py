@@ -328,15 +328,17 @@ def _triangle_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray,
     return best
 
 
-def points_to_triangles_distance(points, corners: np.ndarray,
-                                 chunk: int = 256) -> np.ndarray:
+_DISTANCE_CHUNK = 256  # points per chunk of points_to_triangles_distance
+
+
+def points_to_triangles_distance(points, corners: np.ndarray) -> np.ndarray:
     """Exact distances from points (P, 3) to triangles (T, 3, 3), shape (P, T)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
     out = np.empty((len(points), len(corners)))
-    for start in range(0, len(points), chunk):
-        p = points[start : start + chunk, None, :]
-        out[start : start + chunk] = _triangle_distance(p, a, b, c)
+    for start in range(0, len(points), _DISTANCE_CHUNK):
+        p = points[start : start + _DISTANCE_CHUNK, None, :]
+        out[start : start + _DISTANCE_CHUNK] = _triangle_distance(p, a, b, c)
     return out
 
 

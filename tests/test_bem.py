@@ -8,7 +8,8 @@ import pytest
 import scipy.linalg
 from math import factorial, pi
 
-from holelab.annulus import SphereProblem, ZonalDataFamily, closed_form_annulus, eval_solution, solve_modes
+from holelab.annulus import (DomainError, SphereProblem, ZonalDataFamily, closed_form_annulus,
+                             eval_solution, solve_modes)
 from holelab import bem
 from holelab.bem import (
     NEAR_FIELD_FACTOR,
@@ -369,6 +370,22 @@ def test_direct_solve_reflected_ellipsoid_hole():
     u1 = eval_field(pair, dens, eps, pts, clearance_factor=0.5)
     u2 = direct.eval(pts, clearance_factor=0.5)
     assert np.max(np.abs(u1 - u2) / np.max(np.abs(u2))) < 0.005
+
+
+@pytest.mark.parametrize("eps", [0.3, -0.3])
+def test_direct_solution_refuses_points_as_the_grid_field_does(unit_pair_s2, eps):
+    # inside the hole far from its surface, inside it near the surface, just
+    # outside the outer surface, and a good point before a bad one
+    direct = direct_solve(unit_pair_s2, HOLE_EPS_DATA, eps)
+    dens = solve(assemble(unit_pair_s2, HOLE_EPS_DATA, eps))
+    for points in ([0.0, 0.0, 0.0], [0.0, 0.0, 0.28], [0.0, 0.0, 1.05],
+                   [[0.0, 0.6, 0.0], [0.0, 0.0, 1.05]]):
+        with pytest.raises(DomainError) as want:
+            eval_field(unit_pair_s2, dens, eps, points)
+        with pytest.raises(DomainError) as got:
+            direct.eval(points)
+        assert "from a surface" not in str(want.value)
+        assert str(got.value) == str(want.value)
 
 
 def test_direct_solve_constant_data(unit_pair_s2):
@@ -1047,10 +1064,10 @@ def test_self_block_solves_do_not_grow_with_the_certified_eps(unit_pair_s3, monk
     many_widths, many_groups = _self_factor_solves(monkeypatch, pair, many)
     # both grids are one lockstep group: the capacitance factors fit
     assert few_groups == [4] and many_groups == [14]
-    # the expansion's two basis solves, then each step is one call for both
-    # sides of the shared block; the widths carry the eps
+    # the expansion's two basis solves, then each step is one call per side
+    # of the shared block; the widths carry the eps
     assert len(many_widths) <= len(few_widths)
-    assert max(many_widths[2:]) == 2 * 14 and max(few_widths[2:]) == 2 * 4
+    assert max(many_widths[2:]) == 14 and max(few_widths[2:]) == 4
     # the benchmark's sweep is cut into two groups by the memory bound
     _, groups = _self_factor_solves(monkeypatch, pair, SWEEP_GRID)
     assert groups == [13, 1]
@@ -1253,7 +1270,7 @@ def test_product_on_the_shapes_operators_passes(expansions):
     n_i, n_o = a_i.shape[1], b_o.shape[1]
     batch = rng.normal(size=(n_i, 2))
     lu = scipy.linalg.lu_factor(expansion.blocks.v_oo.T)
-    solved = np.hsplit(scipy.linalg.lu_solve(lu, rng.normal(size=(n_o, 4)), trans=1), 2)[0]
+    solved = scipy.linalg.lu_solve(lu, rng.normal(size=(n_o, 2)), trans=1)
     assert solved.flags.f_contiguous and not solved.flags.c_contiguous
     for a, b in ((a_i, batch), (a_i, batch[:, 0]), (b_o, solved), (b_o, solved[:, 1]),
                  (a_i.T, rng.normal(size=(r, 2))), (a_i.T, rng.normal(size=r)),

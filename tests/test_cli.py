@@ -488,6 +488,28 @@ def test_convergence_checks_every_level_before_solving_one(tmp_path, monkeypatch
     assert "'eps'" in err and "refused at eps=0.3" in err
 
 
+def _with_radii(cfg, command, radii):
+    cfg = json.loads(json.dumps(cfg))
+    cfg["command"] = command
+    cfg["targets"]["radii"] = radii
+    return cfg
+
+
+@pytest.mark.parametrize("config, refusal", [
+    # |eps| r_i reaches 0.3 on the grid, so the hole covers radius 0.1
+    (_with_radii(base_config(4), "sweep", [0.1]), "not admissible"),
+    (_with_radii(bem_sweep_config(), "sweep", [0.2]), "is inside the hole"),
+    (_with_radii(mesh_solve_config(0.3), "solve", [0.97]), "from a surface"),
+    (_with_radii(dict(mesh_solve_config(0.3), subdivision_levels=[1, 2]), "convergence", [0.97]),
+     "from a surface"),
+])
+def test_refused_targets_exit_2_naming_targets(tmp_path, capsys, config, refusal):
+    code, report, _ = run_cli(tmp_path, config["command"], config)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and report is None
+    assert "'targets'" in err and refusal in err and "Traceback" not in err
+
+
 def test_config_errors_exit_2_naming_the_field(tmp_path, capsys):
     mesh_cfg = {
         "dimension": 3,
@@ -558,6 +580,11 @@ def test_config_errors_exit_2_naming_the_field(tmp_path, capsys):
          "'geometry.outer.semi_axes'"),
         (edited(mesh_cfg, ("geometry", "subdivisions"), 7), "'geometry.subdivisions'"),
         (edited(levels_cfg, ("subdivision_levels",), [1, 7]), "'subdivision_levels[1]'"),
+        (edited(edited(base_config(4), ("command",), "continuation"), ("targets", "radii"), []),
+         "'targets'"),
+        (edited(sphere_cfg, ("data", "zonal", "inner", "0"), "1"), "'data.zonal.inner.0'"),
+        (edited(mesh_cfg, ("data", "cartesian", "inner", 0, "coeffs"), "1"),
+         "'data.cartesian.inner[0].coeffs'"),
     )
     for i, (cfg, field) in enumerate(rows):
         command = cfg.get("command") or ("continuation" if "thresholds" in cfg else "solve")

@@ -83,7 +83,6 @@ def test_sweep_matches_closed_form():
     result = sweep(prob, HOLE_EPS_DATA, grid, targets)
     for eps, value in zip(result.grid, result.values[:, 0]):
         assert value == pytest.approx(closed_form_annulus(3, eps, 0.75), rel=1e-10)
-    assert result.meta["solver"] == "spectral-modal"
 
 
 def test_sweep_constant_data():
