@@ -28,7 +28,7 @@ from math import copysign
 
 import numpy as np
 
-from .kernels import sphere_single_layer_eigenvalue, zonal
+from .kernels import check_dimension, sphere_single_layer_eigenvalue, zonal_table
 
 MODE_CONDITION_LIMIT = 1e12
 
@@ -71,8 +71,7 @@ class SphereProblem:
     r_o: float = 1.0
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"dimension must be >= 3, got n={self.n}")
+        check_dimension(self.n)
         if self.r_i <= 0 or self.r_o <= 0:
             raise ValueError("sphere radii must be positive")
 
@@ -177,10 +176,11 @@ class LimitSolution:
         r, t = self._angle(point)
         if r > prob.r_o * (1 + _DOMAIN_RTOL):
             raise DomainError(f"|point| = {r:g} outside the outer ball of radius {prob.r_o:g}")
+        zonals = zonal_table(len(self.mu_outer) - 1, prob.n, t)
         total = 0.0
-        for l, m in enumerate(self.mu_outer):
+        for l, (m, z) in enumerate(zip(self.mu_outer, zonals)):
             lam = sphere_single_layer_eigenvalue(prob.n, prob.r_o, l)
-            total += lam * m * (r / prob.r_o) ** l * float(zonal(l, prob.n, t))
+            total += lam * m * (r / prob.r_o) ** l * z
         return total
 
     def center_value(self) -> float:
@@ -195,12 +195,11 @@ class LimitSolution:
         if r < prob.r_i * (1 - _DOMAIN_RTOL):
             raise DomainError(f"|point| = {r:g} inside the unit-scale inner sphere")
         nu = (prob.n - 2) / 2.0
+        zonals = zonal_table(len(self.mu_inner) - 1, prob.n, t)
         total = self.center_value()
-        for l, m in enumerate(self.mu_inner):
+        for l, (m, z) in enumerate(zip(self.mu_inner, zonals)):
             lam = sphere_single_layer_eigenvalue(prob.n, prob.r_i, l)
-            total += self.sign * lam * m * (prob.r_i / r) ** (l + 2 * nu) * float(
-                zonal(l, prob.n, t)
-            )
+            total += self.sign * lam * m * (prob.r_i / r) ** (l + 2 * nu) * z
         return total
 
 
@@ -208,15 +207,25 @@ def _mode_rhs(data: ZonalDataFamily, l: int, eps: float) -> tuple[float, float]:
     return data.inner_coeff(l, eps), data.outer_coeff(l, eps)
 
 
-def _solve_2x2(M: np.ndarray, rhs: np.ndarray, l: int) -> tuple[np.ndarray, float]:
+def _solve_mode_systems(systems: list, rhs: list) -> tuple[np.ndarray, float]:
+    """Guard and solve the 2x2 systems of modes 0..L in one batched call each.
+
+    Returns the (L+1, 2) solutions and the worst condition (at least 1).
+    The first mode over MODE_CONDITION_LIMIT raises NearSingularModeError
+    before any system is solved.
+    """
+    M = np.array(systems)
     sv = np.linalg.svd(M, compute_uv=False)
-    cond = np.inf if sv[1] == 0 else sv[0] / sv[1]
-    if cond > MODE_CONDITION_LIMIT:
+    with np.errstate(divide="ignore"):
+        cond = np.where(sv[:, 1] == 0, np.inf, sv[:, 0] / sv[:, 1])
+    over = np.flatnonzero(cond > MODE_CONDITION_LIMIT)
+    if over.size:
+        l = over[0]
         raise NearSingularModeError(
-            f"mode {l} system condition {cond:.3e} exceeds {MODE_CONDITION_LIMIT:.0e} "
+            f"mode {l} system condition {cond[l]:.3e} exceeds {MODE_CONDITION_LIMIT:.0e} "
             "(hole nearly touching the outer sphere?)"
         )
-    return np.linalg.solve(M, rhs), cond
+    return np.linalg.solve(M, np.array(rhs)[..., None])[..., 0], max(1.0, cond.max())
 
 
 def solve_modes(prob: SphereProblem, data: ZonalDataFamily, eps: float) -> ModalSolution:
@@ -236,15 +245,16 @@ def solve_modes(prob: SphereProblem, data: ZonalDataFamily, eps: float) -> Modal
     rho = abs(eps) * prob.r_i
     t = rho / prob.r_o
     L = data.max_degree
-    a = np.zeros(L + 1)
-    b = np.zeros(L + 1)
-    worst = 1.0
+    systems, rhs = [], []
     for l in range(L + 1):
         bi, bo = _mode_rhs(data, l, eps)
-        M = np.array([[t**l, 1.0], [1.0, t ** (l + n - 2)]])
-        (alpha, beta), cond = _solve_2x2(M, np.array([sgn**l * bi, bo]), l)
+        systems.append([[t**l, 1.0], [1.0, t ** (l + n - 2)]])
+        rhs.append([sgn**l * bi, bo])
+    sol, worst = _solve_mode_systems(systems, rhs)
+    a = np.zeros(L + 1)
+    b = np.zeros(L + 1)
+    for l, (alpha, beta) in enumerate(sol):
         a[l], b[l] = alpha / prob.r_o**l, beta * rho ** (l + n - 2)
-        worst = max(worst, cond)
     return ModalSolution(prob, eps, coupling_sign(eps, n), a, b, cond=worst)
 
 
@@ -271,28 +281,28 @@ def solve_densities(
     sign_asm = sign_true if sign is None else float(sign)
     rho = abs(eps) * prob.r_i
     L = data.max_degree
-    a = np.zeros(L + 1)
-    b = np.zeros(L + 1)
-    mu_i = np.zeros(L + 1)
-    mu_o = np.zeros(L + 1)
-    worst = 1.0
+    lams, systems, rhs = [], [], []
     for l in range(L + 1):
         bi, bo = _mode_rhs(data, l, eps)
         lam_i = sphere_single_layer_eigenvalue(n, prob.r_i, l)
         lam_o = sphere_single_layer_eigenvalue(n, prob.r_o, l)
         s_l = sgn**l
+        lams.append((lam_i, lam_o, s_l))
         # Row 1: trace on the unit-scale inner sphere; the outer layer is
         # sampled at the rescaled points eps*x.  Row 2: trace on the outer
         # sphere; the rescaled inner layer decays from the hole.
-        M = np.array(
+        systems.append(
             [
                 [sign_asm * lam_i, lam_o * (eps * prob.r_i / prob.r_o) ** l],
                 [sign_asm * s_l * lam_i * (rho / prob.r_o) ** (l + 2 * nu), lam_o],
             ]
         )
-        sol, cond = _solve_2x2(M, np.array([bi, bo]), l)
-        mu_i[l], mu_o[l] = sol
-        worst = max(worst, cond)
+        rhs.append([bi, bo])
+    sol, worst = _solve_mode_systems(systems, rhs)
+    mu_i, mu_o = sol.T.copy()
+    a = np.zeros(L + 1)
+    b = np.zeros(L + 1)
+    for l, (lam_i, lam_o, s_l) in enumerate(lams):
         a[l] = lam_o * mu_o[l] / prob.r_o**l
         b[l] = sign_true * s_l * lam_i * rho ** (l + 2 * nu) * mu_i[l]
     return ModalSolution(prob, eps, sign_asm, a, b, mu_inner=mu_i, mu_outer=mu_o, cond=worst)
@@ -349,8 +359,8 @@ def eval_solution(sol: ModalSolution, point, frame: str = MACROSCOPIC) -> float:
     r = min(max(r, lo), prob.r_o)
     t = 1.0 if r == 0.0 else float(np.dot(x / np.linalg.norm(x), prob.axis))
     total = 0.0
-    for l in range(sol.max_degree + 1):
-        total += sol.radial_profile(l, r) * float(zonal(l, n, t))
+    for l, z in enumerate(zonal_table(sol.max_degree, n, t)):
+        total += sol.radial_profile(l, r) * z
     return total
 
 

@@ -35,6 +35,7 @@ from .annulus import (
     eval_solution,
     solve_densities,
 )
+from .kernels import MAX_GEGENBAUER_DEGREE, check_dimension
 from .mesh import GeometryPair, MeshError, TriMesh, check_subdivisions, ellipsoid, icosphere, load_off
 
 EXIT_OK = 0
@@ -127,6 +128,9 @@ def _parse_zonal(data_cfg: dict) -> ZonalDataFamily:
                 l = int(key)
             except ValueError:
                 raise ConfigError(f"field data.zonal.{name}: mode key {key!r} not an integer") from None
+            if not 0 <= l <= MAX_GEGENBAUER_DEGREE:
+                raise ConfigError(f"field 'data.zonal.{name}.{key}': mode degree must be in "
+                                  f"[0, {MAX_GEGENBAUER_DEGREE}], got {l}")
             out[l] = tuple(_decimals(coeffs, f"data.zonal.{name}.{key}"))
         return out
 
@@ -175,6 +179,13 @@ def _build_mesh(spec, subdivisions: int, field: str) -> TriMesh:
     raise ConfigError(f"field {field} must specify 'builtin' or 'path'")
 
 
+def _sphere_radius(geom: dict, key: str) -> float:
+    value = _parse_decimal(geom.get(key, 1.0), f"geometry.{key}")
+    if value <= 0:
+        raise ConfigError(f"field 'geometry.{key}': sphere radius must be positive, got {value!r}")
+    return value
+
+
 def _parse_problem(cfg: dict, subdivisions: int | None = None):
     """The problem and its data; a mesh pair is built at ``subdivisions``,
     by default the config's ``geometry.subdivisions`` (3 if absent)."""
@@ -185,11 +196,9 @@ def _parse_problem(cfg: dict, subdivisions: int | None = None):
     if kind == "spheres":
         if "zonal" not in data_cfg:
             raise ConfigError("field data: sphere geometry requires zonal data")
-        problem = SphereProblem(
-            n,
-            _parse_decimal(geom.get("r_i", 1.0), "geometry.r_i"),
-            _parse_decimal(geom.get("r_o", 1.0), "geometry.r_o"),
-        )
+        with _refused_as("dimension", ValueError):
+            check_dimension(n)
+        problem = SphereProblem(n, _sphere_radius(geom, "r_i"), _sphere_radius(geom, "r_o"))
         return problem, _parse_zonal(data_cfg["zonal"])
     if kind == "meshes":
         if n != 3:

@@ -14,6 +14,9 @@ from math import gamma, pi
 import numpy as np
 
 MAX_GEGENBAUER_DEGREE = 64
+# Largest dimension whose unit-sphere area is a finite double: gamma(n/2)
+# overflows from n = 344 on.
+MAX_DIMENSION = 343
 
 # Adaptive quadrature controls for the sphere eigenvalues.
 EIGENVALUE_RTOL = 1e-13
@@ -28,6 +31,14 @@ class QuadratureError(RuntimeError):
 def _sphere_area(n: int) -> float:
     # Surface measure of the unit sphere in R^n, valid for any n >= 1.
     return 2.0 * pi ** (n / 2.0) / gamma(n / 2.0)
+
+
+def check_dimension(n: int) -> None:
+    """Refuse a dimension outside [3, MAX_DIMENSION] with ValueError."""
+    if n < 3:
+        raise ValueError(f"dimension must be >= 3, got n={n}")
+    if n > MAX_DIMENSION:
+        raise ValueError(f"dimension must be <= {MAX_DIMENSION}, got n={n}")
 
 
 def surface_measure_unit_sphere(n: int) -> float:
@@ -61,25 +72,38 @@ def fundamental_solution_radial(n: int, r):
     return np.asarray(r, dtype=float) ** (2 - n) / ((2 - n) * _sphere_area(n))
 
 
+def _check_gegenbauer(l: int, nu: float, t) -> None:
+    if nu <= 0:
+        raise ValueError(f"Gegenbauer index must be positive, got nu={nu}")
+    if l < 0 or l > MAX_GEGENBAUER_DEGREE:
+        raise ValueError(f"degree must be in [0, {MAX_GEGENBAUER_DEGREE}], got l={l}")
+    if (np.abs(t) > 1.0 + 1e-12).any():  # not np.any: cheaper for zonal_table's scalar t
+        raise ValueError("Gegenbauer argument outside [-1, 1]")
+
+
+def _gegenbauer_rows(l: int, nu: float, t, c0):
+    # Yields C_0 = c0 (a 1 of t's type), then C_1 .. C_l by the recurrence.
+    c_prev = c0
+    yield c_prev
+    if l == 0:
+        return
+    c = 2.0 * nu * t
+    yield c
+    for k in range(2, l + 1):
+        c, c_prev = (2.0 * (k + nu - 1.0) * t * c - (k + 2.0 * nu - 2.0) * c_prev) / k, c
+        yield c
+
+
 def gegenbauer(l: int, nu: float, t):
     """Gegenbauer polynomial C_l^(nu)(t) by the forward three-term recurrence.
 
     C_0 = 1, C_1 = 2*nu*t, l*C_l = 2*(l+nu-1)*t*C_{l-1} - (l+2*nu-2)*C_{l-2}.
     Vectorized over t in [-1, 1]; degrees capped at MAX_GEGENBAUER_DEGREE.
     """
-    if nu <= 0:
-        raise ValueError(f"Gegenbauer index must be positive, got nu={nu}")
-    if l < 0 or l > MAX_GEGENBAUER_DEGREE:
-        raise ValueError(f"degree must be in [0, {MAX_GEGENBAUER_DEGREE}], got l={l}")
     t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0 + 1e-12):
-        raise ValueError("Gegenbauer argument outside [-1, 1]")
-    c_prev = np.ones_like(t)
-    if l == 0:
-        return c_prev
-    c = 2.0 * nu * t
-    for k in range(2, l + 1):
-        c, c_prev = (2.0 * (k + nu - 1.0) * t * c - (k + 2.0 * nu - 2.0) * c_prev) / k, c
+    _check_gegenbauer(l, nu, t)
+    for c in _gegenbauer_rows(l, nu, t, np.ones_like(t)):
+        pass  # only the last row, C_l, is kept
     return c
 
 
@@ -97,6 +121,20 @@ def zonal(l: int, n: int, t):
     """
     nu = (n - 2) / 2.0
     return gegenbauer(l, nu, t) / gegenbauer_at_one(l, nu)
+
+
+def zonal_table(L: int, n: int, t: float) -> np.ndarray:
+    """Zonal values of degrees 0..L at one point t, from one forward recurrence.
+
+    Entry l equals ``zonal(l, n, t)`` bit for bit: the recurrence at t, run in
+    Python floats with gegenbauer's arithmetic, divided row by row by the
+    same recurrence at t = 1.  Same degree cap and range check as gegenbauer.
+    """
+    nu = (n - 2) / 2.0
+    t = float(t)
+    _check_gegenbauer(L, nu, t)
+    return np.array([c / c1 for c, c1 in zip(_gegenbauer_rows(L, nu, t, 1.0),
+                                             _gegenbauer_rows(L, nu, 1.0, 1.0))])
 
 
 def _eigenvalue_integrand(n: int, a: float, l: int, theta):

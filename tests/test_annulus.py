@@ -1,8 +1,11 @@
+from math import copysign
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from holelab.annulus import (
+    MODE_CONDITION_LIMIT,
     DomainError,
     InadmissibleEpsError,
     NearSingularModeError,
@@ -16,6 +19,7 @@ from holelab.annulus import (
     solve_limit_system,
     solve_modes,
 )
+from holelab.kernels import MAX_DIMENSION, sphere_single_layer_eigenvalue
 
 HOLE_EPS_DATA = ZonalDataFamily(inner={0: (0.0, 1.0)})  # value eps on the hole, 0 outside
 
@@ -39,6 +43,8 @@ def test_coupling_sign_rule():
 def test_problem_validation():
     with pytest.raises(ValueError):
         SphereProblem(2)
+    with pytest.raises(ValueError, match="<= 343"):
+        SphereProblem(MAX_DIMENSION + 1)
     with pytest.raises(ValueError):
         SphereProblem(3, r_i=-1.0)
     prob = SphereProblem(3)
@@ -107,6 +113,121 @@ def test_near_touching_reported():
     prob = SphereProblem(3)
     with pytest.raises(NearSingularModeError):
         solve_modes(prob, HOLE_EPS_DATA, 1.0 - 1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the batched modal solve against a per-mode reference loop
+# ---------------------------------------------------------------------------
+
+def _reference_solve_2x2(M, rhs, l):
+    sv = np.linalg.svd(M, compute_uv=False)
+    cond = np.inf if sv[1] == 0 else sv[0] / sv[1]
+    if cond > MODE_CONDITION_LIMIT:
+        raise NearSingularModeError(
+            f"mode {l} system condition {cond:.3e} exceeds {MODE_CONDITION_LIMIT:.0e} "
+            "(hole nearly touching the outer sphere?)"
+        )
+    return np.linalg.solve(M, rhs), cond
+
+
+def _reference_solve_modes(prob, data, eps):
+    # one 2x2 guard and solve per mode, in mode order
+    n = prob.n
+    sgn = copysign(1.0, eps)
+    rho = abs(eps) * prob.r_i
+    t = rho / prob.r_o
+    L = data.max_degree
+    a = np.zeros(L + 1)
+    b = np.zeros(L + 1)
+    worst = 1.0
+    for l in range(L + 1):
+        bi, bo = data.inner_coeff(l, eps), data.outer_coeff(l, eps)
+        M = np.array([[t**l, 1.0], [1.0, t ** (l + n - 2)]])
+        (alpha, beta), cond = _reference_solve_2x2(M, np.array([sgn**l * bi, bo]), l)
+        a[l], b[l] = alpha / prob.r_o**l, beta * rho ** (l + n - 2)
+        worst = max(worst, cond)
+    return a, b, worst
+
+
+def _reference_solve_densities(prob, data, eps, sign=None):
+    n = prob.n
+    nu = (n - 2) / 2.0
+    sgn = copysign(1.0, eps)
+    sign_true = coupling_sign(eps, n)
+    sign_asm = sign_true if sign is None else float(sign)
+    rho = abs(eps) * prob.r_i
+    L = data.max_degree
+    a, b, mu_i, mu_o = (np.zeros(L + 1) for _ in range(4))
+    worst = 1.0
+    for l in range(L + 1):
+        bi, bo = data.inner_coeff(l, eps), data.outer_coeff(l, eps)
+        lam_i = sphere_single_layer_eigenvalue(n, prob.r_i, l)
+        lam_o = sphere_single_layer_eigenvalue(n, prob.r_o, l)
+        s_l = sgn**l
+        M = np.array(
+            [
+                [sign_asm * lam_i, lam_o * (eps * prob.r_i / prob.r_o) ** l],
+                [sign_asm * s_l * lam_i * (rho / prob.r_o) ** (l + 2 * nu), lam_o],
+            ]
+        )
+        sol, cond = _reference_solve_2x2(M, np.array([bi, bo]), l)
+        mu_i[l], mu_o[l] = sol
+        worst = max(worst, cond)
+        a[l] = lam_o * mu_o[l] / prob.r_o**l
+        b[l] = sign_true * s_l * lam_i * rho ** (l + 2 * nu) * mu_i[l]
+    return a, b, mu_i, mu_o, worst
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_batched_modal_solves_match_per_mode_loop(seed):
+    rng = np.random.default_rng(1000 + seed)
+    n = int(rng.integers(3, 9))
+    prob = SphereProblem(n, float(rng.uniform(0.5, 1.5)), float(rng.uniform(1.0, 2.0)))
+    eps = float(rng.uniform(0.05, 0.95) * prob.r_o / prob.r_i * rng.choice((-1, 1)))
+    data = ZonalDataFamily(
+        inner={int(l): tuple(rng.uniform(-1, 1, 3)) for l in rng.choice(9, 3, replace=False)},
+        outer={int(l): tuple(rng.uniform(-1, 1, 2)) for l in rng.choice(9, 2, replace=False)},
+    )
+    a, b, cond = _reference_solve_modes(prob, data, eps)
+    sol = solve_modes(prob, data, eps)
+    assert _bits([*sol.a_coeffs, *sol.b_coeffs, sol.cond]) == _bits([*a, *b, cond])
+    for sign in (None, -coupling_sign(eps, n)):
+        a, b, mu_i, mu_o, cond = _reference_solve_densities(prob, data, eps, sign)
+        sol = solve_densities(prob, data, eps, sign)
+        got = [*sol.a_coeffs, *sol.b_coeffs, *sol.mu_inner, *sol.mu_outer, sol.cond]
+        assert _bits(got) == _bits([*a, *b, *mu_i, *mu_o, cond])
+
+
+@pytest.mark.parametrize("solve", [solve_modes, solve_densities])
+def test_near_touching_names_the_first_failing_mode(solve):
+    # every mode is near singular; the batched guard names the one the
+    # per-mode loop stops at, with the same message
+    prob = SphereProblem(4, 1.0, 1.0)
+    data = ZonalDataFamily(inner={l: (1.0,) for l in range(5)}, outer={2: (1.0,)})
+    eps = 1.0 - 1e-14
+    reference = {solve_modes: _reference_solve_modes,
+                 solve_densities: _reference_solve_densities}[solve]
+    with pytest.raises(NearSingularModeError) as want:
+        reference(prob, data, eps)
+    with pytest.raises(NearSingularModeError) as got:
+        solve(prob, data, eps)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("mode 0 ")
+
+
+def test_mode_guard_names_the_lowest_mode_and_reports_the_worst():
+    from holelab.annulus import _solve_mode_systems
+
+    eye, rank_one = [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(NearSingularModeError, match=r"^mode 2 system condition inf "):
+        _solve_mode_systems([eye, eye, rank_one, eye, rank_one], [[1.0, 0.0]] * 5)
+    sol, worst = _solve_mode_systems([eye, [[2.0, 0.0], [0.0, 0.5]], eye], [[1.0, 1.0]] * 3)
+    assert worst == 4.0
+    assert sol.tolist() == [[1.0, 1.0], [0.5, 2.0], [1.0, 1.0]]
 
 
 # ---------------------------------------------------------------------------

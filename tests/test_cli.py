@@ -583,6 +583,13 @@ def test_config_errors_exit_2_naming_the_field(tmp_path, capsys):
         (edited(edited(base_config(4), ("command",), "continuation"), ("targets", "radii"), []),
          "'targets'"),
         (edited(sphere_cfg, ("data", "zonal", "inner", "0"), "1"), "'data.zonal.inner.0'"),
+        (edited(sphere_cfg, ("dimension",), 2), "'dimension'"),
+        (edited(sphere_cfg, ("dimension",), 400), "'dimension'"),
+        (edited(sphere_cfg, ("geometry", "r_i"), 0), "'geometry.r_i'"),
+        (edited(sphere_cfg, ("geometry", "r_o"), "-1.5"), "'geometry.r_o'"),
+        (edited(sphere_cfg, ("data", "zonal", "outer"), {"-1": ["1"]}),
+         "'data.zonal.outer.-1'"),
+        (edited(sphere_cfg, ("data", "zonal", "inner", "70"), ["1"]), "'data.zonal.inner.70'"),
         (edited(mesh_cfg, ("data", "cartesian", "inner", 0, "coeffs"), "1"),
          "'data.cartesian.inner[0].coeffs'"),
     )

@@ -3,7 +3,10 @@ import pytest
 from math import gamma, pi, factorial, floor
 
 from holelab.kernels import (
+    MAX_DIMENSION,
+    MAX_GEGENBAUER_DEGREE,
     QuadratureError,
+    check_dimension,
     fundamental_solution,
     fundamental_solution_radial,
     gegenbauer,
@@ -11,6 +14,7 @@ from holelab.kernels import (
     sphere_single_layer_eigenvalue,
     surface_measure_unit_sphere,
     zonal,
+    zonal_table,
 )
 
 
@@ -87,6 +91,17 @@ def test_surface_measure_rejects_low_dimension():
         surface_measure_unit_sphere(2)
 
 
+def test_dimension_range_is_where_the_sphere_area_is_finite():
+    check_dimension(3)
+    check_dimension(MAX_DIMENSION)
+    assert 0.0 < surface_measure_unit_sphere(MAX_DIMENSION) < np.inf
+    with pytest.raises(OverflowError):
+        surface_measure_unit_sphere(MAX_DIMENSION + 1)
+    for n in (2, MAX_DIMENSION + 1):
+        with pytest.raises(ValueError, match=f"got n={n}"):
+            check_dimension(n)
+
+
 def test_fundamental_solution_values():
     assert fundamental_solution(3, [1.0, 0, 0]) == pytest.approx(-1 / (4 * pi), rel=1e-15)
     assert fundamental_solution(4, [0, 1.0, 0, 0]) == pytest.approx(-1 / (4 * pi**2), rel=1e-15)
@@ -139,6 +154,31 @@ def test_gegenbauer_preconditions():
         gegenbauer(65, 0.5, 0.0)
     with pytest.raises(ValueError):
         gegenbauer(2, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 40])
+def test_zonal_table_rows_equal_zonal_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    ts = [1.0, -1.0, 0.0, *rng.uniform(-1, 1, 20)]
+    for t in ts:
+        table = zonal_table(MAX_GEGENBAUER_DEGREE, n, t)
+        assert table.shape == (MAX_GEGENBAUER_DEGREE + 1,)
+        want = [float(zonal(l, n, t)) for l in range(MAX_GEGENBAUER_DEGREE + 1)]
+        assert table.tobytes() == np.array(want).tobytes(), t
+    for L in (0, 1, 5):
+        assert zonal_table(L, n, ts[-1]).tobytes() == zonal_table(
+            MAX_GEGENBAUER_DEGREE, n, ts[-1])[: L + 1].tobytes()
+
+
+def test_zonal_table_preconditions():
+    with pytest.raises(ValueError, match="got l=65"):
+        zonal_table(MAX_GEGENBAUER_DEGREE + 1, 3, 0.0)
+    with pytest.raises(ValueError, match="got l=-1"):
+        zonal_table(-1, 3, 0.0)
+    with pytest.raises(ValueError, match="outside"):
+        zonal_table(2, 3, 1.0 + 1e-9)
+    with pytest.raises(ValueError, match="index"):
+        zonal_table(2, 2, 0.0)
 
 
 @pytest.mark.parametrize("n,r,R", [(3, 0.3, 1.0), (4, 0.5, 2.0), (5, 0.3, 1.0), (6, 0.4, 1.5)])
