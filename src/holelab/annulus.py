@@ -129,17 +129,17 @@ class ZonalDataFamily:
 class ModalSolution:
     """Per-mode radial coefficients (and optionally layer densities) at one eps.
 
-    The field is sum_l (a_coeffs[l]*r^l + b_coeffs[l]*r^(2-n-l)) * zonal_l.
+    The field is sum_l (a_coeffs[l]*r^l + b_coeffs[l]*r^(2-n-l)) * zonal_l;
+    ``cond`` is the worst per-mode condition (at least 1).
     """
 
     problem: SphereProblem
     eps: float
-    sign: float  # coupling sign used for assembly; (sgn eps)^n unless overridden
     a_coeffs: np.ndarray
     b_coeffs: np.ndarray
+    cond: float
     mu_inner: np.ndarray | None = None
     mu_outer: np.ndarray | None = None
-    cond: float = 1.0
 
     @property
     def max_degree(self) -> int:
@@ -156,32 +156,23 @@ class LimitSolution:
 
     ``macroscopic`` evaluates the hole-free Dirichlet solution in the outer
     ball; ``microscopic`` evaluates the limiting rescaled field
-    sign * (inner layer)(q) + (outer field at 0) for q outside the unit-scale
+    (inner layer)(q) + (outer field at 0) for q outside the unit-scale
     inner sphere.
     """
 
     problem: SphereProblem
-    sign: float
     mu_inner: np.ndarray
     mu_outer: np.ndarray
 
-    def _angle(self, point) -> tuple[float, float]:
-        x = np.asarray(point, dtype=float)
-        r = float(np.linalg.norm(x))
-        t = 1.0 if r == 0.0 else float(np.dot(x / r, self.problem.axis))
-        return r, t
-
     def macroscopic(self, point) -> float:
         prob = self.problem
-        r, t = self._angle(point)
+        x = np.asarray(point, dtype=float)
+        r = float(np.linalg.norm(x))
         if r > prob.r_o * (1 + _DOMAIN_RTOL):
             raise DomainError(f"|point| = {r:g} outside the outer ball of radius {prob.r_o:g}")
-        zonals = zonal_table(len(self.mu_outer) - 1, prob.n, t)
-        total = 0.0
-        for l, (m, z) in enumerate(zip(self.mu_outer, zonals)):
-            lam = sphere_single_layer_eigenvalue(prob.n, prob.r_o, l)
-            total += lam * m * (r / prob.r_o) ** l * z
-        return total
+        return _zonal_sum(prob, x, [
+            sphere_single_layer_eigenvalue(prob.n, prob.r_o, l) * m * (r / prob.r_o) ** l
+            for l, m in enumerate(self.mu_outer)])
 
     def center_value(self) -> float:
         """Value of the macroscopic limit field at the origin."""
@@ -191,16 +182,15 @@ class LimitSolution:
 
     def microscopic(self, point) -> float:
         prob = self.problem
-        r, t = self._angle(point)
+        x = np.asarray(point, dtype=float)
+        r = float(np.linalg.norm(x))
         if r < prob.r_i * (1 - _DOMAIN_RTOL):
             raise DomainError(f"|point| = {r:g} inside the unit-scale inner sphere")
-        nu = (prob.n - 2) / 2.0
-        zonals = zonal_table(len(self.mu_inner) - 1, prob.n, t)
-        total = self.center_value()
-        for l, (m, z) in enumerate(zip(self.mu_inner, zonals)):
-            lam = sphere_single_layer_eigenvalue(prob.n, prob.r_i, l)
-            total += self.sign * lam * m * (prob.r_i / r) ** (l + 2 * nu) * z
-        return total
+        radial = [sphere_single_layer_eigenvalue(prob.n, prob.r_i, l) * m
+                  * (prob.r_i / r) ** (l + prob.n - 2.0) for l, m in enumerate(self.mu_inner)]
+        # the outer field's value at 0 is constant, so it joins mode 0 (zonal_0 = 1)
+        radial[0] = self.center_value() + radial[0]
+        return _zonal_sum(prob, x, radial)
 
 
 def _mode_rhs(data: ZonalDataFamily, l: int, eps: float) -> tuple[float, float]:
@@ -255,7 +245,7 @@ def solve_modes(prob: SphereProblem, data: ZonalDataFamily, eps: float) -> Modal
     b = np.zeros(L + 1)
     for l, (alpha, beta) in enumerate(sol):
         a[l], b[l] = alpha / prob.r_o**l, beta * rho ** (l + n - 2)
-    return ModalSolution(prob, eps, coupling_sign(eps, n), a, b, cond=worst)
+    return ModalSolution(prob, eps, a, b, worst)
 
 
 def solve_densities(
@@ -305,12 +295,10 @@ def solve_densities(
     for l, (lam_i, lam_o, s_l) in enumerate(lams):
         a[l] = lam_o * mu_o[l] / prob.r_o**l
         b[l] = sign_true * s_l * lam_i * rho ** (l + 2 * nu) * mu_i[l]
-    return ModalSolution(prob, eps, sign_asm, a, b, mu_inner=mu_i, mu_outer=mu_o, cond=worst)
+    return ModalSolution(prob, eps, a, b, worst, mu_i, mu_o)
 
 
-def solve_limit_system(
-    prob: SphereProblem, data: ZonalDataFamily, sign: float = 1.0
-) -> LimitSolution:
+def solve_limit_system(prob: SphereProblem, data: ZonalDataFamily) -> LimitSolution:
     """Solve the decoupled eps = 0 integral system.
 
     The outer density alone reproduces the outer datum; the inner density
@@ -328,8 +316,8 @@ def solve_limit_system(
     for l in range(L + 1):
         lam_i = sphere_single_layer_eigenvalue(n, prob.r_i, l)
         rhs = data.inner_coeff(l, 0.0) - (center if l == 0 else 0.0)
-        mu_i[l] = rhs / (sign * lam_i)
-    return LimitSolution(prob, sign, mu_i, mu_o)
+        mu_i[l] = rhs / lam_i
+    return LimitSolution(prob, mu_i, mu_o)
 
 
 def eval_solution(sol: ModalSolution, point, frame: str = MACROSCOPIC) -> float:
@@ -357,10 +345,19 @@ def eval_solution(sol: ModalSolution, point, frame: str = MACROSCOPIC) -> float:
             f"{max(lo - r, r - prob.r_o):g} past the nearer boundary"
         )
     r = min(max(r, lo), prob.r_o)
-    t = 1.0 if r == 0.0 else float(np.dot(x / np.linalg.norm(x), prob.axis))
+    return _zonal_sum(prob, x, [sol.radial_profile(l, r) for l in range(sol.max_degree + 1)])
+
+
+def _zonal_sum(prob: SphereProblem, x: np.ndarray, radial) -> float:
+    """sum_l radial[l] * zonal_l(t), added in mode order, at the physical point x.
+
+    t is the cosine of the angle between x and the zonal axis, 1 at the origin.
+    """
+    norm = np.linalg.norm(x)
+    t = 1.0 if norm == 0.0 else float(np.dot(x / norm, prob.axis))
     total = 0.0
-    for l, z in enumerate(zonal_table(sol.max_degree, n, t)):
-        total += sol.radial_profile(l, r) * z
+    for f, z in zip(radial, zonal_table(len(radial) - 1, prob.n, t)):
+        total += f * z
     return total
 
 

@@ -165,8 +165,8 @@ class CartesianDataFamily:
 class DensityPair:
     mu_inner: np.ndarray
     mu_outer: np.ndarray
-    cond: float = np.nan
-    residual: float = np.nan
+    cond: float
+    residual: float
 
 
 def _triangle_quad(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -382,20 +382,18 @@ class AssembledSystem:
     rhs: np.ndarray
     n_inner: int
 
-    def inner_trace(self, densities: DensityPair, sign: float | None = None) -> np.ndarray:
+    def inner_trace(self, densities: DensityPair) -> np.ndarray:
         """Boundary values of the layer representation at inner collocation points.
 
         The physical trace carries the true coupling sign regardless of the
-        sign used at assembly; pass ``sign`` to inspect mismatched assemblies.
+        sign used at assembly, so a mismatched assembly shows in it.
         """
-        if sign is None:
-            sign = coupling_sign(self.eps, DIM)
         # the inner rows are [sign_asm * V_ii, K_io]: one product over them
-        scaled = densities.mu_inner * (sign / self.sign)
+        scaled = densities.mu_inner * (coupling_sign(self.eps, DIM) / self.sign)
         return _mm(self.matrix[: self.n_inner], np.concatenate([scaled, densities.mu_outer]))
 
-    def inner_residual(self, densities: DensityPair, sign: float | None = None) -> float:
-        trace = self.inner_trace(densities, sign)
+    def inner_residual(self, densities: DensityPair) -> float:
+        trace = self.inner_trace(densities)
         return float(np.max(np.abs(trace - self.rhs[: self.n_inner])))
 
 
@@ -1030,8 +1028,7 @@ class GridField:
     products.
     """
 
-    def __init__(self, pair: GeometryPair, grid, points, frame: str = MACROSCOPIC,
-                 clearance_factor: float = EVAL_CLEARANCE_FACTOR):
+    def __init__(self, pair: GeometryPair, grid, points, frame: str, clearance_factor: float):
         if frame not in (MACROSCOPIC, MICROSCOPIC):
             raise ValueError(f"unknown frame {frame!r}")
         self.grid = np.array(grid, dtype=float).reshape(-1)

@@ -78,6 +78,20 @@ def _optional(cfg: dict, field: str, default, kind):
     return _require(cfg, field, kind) if field in cfg else default
 
 
+def _known_keys(block: dict, field: str, keys) -> dict:
+    """The block, refused naming ``field`` if it holds a key outside ``keys``."""
+    unknown = set(block) - set(keys)
+    if unknown:
+        raise ConfigError(f"field {field!r}: unknown keys {sorted(unknown)}")
+    return block
+
+
+def _non_negative(value: float, field: str) -> float:
+    if value < 0:
+        raise ConfigError(f"field {field!r}: must be >= 0, got {value!r}")
+    return value
+
+
 def _parse_decimal(value, field: str) -> float:
     # eps-polynomial coefficients are exact decimal strings (or numbers),
     # parsed to binary floats exactly once; the config echo keeps the source.
@@ -113,8 +127,8 @@ def _integers(value, field: str) -> list[int]:
 
 
 def _clearance_factor(cfg: dict) -> float:
-    return _parse_decimal(cfg.get("eval_clearance_factor", DEFAULT_EVAL_CLEARANCE),
-                          "eval_clearance_factor")
+    field = "eval_clearance_factor"
+    return _non_negative(_parse_decimal(cfg.get(field, DEFAULT_EVAL_CLEARANCE), field), field)
 
 
 def _parse_zonal(data_cfg: dict) -> ZonalDataFamily:
@@ -219,7 +233,8 @@ def _parse_problem(cfg: dict, subdivisions: int | None = None):
 
 def _parse_grid(cfg: dict, signs: str | None = None) -> np.ndarray:
     """The configured grid on ``signs`` (default: the config's), ascending."""
-    grid_cfg = _require(cfg, "grid", dict)
+    grid_cfg = _known_keys(_require(cfg, "grid", dict), "grid",
+                           ("eps_min", "eps_max", "count", "signs"))
     eps_min = float(_require(grid_cfg, "eps_min", (int, float)))
     eps_max = float(_require(grid_cfg, "eps_max", (int, float)))
     count = int(_require(grid_cfg, "count", int))
@@ -233,10 +248,12 @@ def _parse_grid(cfg: dict, signs: str | None = None) -> np.ndarray:
 
 
 def _parse_targets(cfg: dict, solver: cont.Solver) -> cont.TargetSet:
-    tcfg = _require(cfg, "targets", dict)
+    tcfg = _known_keys(_require(cfg, "targets", dict), "targets", ("frame", "points", "radii"))
     frame = _require(tcfg, "frame", str)
     if frame not in (MACROSCOPIC, MICROSCOPIC):
         raise ConfigError(f"field targets.frame: unknown frame {frame!r}")
+    if "points" in tcfg and "radii" in tcfg:
+        raise ConfigError("field 'targets': give 'points' or 'radii', not both")
     if "points" in tcfg:
         rows = tcfg["points"]
         if not isinstance(rows, list):
@@ -255,25 +272,23 @@ def _parse_targets(cfg: dict, solver: cont.Solver) -> cont.TargetSet:
 
 
 def _thresholds(cfg: dict, solver: cont.Solver) -> dict:
-    raw = _optional(cfg, "thresholds", {}, dict)
     out = {
         "atol": solver.default_atol,
         "rtol_break": cont.DEFAULT_RTOL_BREAK,
         "continue_factor": cont.CONTINUE_FACTOR,
         "break_factor": cont.BREAK_FACTOR,
     }
+    raw = _known_keys(_optional(cfg, "thresholds", {}, dict), "thresholds", out)
     for key in out:
         if key in raw:
-            out[key] = float(_require(raw, key, (int, float)))
-    unknown = set(raw) - set(out)
-    if unknown:
-        raise ConfigError(f"field thresholds: unknown keys {sorted(unknown)}")
+            out[key] = _non_negative(float(_require(raw, key, (int, float))),
+                                     f"thresholds.{key}")
     return out
 
 
 def _fit_params(cfg: dict, solver: cont.Solver) -> tuple[int, str]:
     """Fit degree and basis, checked against the positive grid before any solve."""
-    fcfg = _optional(cfg, "fit", {}, dict)
+    fcfg = _known_keys(_optional(cfg, "fit", {}, dict), "fit", ("degree", "basis"))
     degree = fcfg.get("degree", solver.default_degree)
     if isinstance(degree, bool) or not isinstance(degree, int):
         raise ConfigError(f"field fit.degree: {degree!r} is not an integer")
@@ -366,10 +381,9 @@ def _check_eps(check, grid, field: str) -> None:
             check(float(eps))
 
 
-def _swept(cfg, solver, data, targets, out_dir, signs=None) -> cont.SweepResult:
-    """Sweep the configured grid on ``signs``, every point checked first, and write sweep.csv."""
-    grid = _parse_grid(cfg, signs)
-    _check_eps(solver.check_eps, grid, "grid")
+def _swept(cfg, solver, data, targets, out_dir, grid, field: str) -> cont.SweepResult:
+    """Sweep ``grid``, every point checked first (a refusal names ``field``), and write sweep.csv."""
+    _check_eps(solver.check_eps, grid, field)
     with _refused_as("targets", DomainError):
         result = cont.sweep(solver.problem, data, grid, targets,
                             eval_clearance_factor=_clearance_factor(cfg))
@@ -379,11 +393,7 @@ def _swept(cfg, solver, data, targets, out_dir, signs=None) -> cont.SweepResult:
 
 def _solve_command(cfg, solver, data, targets, out_dir):
     eps = float(_require(cfg, "eps", (int, float)))
-    _check_eps(solver.check_eps, [eps], "eps")
-    with _refused_as("targets", DomainError):
-        result = cont.sweep(solver.problem, data, np.array([eps]), targets,
-                            eval_clearance_factor=_clearance_factor(cfg))
-    _write_csv(os.path.join(out_dir, "sweep.csv"), result)
+    result = _swept(cfg, solver, data, targets, out_dir, np.array([eps]), "eps")
     return {
         "command": "solve",
         "eps": eps,
@@ -394,7 +404,7 @@ def _solve_command(cfg, solver, data, targets, out_dir):
 
 
 def _sweep_command(cfg, solver, data, targets, out_dir):
-    result = _swept(cfg, solver, data, targets, out_dir)
+    result = _swept(cfg, solver, data, targets, out_dir, _parse_grid(cfg), "grid")
     report = {"command": "sweep", "provenance": _provenance(cfg, solver)}
     for name, side in (("positive", result.grid > 0), ("negative", result.grid < 0)):
         if side.any():
@@ -404,7 +414,7 @@ def _sweep_command(cfg, solver, data, targets, out_dir):
 
 def _fit_command(cfg, solver, data, targets, out_dir):
     degree, basis = _fit_params(cfg, solver)
-    pos = _swept(cfg, solver, data, targets, out_dir, "positive")
+    pos = _swept(cfg, solver, data, targets, out_dir, _parse_grid(cfg, "positive"), "grid")
     fit = cont.fit_series(pos, degree, basis)
     return {
         "command": "fit",
@@ -422,7 +432,7 @@ def _fit_command(cfg, solver, data, targets, out_dir):
 def _continuation_command(cfg, solver, data, targets, out_dir, strict):
     degree, basis = _fit_params(cfg, solver)
     thresholds = _thresholds(cfg, solver)
-    signed = _swept(cfg, solver, data, targets, out_dir, "both")
+    signed = _swept(cfg, solver, data, targets, out_dir, _parse_grid(cfg, "both"), "grid")
     fit = cont.fit_series(signed.subset(signed.grid > 0), degree, basis)
     report = cont.test_continuation(fit, signed.subset(signed.grid < 0), **thresholds)
     payload = {
@@ -450,7 +460,7 @@ def _symmetry_command(cfg, solver, data, targets, out_dir):
     if zeta not in (-1, 1):
         raise ConfigError("field zeta: must be +1 or -1")
     degree, _ = _fit_params(cfg, solver)
-    pos = _swept(cfg, solver, data, targets, out_dir, "positive")
+    pos = _swept(cfg, solver, data, targets, out_dir, _parse_grid(cfg, "positive"), "grid")
     fit = cont.fit_series(pos, degree, basis="full")
     hypothesis, checked = solver.symmetry_hypothesis(
         data, zeta, bool(cfg.get("hypothesis_checked", False)))

@@ -114,9 +114,9 @@ def axis_targets(problem: SphereProblem, radii, frame: str) -> TargetSet:
     return TargetSet(frame, pts)
 
 
-def validate_targets(problem: SphereProblem, targets: TargetSet, grids) -> None:
-    """Check every target is admissible for every eps of every grid; DomainError if not."""
-    eps_abs = max(float(np.max(np.abs(np.asarray(g)))) for g in grids)
+def validate_targets(problem: SphereProblem, targets: TargetSet, grid) -> None:
+    """Check every target is admissible for every eps of the grid; DomainError if not."""
+    eps_abs = float(np.max(np.abs(np.asarray(grid))))
     radii = np.linalg.norm(targets.points, axis=1)
     if targets.frame == MACROSCOPIC:
         bad = (radii < eps_abs * problem.r_i) | (radii > problem.r_o)
@@ -167,7 +167,7 @@ class Solver:
 
 
 def _spectral_grid(problem: SphereProblem, data, grid, targets, clearance_factor):
-    validate_targets(problem, targets, [grid])
+    validate_targets(problem, targets, grid)
     for eps in grid:
         sol = solve_densities(problem, data, eps)
         yield [eval_solution(sol, p, targets.frame) for p in targets.points], sol.cond
@@ -358,7 +358,6 @@ class ContinuationReport:
     basis_labels: tuple
     thresholds: dict
     predicted: np.ndarray
-    computed: np.ndarray
 
 
 def test_continuation(fit: PowerSeriesFit, negative_sweep: SweepResult, *,
@@ -412,7 +411,7 @@ def test_continuation(fit: PowerSeriesFit, negative_sweep: SweepResult, *,
     }
     return ContinuationReport(
         overall, tuple(verdicts), fit.residuals, fit.full_residuals,
-        errors, scales, fit.basis_labels, thresholds, predicted, computed,
+        errors, scales, fit.basis_labels, thresholds, predicted,
     )
 
 
@@ -420,7 +419,6 @@ def test_continuation(fit: PowerSeriesFit, negative_sweep: SweepResult, *,
 class SymmetryReport:
     """Size of fitted coefficients that a reflection symmetry forces to vanish."""
 
-    zeta: int
     forbidden_relative: np.ndarray  # per target
     max_forbidden_relative: float
     forbidden_indices: tuple
@@ -452,7 +450,7 @@ def test_symmetry(fit: PowerSeriesFit, zeta: int,
     rel = np.max(np.abs(fit.coeffs[:, forbidden]), axis=1) / denom
     note = "" if hypothesis_checked else "hypothesis unchecked: no vanishing claim"
     return SymmetryReport(
-        zeta, rel, float(np.max(rel)), tuple(int(i) for i in forbidden),
+        rel, float(np.max(rel)), tuple(int(i) for i in forbidden),
         hypothesis_checked, note,
     )
 
@@ -493,25 +491,24 @@ class LimitCheckReport:
 
     constant_terms: np.ndarray
     limit_values: np.ndarray
-    gaps: np.ndarray
     max_gap: float
     fit_residuals: np.ndarray
 
 
 def microscopic_limit_check(problem: SphereProblem, data: ZonalDataFamily,
-                            grid, targets: TargetSet,
-                            degree: int = DEFAULT_DEGREE_SPECTRAL) -> LimitCheckReport:
+                            grid, targets: TargetSet) -> LimitCheckReport:
     """Fit the rescaled-frame sweep and compare constant terms with the limit system.
 
-    The positive sweep never includes eps = 0; the limit enters only through
-    the decoupled system solved at eps = 0 (data polynomials evaluated there).
+    The fit is full-basis, of degree DEFAULT_DEGREE_SPECTRAL.  The positive
+    sweep never includes eps = 0; the limit enters only through the
+    decoupled system solved at eps = 0 (data polynomials evaluated there).
     """
     if targets.frame != MICROSCOPIC:
         raise ValueError("microscopic_limit_check requires microscopic targets")
     result = sweep(problem, data, np.asarray(grid, dtype=float), targets)
-    fit = fit_series(result, degree, basis="full")
-    limit = solve_limit_system(problem, data, sign=1.0)
+    fit = fit_series(result, DEFAULT_DEGREE_SPECTRAL, basis="full")
+    limit = solve_limit_system(problem, data)
     limit_values = np.array([limit.microscopic(q) for q in targets.points])
     c0 = fit.coeffs[:, 0]
-    gaps = np.abs(c0 - limit_values)
-    return LimitCheckReport(c0, limit_values, gaps, float(np.max(gaps)), fit.residuals)
+    max_gap = float(np.max(np.abs(c0 - limit_values)))
+    return LimitCheckReport(c0, limit_values, max_gap, fit.residuals)

@@ -45,8 +45,9 @@ _DEGENERATE_REL_AREA = 1e-14
 class TriMesh:
     """Closed, outward-oriented triangle mesh with per-triangle geometry.
 
-    Derived arrays (centroids, unit normals, areas, diameters) are computed
-    once; all arrays are frozen read-only after construction.
+    Derived arrays (centroids, unit normals, areas, diameters) and the mean
+    edge length are computed once; all arrays are frozen read-only after
+    construction.
     """
 
     def __init__(self, vertices, triangles):
@@ -76,8 +77,9 @@ class TriMesh:
         self.areas = two_areas / 2.0
         self.normals = cross / two_areas[:, None]
         self.centroids = corners.mean(axis=1)
-        edges = corners - np.roll(corners, -1, axis=1)
-        self.diameters = np.linalg.norm(edges, axis=2).max(axis=1)
+        edge_lengths = np.linalg.norm(corners - np.roll(corners, -1, axis=1), axis=2)
+        self.diameters = edge_lengths.max(axis=1)
+        self.mean_edge_length = float(edge_lengths.mean())
         self._check_closed()
         self.signed_volume = float(
             np.einsum("ij,ij->", corners[:, 0], cross) / 6.0
@@ -110,12 +112,6 @@ class TriMesh:
     @property
     def total_area(self) -> float:
         return float(self.areas.sum())
-
-    @property
-    def mean_edge_length(self) -> float:
-        corners = self.vertices[self.triangles]
-        edges = corners - np.roll(corners, -1, axis=1)
-        return float(np.linalg.norm(edges, axis=2).mean())
 
     def corner_array(self) -> np.ndarray:
         """Triangle corner coordinates, shape (T, 3, 3)."""
@@ -308,24 +304,23 @@ def _triangle_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray,
     """
     ab = b - a
     ac = c - a
-    d00 = _dot(ab, ab)
-    d01 = _dot(ab, ac)
-    d11 = _dot(ac, ac)
-    denom = d00 * d11 - d01 * d01
-    ap = p - a
-    d20 = _dot(ap, ab)
-    d21 = _dot(ap, ac)
-    v = (d11 * d20 - d01 * d21) / denom
-    w = (d00 * d21 - d01 * d20) / denom
+    v, w = _barycentric(p, a, ab, ac)
     inside = (v >= 0) & (w >= 0) & (v + w <= 1)
     proj = a + v[..., None] * ab + w[..., None] * ac
     best = np.where(inside, np.linalg.norm(p - proj, axis=-1), np.inf)
-    for s0, d_edge in ((a, ab), (b, c - b), (c, a - c)):
-        t = _dot(p - s0, d_edge) / np.maximum(_dot(d_edge, d_edge), 1e-300)
-        t = np.clip(t, 0.0, 1.0)
-        closest = s0 + t[..., None] * d_edge
-        best = np.minimum(best, np.linalg.norm(p - closest, axis=-1))
+    for s0, s1 in ((a, b), (b, c), (c, a)):
+        best = np.minimum(best, _point_segment_distance(p, s0, s1))
     return best
+
+
+def _barycentric(x: np.ndarray, a: np.ndarray, ab: np.ndarray,
+                 ac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (v, w) of x's projection a + v*ab + w*ac onto each triangle's plane."""
+    d00, d01, d11 = _dot(ab, ab), _dot(ab, ac), _dot(ac, ac)
+    denom = d00 * d11 - d01 * d01
+    ax = x - a
+    d20, d21 = _dot(ax, ab), _dot(ax, ac)
+    return (d11 * d20 - d01 * d21) / denom, (d00 * d21 - d01 * d20) / denom
 
 
 _DISTANCE_CHUNK = 256  # points per chunk of points_to_triangles_distance
@@ -427,13 +422,7 @@ def _segment_triangle_distance(p: np.ndarray, q: np.ndarray, a: np.ndarray,
     crosses = hp * hq < 0
     with np.errstate(divide="ignore", invalid="ignore"):
         x = p + np.where(crosses, hp / (hp - hq), 0.0)[..., None] * (q - p)
-    # barycentric coordinates of the plane crossing, as in _triangle_distance
-    d00, d01, d11 = _dot(ab, ab), _dot(ab, ac), _dot(ac, ac)
-    denom = d00 * d11 - d01 * d01
-    ax = x - a
-    d20, d21 = _dot(ax, ab), _dot(ax, ac)
-    v = (d11 * d20 - d01 * d21) / denom
-    w = (d00 * d21 - d01 * d20) / denom
+    v, w = _barycentric(x, a, ab, ac)
     pierced = crosses & (v >= 0) & (w >= 0) & (v + w <= 1)
     return np.where(pierced, 0.0, best)
 

@@ -349,7 +349,7 @@ def test_maximum_principle():
 def test_limit_system_worked_example():
     prob = SphereProblem(3)
     data = ZonalDataFamily(inner={0: (1.0,)})
-    lim = solve_limit_system(prob, data, sign=1.0)
+    lim = solve_limit_system(prob, data)
     # Inner density is -1 (the on-sphere layer of the unit ball has value -1).
     assert lim.mu_inner[0] == pytest.approx(-1.0, rel=1e-11)
     q = 2.0 * np.asarray(prob.axis)
@@ -375,7 +375,7 @@ def test_limit_system_zero_data():
 def test_limits_of_solutions_match_limit_system(n):
     prob = SphereProblem(n)
     data = ZonalDataFamily(inner={0: (1.0,)})
-    lim = solve_limit_system(prob, data, sign=1.0)
+    lim = solve_limit_system(prob, data)
     p = axis_point(prob, 0.75)
     q = 2.0 * np.asarray(prob.axis)
     macro_errors = []

@@ -592,6 +592,17 @@ def test_config_errors_exit_2_naming_the_field(tmp_path, capsys):
         (edited(sphere_cfg, ("data", "zonal", "inner", "70"), ["1"]), "'data.zonal.inner.70'"),
         (edited(mesh_cfg, ("data", "cartesian", "inner", 0, "coeffs"), "1"),
          "'data.cartesian.inner[0].coeffs'"),
+        # a key the block does not read, or both ways of giving targets
+        (edited(edited(base_config(4), ("command",), "fit"), ("fit",), {"degre": 4}), "'fit'"),
+        (edited(edited(base_config(4), ("command",), "sweep"), ("grid", "sign"), "positive"),
+         "'grid'"),
+        (edited(sphere_cfg, ("targets", "radius"), 0.75), "'targets'"),
+        (edited(sphere_cfg, ("targets", "points"), [[0, 0, 0, 0.75]]), "'targets'"),
+        # a negative guard or threshold
+        (edited(mesh_cfg, ("eval_clearance_factor",), -1), "'eval_clearance_factor'"),
+        (edited(base_config(4), ("thresholds",), {"atol": -1}), "'thresholds.atol'"),
+        (edited(base_config(4), ("thresholds",), {"continue_factor": -10}),
+         "'thresholds.continue_factor'"),
     )
     for i, (cfg, field) in enumerate(rows):
         command = cfg.get("command") or ("continuation" if "thresholds" in cfg else "solve")

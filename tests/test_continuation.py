@@ -66,10 +66,10 @@ def test_target_validation():
         TargetSet("macroscopic", np.zeros((1, 3)))
     targets = axis_targets(prob, [0.2], "macroscopic")
     with pytest.raises(ValueError):
-        validate_targets(prob, targets, [default_grid()])  # swallowed by the hole at 0.3
+        validate_targets(prob, targets, default_grid())  # swallowed by the hole at 0.3
     micro = axis_targets(prob, [5.0], "microscopic")
     with pytest.raises(ValueError):
-        validate_targets(prob, micro, [default_grid()])  # outside at |eps| = 0.3
+        validate_targets(prob, micro, default_grid())  # outside at |eps| = 0.3
 
 
 # ---------------------------------------------------------------------------
