@@ -174,12 +174,6 @@ class LimitSolution:
             sphere_single_layer_eigenvalue(prob.n, prob.r_o, l) * m * (r / prob.r_o) ** l
             for l, m in enumerate(self.mu_outer)])
 
-    def center_value(self) -> float:
-        """Value of the macroscopic limit field at the origin."""
-        return sphere_single_layer_eigenvalue(self.problem.n, self.problem.r_o, 0) * float(
-            self.mu_outer[0]
-        )
-
     def microscopic(self, point) -> float:
         prob = self.problem
         x = np.asarray(point, dtype=float)
@@ -189,7 +183,7 @@ class LimitSolution:
         radial = [sphere_single_layer_eigenvalue(prob.n, prob.r_i, l) * m
                   * (prob.r_i / r) ** (l + prob.n - 2.0) for l, m in enumerate(self.mu_inner)]
         # the outer field's value at 0 is constant, so it joins mode 0 (zonal_0 = 1)
-        radial[0] = self.center_value() + radial[0]
+        radial[0] += sphere_single_layer_eigenvalue(prob.n, prob.r_o, 0) * float(self.mu_outer[0])
         return _zonal_sum(prob, x, radial)
 
 

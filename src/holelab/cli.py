@@ -4,11 +4,14 @@ Usage: ``holelab <command> --config <path> [--strict] [--out-dir <path>]``
 with command one of solve, sweep, fit, continuation, symmetry, convergence.
 Outputs are deterministic for identical configurations: no timestamps, sorted
 JSON keys, and an optional caller-supplied run id for provenance.  Files are
-written atomically (temp file then rename).
+written atomically (temp file then rename).  A command handler returns its
+own payload; ``run`` adds the command and the provenance and picks the exit code.
 
 Exit codes: 0 success, 2 configuration error (a target outside the domain,
 inside the hole or too close to a surface included), 3 solver failure,
-4 INCONCLUSIVE continuation verdict under --strict.
+4 INCONCLUSIVE continuation verdict under --strict.  A configuration error
+reads ``field '<path>': <reason>``.  A config may hold a shared block that its
+command does not read, but ``_known_keys`` checks the keys of every one present.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import numpy as np
 from . import CartesianDataFamily
 from . import continuation as cont
 from .annulus import (
-    MACROSCOPIC,
-    MICROSCOPIC,
     DomainError,
     InadmissibleEpsError,
     SphereProblem,
@@ -54,11 +55,11 @@ class ConfigError(ValueError):
 
 def _require(cfg: dict, field: str, kind=None):
     if field not in cfg:
-        raise ConfigError(f"missing required field {field!r}")
+        raise ConfigError(f"field {field!r}: missing")
     value = cfg[field]
     # bool is an int subclass, but no field takes true/false
     if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
-        raise ConfigError(f"field {field!r} has wrong type {type(value).__name__}")
+        raise ConfigError(f"field {field!r}: wrong type {type(value).__name__}")
     if isinstance(value, float) and not math.isfinite(value):  # JSON NaN, Infinity
         raise ConfigError(f"field {field!r}: {value!r} is not finite")
     return value
@@ -78,12 +79,15 @@ def _optional(cfg: dict, field: str, default, kind):
     return _require(cfg, field, kind) if field in cfg else default
 
 
-def _known_keys(block: dict, field: str, keys) -> dict:
-    """The block, refused naming ``field`` if it holds a key outside ``keys``."""
-    unknown = set(block) - set(keys)
-    if unknown:
-        raise ConfigError(f"field {field!r}: unknown keys {sorted(unknown)}")
-    return block
+def _known_keys(cfg: dict) -> None:
+    """Refuse a shared block that holds a key it does not define, whatever the command."""
+    for block, keys in (("fit", ("degree", "basis")),
+                        ("grid", ("eps_min", "eps_max", "count", "signs")),
+                        ("targets", ("frame", "points", "radii")),
+                        ("thresholds", ("atol", "rtol_break", "continue_factor", "break_factor"))):
+        unknown = set(_optional(cfg, block, {}, dict)) - set(keys)
+        if unknown:
+            raise ConfigError(f"field {block!r}: unknown keys {sorted(unknown)}")
 
 
 def _non_negative(value: float, field: str) -> float:
@@ -135,13 +139,13 @@ def _parse_zonal(data_cfg: dict) -> ZonalDataFamily:
     def side(name: str) -> dict:
         raw = data_cfg.get(name, {})
         if not isinstance(raw, dict):
-            raise ConfigError(f"field data.zonal.{name} must be an object")
+            raise ConfigError(f"field 'data.zonal.{name}': must be an object")
         out = {}
         for key, coeffs in raw.items():
             try:
                 l = int(key)
             except ValueError:
-                raise ConfigError(f"field data.zonal.{name}: mode key {key!r} not an integer") from None
+                raise ConfigError(f"field 'data.zonal.{name}': mode {key!r} not an integer") from None
             if not 0 <= l <= MAX_GEGENBAUER_DEGREE:
                 raise ConfigError(f"field 'data.zonal.{name}.{key}': mode degree must be in "
                                   f"[0, {MAX_GEGENBAUER_DEGREE}], got {l}")
@@ -155,17 +159,17 @@ def _parse_cartesian(data_cfg: dict) -> CartesianDataFamily:
     def side(name: str) -> tuple:
         raw = data_cfg.get(name, [])
         if not isinstance(raw, list):
-            raise ConfigError(f"field data.cartesian.{name} must be a list of terms")
+            raise ConfigError(f"field 'data.cartesian.{name}': must be a list of terms")
         terms = []
         for i, term in enumerate(raw):
+            path = f"data.cartesian.{name}[{i}]"
             if not isinstance(term, dict):
-                raise ConfigError(f"field data.cartesian.{name}[{i}] must be an object")
+                raise ConfigError(f"field {path!r}: must be an object")
             exps = term.get("exponents")
             if not (isinstance(exps, list) and len(exps) == 3):
-                raise ConfigError(f"field data.cartesian.{name}[{i}].exponents must have 3 entries")
-            terms.append((tuple(_integers(exps, f"data.cartesian.{name}[{i}].exponents")),
-                          tuple(_decimals(term.get("coeffs"),
-                                          f"data.cartesian.{name}[{i}].coeffs"))))
+                raise ConfigError(f"field '{path}.exponents': must have 3 entries")
+            terms.append((tuple(_integers(exps, f"{path}.exponents")),
+                          tuple(_decimals(term.get("coeffs"), f"{path}.coeffs"))))
         return tuple(terms)
 
     return CartesianDataFamily(inner=side("inner"), outer=side("outer"))
@@ -185,12 +189,12 @@ def _build_mesh(spec, subdivisions: int, field: str) -> TriMesh:
         if kind == "ellipsoid":
             axes = spec.get("semi_axes")
             if not (isinstance(axes, list) and len(axes) == 3):
-                raise ConfigError(f"field {field}.semi_axes must have 3 entries")
+                raise ConfigError(f"field '{field}.semi_axes': must have 3 entries")
             axes = _decimals(axes, f"{field}.semi_axes")
             with _refused_as(f"{field}.semi_axes", MeshError):
                 return ellipsoid(*axes, subdivisions)
-        raise ConfigError(f"field {field}.builtin: unknown generator {kind!r}")
-    raise ConfigError(f"field {field} must specify 'builtin' or 'path'")
+        raise ConfigError(f"field '{field}.builtin': unknown generator {kind!r}")
+    raise ConfigError(f"field {field!r}: must specify 'builtin' or 'path'")
 
 
 def _sphere_radius(geom: dict, key: str) -> float:
@@ -209,16 +213,16 @@ def _parse_problem(cfg: dict, subdivisions: int | None = None):
     data_cfg = _require(cfg, "data", dict)
     if kind == "spheres":
         if "zonal" not in data_cfg:
-            raise ConfigError("field data: sphere geometry requires zonal data")
+            raise ConfigError("field 'data': sphere geometry requires zonal data")
         with _refused_as("dimension", ValueError):
             check_dimension(n)
         problem = SphereProblem(n, _sphere_radius(geom, "r_i"), _sphere_radius(geom, "r_o"))
         return problem, _parse_zonal(data_cfg["zonal"])
     if kind == "meshes":
         if n != 3:
-            raise ConfigError("field dimension: mesh geometry requires n = 3")
+            raise ConfigError("field 'dimension': mesh geometry requires n = 3")
         if "cartesian" not in data_cfg:
-            raise ConfigError("field data: mesh geometry requires cartesian data")
+            raise ConfigError("field 'data': mesh geometry requires cartesian data")
         if subdivisions is None:
             subdivisions = _optional(geom, "subdivisions", 3, int)
             with _refused_as("geometry.subdivisions", MeshError):
@@ -228,19 +232,18 @@ def _parse_problem(cfg: dict, subdivisions: int | None = None):
             _build_mesh(_require(geom, "outer"), subdivisions, "geometry.outer"),
         )
         return pair, _parse_cartesian(data_cfg["cartesian"])
-    raise ConfigError(f"field geometry.kind: unknown kind {kind!r}")
+    raise ConfigError(f"field 'geometry.kind': unknown kind {kind!r}")
 
 
 def _parse_grid(cfg: dict, signs: str | None = None) -> np.ndarray:
     """The configured grid on ``signs`` (default: the config's), ascending."""
-    grid_cfg = _known_keys(_require(cfg, "grid", dict), "grid",
-                           ("eps_min", "eps_max", "count", "signs"))
+    grid_cfg = _require(cfg, "grid", dict)
     eps_min = float(_require(grid_cfg, "eps_min", (int, float)))
     eps_max = float(_require(grid_cfg, "eps_max", (int, float)))
     count = int(_require(grid_cfg, "count", int))
     config_signs = grid_cfg.get("signs", "both")
     if config_signs not in ("both", "positive", "negative"):
-        raise ConfigError(f"field grid.signs: unknown value {config_signs!r}")
+        raise ConfigError(f"field 'grid.signs': unknown value {config_signs!r}")
     with _refused_as("grid", cont.GridError):
         grid = cont.make_grid(eps_min, eps_max, count)
     halves = {"positive": [grid], "negative": [-grid[::-1]], "both": [-grid[::-1], grid]}
@@ -248,10 +251,8 @@ def _parse_grid(cfg: dict, signs: str | None = None) -> np.ndarray:
 
 
 def _parse_targets(cfg: dict, solver: cont.Solver) -> cont.TargetSet:
-    tcfg = _known_keys(_require(cfg, "targets", dict), "targets", ("frame", "points", "radii"))
+    tcfg = _require(cfg, "targets", dict)
     frame = _require(tcfg, "frame", str)
-    if frame not in (MACROSCOPIC, MICROSCOPIC):
-        raise ConfigError(f"field targets.frame: unknown frame {frame!r}")
     if "points" in tcfg and "radii" in tcfg:
         raise ConfigError("field 'targets': give 'points' or 'radii', not both")
     if "points" in tcfg:
@@ -266,7 +267,7 @@ def _parse_targets(cfg: dict, solver: cont.Solver) -> cont.TargetSet:
     elif "radii" in tcfg:
         pts = np.outer(_decimals(tcfg["radii"], "targets.radii"), solver.axis)
     else:
-        raise ConfigError("field targets: needs 'points' or 'radii'")
+        raise ConfigError("field 'targets': needs 'points' or 'radii'")
     with _refused_as("targets", ValueError):
         return cont.TargetSet(frame, pts)
 
@@ -278,7 +279,7 @@ def _thresholds(cfg: dict, solver: cont.Solver) -> dict:
         "continue_factor": cont.CONTINUE_FACTOR,
         "break_factor": cont.BREAK_FACTOR,
     }
-    raw = _known_keys(_optional(cfg, "thresholds", {}, dict), "thresholds", out)
+    raw = cfg.get("thresholds", {})
     for key in out:
         if key in raw:
             out[key] = _non_negative(float(_require(raw, key, (int, float))),
@@ -288,10 +289,10 @@ def _thresholds(cfg: dict, solver: cont.Solver) -> dict:
 
 def _fit_params(cfg: dict, solver: cont.Solver) -> tuple[int, str]:
     """Fit degree and basis, checked against the positive grid before any solve."""
-    fcfg = _known_keys(_optional(cfg, "fit", {}, dict), "fit", ("degree", "basis"))
+    fcfg = cfg.get("fit", {})
     degree = fcfg.get("degree", solver.default_degree)
     if isinstance(degree, bool) or not isinstance(degree, int):
-        raise ConfigError(f"field fit.degree: {degree!r} is not an integer")
+        raise ConfigError(f"field 'fit.degree': {degree!r} is not an integer")
     basis = fcfg.get("basis", "auto")
     with _refused_as("fit", cont.FitError):
         cont.check_fit(_parse_grid(cfg, "positive"), degree, basis)
@@ -334,21 +335,11 @@ def _provenance(cfg: dict, solver: cont.Solver) -> dict:
     return prov
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def _write_report(out_dir: str, report: dict) -> None:
+    # the hook gets numpy arrays and non-float scalars; np.float64 is a float
     try:
-        text = json.dumps(_json_ready(report), indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False,
+                          default=lambda obj: obj.tolist())
     except ValueError as exc:
         raise ValueError(f"report.json would hold a non-finite number: {exc}") from None
     _atomic_write(os.path.join(out_dir, "report.json"), text + "\n")
@@ -395,21 +386,19 @@ def _solve_command(cfg, solver, data, targets, out_dir):
     eps = float(_require(cfg, "eps", (int, float)))
     result = _swept(cfg, solver, data, targets, out_dir, np.array([eps]), "eps")
     return {
-        "command": "solve",
         "eps": eps,
         "values": result.values[0],
         "cond_estimate": _conds(result.conds)[0],
-        "provenance": _provenance(cfg, solver),
-    }, EXIT_OK
+    }
 
 
 def _sweep_command(cfg, solver, data, targets, out_dir):
     result = _swept(cfg, solver, data, targets, out_dir, _parse_grid(cfg), "grid")
-    report = {"command": "sweep", "provenance": _provenance(cfg, solver)}
+    report = {}
     for name, side in (("positive", result.grid > 0), ("negative", result.grid < 0)):
         if side.any():
             report[name] = {"grid": result.grid[side], "cond_estimates": _conds(result.conds[side])}
-    return report, EXIT_OK
+    return report
 
 
 def _fit_command(cfg, solver, data, targets, out_dir):
@@ -417,66 +406,58 @@ def _fit_command(cfg, solver, data, targets, out_dir):
     pos = _swept(cfg, solver, data, targets, out_dir, _parse_grid(cfg, "positive"), "grid")
     fit = cont.fit_series(pos, degree, basis)
     return {
-        "command": "fit",
         "eps_scale": fit.eps_scale,
         "degree": fit.degree,
-        "basis": list(fit.basis_labels),
+        "basis": fit.basis_labels,
         "coefficients": fit.coeffs,
         "residuals": fit.residuals,
         "full_basis_residuals": fit.full_residuals,
         "design_condition": fit.cond,
-        "provenance": _provenance(cfg, solver),
-    }, EXIT_OK
+    }
 
 
-def _continuation_command(cfg, solver, data, targets, out_dir, strict):
+def _continuation_command(cfg, solver, data, targets, out_dir):
     degree, basis = _fit_params(cfg, solver)
     thresholds = _thresholds(cfg, solver)
     signed = _swept(cfg, solver, data, targets, out_dir, _parse_grid(cfg, "both"), "grid")
     fit = cont.fit_series(signed.subset(signed.grid > 0), degree, basis)
     report = cont.test_continuation(fit, signed.subset(signed.grid < 0), **thresholds)
-    payload = {
-        "command": "continuation",
+    return {
         "verdict": report.verdict,
-        "target_verdicts": list(report.target_verdicts),
+        "target_verdicts": report.target_verdicts,
         "fit_residuals": report.fit_residuals,
-        "full_basis_residuals": report.full_fit_residuals,
+        "full_basis_residuals": fit.full_residuals,
         "extrapolation_errors": report.extrapolation_errors,
         "value_scales": report.value_scales,
-        "fit_basis": list(report.basis_labels),
+        "fit_basis": fit.basis_labels,
         "fit_coefficients": fit.coeffs,
         "eps_scale": fit.eps_scale,
-        "thresholds": report.thresholds,
-        "provenance": _provenance(cfg, solver),
+        "thresholds": thresholds,
     }
-    code = EXIT_OK
-    if strict and report.verdict == cont.INCONCLUSIVE:
-        code = EXIT_STRICT_INCONCLUSIVE
-    return payload, code
 
 
 def _symmetry_command(cfg, solver, data, targets, out_dir):
     zeta = int(_require(cfg, "zeta", int))
     if zeta not in (-1, 1):
-        raise ConfigError("field zeta: must be +1 or -1")
+        raise ConfigError("field 'zeta': must be +1 or -1")
+    claimed = cfg.get("hypothesis_checked", False)
+    if not isinstance(claimed, bool):
+        raise ConfigError(f"field 'hypothesis_checked': {claimed!r} is not true or false")
     degree, _ = _fit_params(cfg, solver)
     pos = _swept(cfg, solver, data, targets, out_dir, _parse_grid(cfg, "positive"), "grid")
     fit = cont.fit_series(pos, degree, basis="full")
-    hypothesis, checked = solver.symmetry_hypothesis(
-        data, zeta, bool(cfg.get("hypothesis_checked", False)))
+    hypothesis, checked = solver.symmetry_hypothesis(data, zeta, claimed)
     report = cont.test_symmetry(fit, zeta, hypothesis_checked=checked)
     return {
-        "command": "symmetry",
         "zeta": zeta,
         "forbidden_relative": report.forbidden_relative,
         "max_forbidden_relative": report.max_forbidden_relative,
-        "forbidden_indices": list(report.forbidden_indices),
+        "forbidden_indices": report.forbidden_indices,
         "hypothesis_checked": report.hypothesis_checked,
         "hypothesis_detail": hypothesis,
         "note": report.note,
         "coefficients": fit.coeffs,
-        "provenance": _provenance(cfg, solver),
-    }, EXIT_OK
+    }
 
 
 def _summed_coeffs(terms) -> tuple:
@@ -487,6 +468,12 @@ def _summed_coeffs(terms) -> tuple:
     return tuple(float(c) for c in total)
 
 
+def _observed_orders(errors: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """log(e_k / e_k+1) / log(h_k / h_k+1) for successive rows of ``errors`` and ``edges``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(errors[:-1] / errors[1:]) / np.log(edges[:-1] / edges[1:])
+
+
 def _convergence_levels(cfg: dict) -> list[int]:
     """The checked subdivision levels of a convergence study.
 
@@ -495,9 +482,9 @@ def _convergence_levels(cfg: dict) -> list[int]:
     """
     geom = _require(cfg, "geometry", dict)
     if _require(geom, "kind", str) != "meshes":
-        raise ConfigError("field geometry: convergence study needs mesh geometry")
+        raise ConfigError("field 'geometry': convergence study needs mesh geometry")
     if "path" in _require(geom, "inner", dict) or "path" in _require(geom, "outer", dict):
-        raise ConfigError("field geometry: convergence study needs builtin generators")
+        raise ConfigError("field 'geometry': convergence study needs builtin generators")
     base = _optional(geom, "subdivisions", 2, int)
     with _refused_as("geometry.subdivisions", MeshError):
         check_subdivisions(base)
@@ -507,7 +494,7 @@ def _convergence_levels(cfg: dict) -> list[int]:
         with _refused_as(f"subdivision_levels[{i}]", MeshError):
             check_subdivisions(s)
     if len(levels) < 2:
-        raise ConfigError("field subdivision_levels: need at least two levels")
+        raise ConfigError("field 'subdivision_levels': need at least two levels")
     return levels
 
 
@@ -549,7 +536,6 @@ def _convergence_command(cfg, solver, data, targets, out_dir, levels):
     provenance = _provenance(cfg, solver)
     provenance["geometry"] = {"kind": "meshes", "levels": meshes}
     payload = {
-        "command": "convergence",
         "eps": eps,
         "levels": levels,
         "mean_edge_lengths": edges,
@@ -573,7 +559,7 @@ def _convergence_command(cfg, solver, data, targets, out_dir, levels):
         )
         with np.errstate(divide="ignore", invalid="ignore"):
             errors = np.max(np.abs(values - oracle[None, :]) / np.abs(oracle[None, :]), axis=1)
-            orders = np.log(errors[:-1] / errors[1:]) / np.log(edges[:-1] / edges[1:])
+        orders = _observed_orders(errors, edges)
         payload.update({
             "oracle": "spectral",
             "oracle_values": oracle,
@@ -584,14 +570,12 @@ def _convergence_command(cfg, solver, data, targets, out_dir, levels):
         derived = ("relative_errors", "observed_orders", "observed_order")
     else:
         if len(levels) < 3:
-            raise ConfigError("field subdivision_levels: Richardson estimate needs 3 levels")
+            raise ConfigError("field 'subdivision_levels': Richardson estimate needs 3 levels")
         # per-target successive differences stand in for the unknown errors;
         # the spread of the per-target order estimates is the uncertainty
         diffs = np.abs(np.diff(values, axis=0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            orders = np.log(diffs[:-1] / diffs[1:]) / np.log(
-                (edges[:-2] / edges[1:-1])[:, None]
-            )
+        orders = _observed_orders(diffs, edges[:-1, None])
+        with np.errstate(invalid="ignore"):  # inf - inf between two undefined orders
             spread = float(np.ptp(orders))
         payload.update({
             "oracle": "richardson",
@@ -602,14 +586,15 @@ def _convergence_command(cfg, solver, data, targets, out_dir, levels):
         })
         derived = ("observed_orders", "observed_order", "order_uncertainty")
     payload["undefined"] = _mark_undefined(payload, derived)
-    return payload, EXIT_OK
+    return payload
 
 
 def run(config: dict, out_dir: str = ".", strict: bool = False) -> int:
-    """Execute one command; returns the process exit code."""
+    """Execute one command and write its report; returns the process exit code."""
     command = _require(config, "command", str)
     if command not in COMMANDS:
-        raise ConfigError(f"field command: unknown command {command!r}")
+        raise ConfigError(f"field 'command': unknown command {command!r}")
+    _known_keys(config)
     # a convergence study solves no pair at geometry.subdivisions: its
     # problem is the pair of its first level
     levels = _convergence_levels(config) if command == "convergence" else None
@@ -618,12 +603,16 @@ def run(config: dict, out_dir: str = ".", strict: bool = False) -> int:
     targets = _parse_targets(config, solver)
     os.makedirs(out_dir, exist_ok=True)
     handler = {"solve": _solve_command, "sweep": _sweep_command, "fit": _fit_command,
-               "continuation": partial(_continuation_command, strict=strict),
+               "continuation": _continuation_command,
                "symmetry": _symmetry_command,
                "convergence": partial(_convergence_command, levels=levels)}[command]
-    payload, code = handler(config, solver, data, targets, out_dir)
+    payload = handler(config, solver, data, targets, out_dir)
+    payload["command"] = command
+    payload.setdefault("provenance", _provenance(config, solver))
     _write_report(out_dir, payload)
-    return code
+    if strict and payload.get("verdict") == cont.INCONCLUSIVE:
+        return EXIT_STRICT_INCONCLUSIVE
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -650,7 +639,7 @@ def main(argv=None) -> int:
     config.setdefault("command", args.command)
     if config["command"] != args.command:
         print(
-            f"holelab: config error: field command {config['command']!r} "
+            f"holelab: config error: field 'command': {config['command']!r} "
             f"conflicts with CLI command {args.command!r}",
             file=sys.stderr,
         )

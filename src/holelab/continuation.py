@@ -352,11 +352,8 @@ class ContinuationReport:
     verdict: str
     target_verdicts: tuple
     fit_residuals: np.ndarray
-    full_fit_residuals: np.ndarray
     extrapolation_errors: np.ndarray
     value_scales: np.ndarray
-    basis_labels: tuple
-    thresholds: dict
     predicted: np.ndarray
 
 
@@ -403,16 +400,7 @@ def test_continuation(fit: PowerSeriesFit, negative_sweep: SweepResult, *,
         overall = CONTINUES
     else:
         overall = INCONCLUSIVE
-    thresholds = {
-        "atol": atol,
-        "rtol_break": rtol_break,
-        "continue_factor": continue_factor,
-        "break_factor": break_factor,
-    }
-    return ContinuationReport(
-        overall, tuple(verdicts), fit.residuals, fit.full_residuals,
-        errors, scales, fit.basis_labels, thresholds, predicted,
-    )
+    return ContinuationReport(overall, tuple(verdicts), fit.residuals, errors, scales, predicted)
 
 
 @dataclass(frozen=True)

@@ -1016,6 +1016,16 @@ def test_failing_eps_mid_grid_raises_and_yields_nothing_after(unit_pair_s3, monk
     assert np.max(np.abs(got[0].mu_inner - want.mu_inner)) <= 1e-12 * np.max(np.abs(want.mu_inner))
 
 
+def test_singular_self_block_refused_before_the_expansion_is_built(unit_pair_s3, monkeypatch):
+    # a certified eps goes through CouplingExpansion, which checks the
+    # rcond of both factored self blocks, the inner one first
+    original = bem._factor
+    monkeypatch.setattr(bem, "_factor", lambda a, norm_1: (original(a, norm_1)[0], 1e-20))
+    assert bem.expansion_degree(unit_pair_s3, 0.3) is not None
+    with pytest.raises(SolverError, match=r"system inner block is singular .*rcond=1\.00e-20"):
+        list(bem.solve_grid(unit_pair_s3, BLOCK_DATA, [0.3]))
+
+
 def test_inadmissible_eps_mid_grid_raises_before_any_solve(unit_pair_s3, monkeypatch):
     # certified at every eps, but 0.3 comes closer to the outer mesh than
     # this clearance_min allows: the whole grid is refused up front

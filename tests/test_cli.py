@@ -14,7 +14,9 @@ from holelab.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_STRICT_INCONCLUSIVE,
+    ConfigError,
     main,
+    run,
 )
 from holelab.mesh import AdmissibilityError, GeometryPair, icosphere
 
@@ -603,6 +605,46 @@ def test_config_errors_exit_2_naming_the_field(tmp_path, capsys):
         (edited(base_config(4), ("thresholds",), {"atol": -1}), "'thresholds.atol'"),
         (edited(base_config(4), ("thresholds",), {"continue_factor": -10}),
          "'thresholds.continue_factor'"),
+        # geometry and data
+        ({k: v for k, v in sphere_cfg.items() if k != "geometry"}, "field 'geometry': missing"),
+        (edited(levels_cfg, ("subdivision_levels",), "x"), "'subdivision_levels'"),
+        (edited(sphere_cfg, ("data", "zonal", "inner"), ["1"]), "'data.zonal.inner'"),
+        (edited(sphere_cfg, ("data", "zonal", "inner"), {"a": ["1"]}), "'data.zonal.inner'"),
+        (edited(mesh_cfg, ("data", "cartesian", "outer"), {}), "'data.cartesian.outer'"),
+        (edited(mesh_cfg, ("data", "cartesian", "inner", 0, "exponents"), [0, 0]),
+         "'data.cartesian.inner[0].exponents'"),
+        (edited(mesh_cfg, ("geometry", "outer"), {"builtin": "ellipsoid", "semi_axes": [1, 1]}),
+         "'geometry.outer.semi_axes'"),
+        (edited(mesh_cfg, ("geometry", "outer"), {"builtin": "torus"}),
+         "'geometry.outer.builtin'"),
+        (edited(mesh_cfg, ("geometry", "outer"), {"radius": 1.0}), "'geometry.outer'"),
+        (edited(sphere_cfg, ("data",), mesh_cfg["data"]), "field 'data': sphere geometry"),
+        (edited(mesh_cfg, ("data",), sphere_cfg["data"]), "field 'data': mesh geometry"),
+        (edited(sphere_cfg, ("geometry", "kind"), "torus"), "'geometry.kind'"),
+        # grid and targets
+        (edited(edited(base_config(4), ("command",), "sweep"), ("grid", "signs"), "all"),
+         "'grid.signs'"),
+        (edited(sphere_cfg, ("targets", "frame"), "sideways"),
+         "field 'targets': unknown frame 'sideways'"),
+        (edited(mesh_cfg, ("targets",), {"frame": "macroscopic", "points": "x"}),
+         "'targets.points'"),
+        (edited(mesh_cfg, ("targets",), {"frame": "macroscopic"}), "field 'targets': needs"),
+        # a shared block's keys are checked whatever the command
+        (edited(sphere_cfg, ("grid",), {"bogus": 1}), "field 'grid': unknown keys"),
+        (edited(edited(sphere_cfg, ("command",), "solve"), ("thresholds",), {"atl": 1}),
+         "field 'thresholds': unknown keys"),
+        # symmetry
+        (dict(base_config(4), command="symmetry", zeta=2), "'zeta'"),
+        (dict(bem_sweep_config(), command="symmetry", zeta=1, fit={"degree": 1},
+              hypothesis_checked="no"),
+         "'hypothesis_checked'"),
+        # convergence
+        (edited(levels_cfg, ("geometry", "inner"), {"path": str(tmp_path / "inner.off")}),
+         "field 'geometry': convergence study needs builtin"),
+        (edited(levels_cfg, ("subdivision_levels",), [1]), "'subdivision_levels'"),
+        (edited(edited(levels_cfg, ("subdivision_levels",), [1, 2]),
+                ("data", "cartesian", "inner", 0, "exponents"), [0, 0, 1]),
+         "field 'subdivision_levels': Richardson"),
     )
     for i, (cfg, field) in enumerate(rows):
         command = cfg.get("command") or ("continuation" if "thresholds" in cfg else "solve")
@@ -610,6 +652,26 @@ def test_config_errors_exit_2_naming_the_field(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG and report is None, field
         assert field in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("text, refusal", [
+    (None, "No such file"),
+    ("{", "Expecting property name"),
+    ("[]", "top level must be a JSON object"),
+])
+def test_unreadable_config_exits_2(tmp_path, capsys, text, refusal):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    code = main(["solve", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and not (tmp_path / "out").exists()
+    assert "config error" in err and refusal in err and "Traceback" not in err
+
+
+def test_run_refuses_an_unknown_command(tmp_path):
+    with pytest.raises(ConfigError, match="field 'command': unknown command 'bogus'"):
+        run(dict(base_config(4), command="bogus"), str(tmp_path))
 
 
 @pytest.mark.parametrize("levels, oracle", [([1, 2], "spectral"), ([1, 2, 3], "richardson")])

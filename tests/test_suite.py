@@ -1,6 +1,8 @@
-"""Checks on the test modules themselves, and a ratchet on the package's options."""
+"""Checks on the test modules themselves, a ratchet on the package's options, and
+the format of the CLI's refusals."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -50,6 +52,25 @@ def _settable_values(tree: ast.Module) -> int:
             count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
                          for s in node.body)
     return count
+
+
+def _message_template(node: ast.expr) -> str:
+    """A message literal with each {value} as x and each {value!r} as 'x'."""
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant)
+                       else "'x'" if v.conversion == ord("r") else "x" for v in node.values)
+    return node.value if isinstance(node, ast.Constant) else ""
+
+
+def test_every_cli_refusal_names_its_field_first():
+    # one format for every configuration refusal: field '<path>': <reason>
+    cli = SRC / "cli.py"
+    refusals = [node for node in ast.walk(ast.parse(cli.read_text(), str(cli)))
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ConfigError"]
+    unformatted = [node.lineno for node in refusals
+                   if not re.match(r"field '[^']+': \S", _message_template(node.args[0]))]
+    assert refusals
+    assert unformatted == []  # line numbers in cli.py
 
 
 def test_settable_values_do_not_grow():
