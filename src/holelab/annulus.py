@@ -89,6 +89,19 @@ class SphereProblem:
             )
 
 
+def eps_polynomial(coeffs) -> tuple:
+    """Ascending eps-polynomial coefficients as a tuple of Python floats.
+
+    Refuses an empty or non-1-D sequence with ValueError.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError(
+            f"eps-polynomial coefficients must be a non-empty 1-D sequence, got shape {c.shape}"
+        )
+    return tuple(c.tolist())
+
+
 @dataclass(frozen=True)
 class ZonalDataFamily:
     """Zonal Dirichlet data: per mode l, a polynomial in eps (ascending coeffs).
@@ -102,27 +115,38 @@ class ZonalDataFamily:
 
     def __post_init__(self):
         for side in (self.inner, self.outer):
-            for l, coeffs in side.items():
+            for l in side:
                 if l < 0:
                     raise ValueError(f"mode degrees must be >= 0, got {l}")
-                np.asarray(coeffs, dtype=float)
+        self._polys  # checks and converts every mode's coefficients, once
+
+    @cached_property
+    def _polys(self) -> tuple[dict, dict]:
+        """The inner and outer modes' coefficients, each an ``eps_polynomial``."""
+        return tuple({l: eps_polynomial(coeffs) for l, coeffs in side.items()}
+                     for side in (self.inner, self.outer))
 
     @property
     def max_degree(self) -> int:
         return max([*self.inner.keys(), *self.outer.keys()], default=0)
 
     @staticmethod
-    def _coeff(side: dict, l: int, eps: float) -> float:
-        coeffs = side.get(l)
-        if coeffs is None:
+    def _coeff(polys: dict, l: int, eps: float) -> float:
+        c = polys.get(l)
+        if c is None:
             return 0.0
-        return float(np.polynomial.polynomial.polyval(eps, np.asarray(coeffs, dtype=float)))
+        # polyval's Horner recurrence in Python floats, so the same bits
+        eps = float(eps)
+        acc = c[-1] + eps * 0
+        for k in range(len(c) - 2, -1, -1):
+            acc = c[k] + acc * eps
+        return acc
 
     def inner_coeff(self, l: int, eps: float) -> float:
-        return self._coeff(self.inner, l, eps)
+        return self._coeff(self._polys[0], l, eps)
 
     def outer_coeff(self, l: int, eps: float) -> float:
-        return self._coeff(self.outer, l, eps)
+        return self._coeff(self._polys[1], l, eps)
 
 
 @dataclass(frozen=True)

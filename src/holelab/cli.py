@@ -33,6 +33,7 @@ from .annulus import (
     InadmissibleEpsError,
     SphereProblem,
     ZonalDataFamily,
+    eps_polynomial,
     eval_solution,
     solve_densities,
 )
@@ -149,7 +150,10 @@ def _parse_zonal(data_cfg: dict) -> ZonalDataFamily:
             if not 0 <= l <= MAX_GEGENBAUER_DEGREE:
                 raise ConfigError(f"field 'data.zonal.{name}.{key}': mode degree must be in "
                                   f"[0, {MAX_GEGENBAUER_DEGREE}], got {l}")
-            out[l] = tuple(_decimals(coeffs, f"data.zonal.{name}.{key}"))
+            path = f"data.zonal.{name}.{key}"
+            numbers = _decimals(coeffs, path)
+            with _refused_as(path, ValueError):
+                out[l] = eps_polynomial(numbers)
         return out
 
     return ZonalDataFamily(inner=side("inner"), outer=side("outer"))
@@ -519,6 +523,8 @@ def _convergence_command(cfg, solver, data, targets, out_dir, levels):
         exp == (0, 0, 0) for exp, _ in data.outer
     )
     use_oracle = spheres and constant_data
+    if not use_oracle and len(levels) < 3:
+        raise ConfigError("field 'subdivision_levels': Richardson estimate needs 3 levels")
 
     values = []
     edges = []
@@ -569,8 +575,6 @@ def _convergence_command(cfg, solver, data, targets, out_dir, levels):
         })
         derived = ("relative_errors", "observed_orders", "observed_order")
     else:
-        if len(levels) < 3:
-            raise ConfigError("field 'subdivision_levels': Richardson estimate needs 3 levels")
         # per-target successive differences stand in for the unknown errors;
         # the spread of the per-target order estimates is the uncertainty
         diffs = np.abs(np.diff(values, axis=0))

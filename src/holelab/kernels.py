@@ -22,6 +22,11 @@ MAX_DIMENSION = 343
 EIGENVALUE_RTOL = 1e-13
 _GL_NODES_PER_PANEL = 16
 _MAX_PANEL_LEVELS = 14
+# The Gauss-Legendre rule on [-1, 1] that every panel maps, built once at
+# import: a fresh process pays for it once, not at every eigenvalue miss.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_NODES_PER_PANEL)
+_GL_NODES.setflags(write=False)
+_GL_WEIGHTS.setflags(write=False)
 
 
 class QuadratureError(RuntimeError):
@@ -165,14 +170,13 @@ def sphere_single_layer_eigenvalue(n: int, a: float, l: int) -> float:
         raise ValueError(f"sphere radius must be positive, got a={a}")
     if l < 0:
         raise ValueError(f"degree must be >= 0, got l={l}")
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES_PER_PANEL)
 
     def integrate(panels: int) -> float:
         edges = np.linspace(0.0, pi, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
-        theta = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        w = (half[:, None] * weights[None, :]).ravel()
+        theta = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+        w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
         return float(np.dot(w, _eigenvalue_integrand(n, a, l, theta)))
 
     panels = max(2, l // 2)

@@ -19,6 +19,7 @@ from holelab.annulus import (
     solve_limit_system,
     solve_modes,
 )
+from holelab.continuation import default_grid
 from holelab.kernels import MAX_DIMENSION, sphere_single_layer_eigenvalue
 
 HOLE_EPS_DATA = ZonalDataFamily(inner={0: (0.0, 1.0)})  # value eps on the hole, 0 outside
@@ -52,6 +53,40 @@ def test_problem_validation():
         prob.check_eps(0.0)
     with pytest.raises(InadmissibleEpsError):
         prob.check_eps(1.0)
+
+
+# ---------------------------------------------------------------------------
+# zonal data: coefficients converted once, evaluated by Horner's rule
+# ---------------------------------------------------------------------------
+
+def test_data_coefficients_equal_polyval_bit_for_bit():
+    rng = np.random.default_rng(28)
+    grid = [float(e) for e in default_grid()]
+    eps_values = [0.0, -0.0, 1.0, -1.0, *grid, *(-e for e in grid)]
+    for _ in range(200):
+        sides = []
+        for _ in range(2):
+            k = int(rng.integers(1, 7))
+            c = [float(x) for x in rng.normal(size=k) * 10.0 ** rng.integers(-3, 4, size=k)]
+            c[int(rng.integers(k))] = int(rng.integers(-5, 6))
+            c[int(rng.integers(k))] = -0.0
+            sides.append(c)
+        l = int(rng.integers(0, 9))
+        data = ZonalDataFamily(inner={l: sides[0]}, outer={l: tuple(sides[1])})
+        for eps in eps_values:
+            got = (data.inner_coeff(l, eps), data.outer_coeff(l, eps))
+            for value, c in zip(got, sides):
+                want = float(np.polynomial.polynomial.polyval(eps, np.asarray(c, dtype=float)))
+                assert value.hex() == want.hex(), (c, eps)
+        assert data.inner_coeff(l + 1, 0.3) == 0.0 and data.outer_coeff(l + 1, -0.3) == 0.0
+
+
+@pytest.mark.parametrize("coeffs", [(), [], [[1.0, 2.0]], 3.0])
+def test_zonal_data_refuses_empty_or_non_1d_coefficients(coeffs):
+    with pytest.raises(ValueError, match="non-empty 1-D"):
+        ZonalDataFamily(inner={0: coeffs})
+    with pytest.raises(ValueError, match="non-empty 1-D"):
+        ZonalDataFamily(inner={0: (1.0,)}, outer={2: coeffs})
 
 
 # ---------------------------------------------------------------------------

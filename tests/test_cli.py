@@ -490,6 +490,24 @@ def test_convergence_checks_every_level_before_solving_one(tmp_path, monkeypatch
     assert "'eps'" in err and "refused at eps=0.3" in err
 
 
+def test_convergence_refuses_two_richardson_levels_before_solving(tmp_path, monkeypatch, capsys):
+    sweeps = []
+    sweep = cont.sweep
+
+    def counted(*args, **kwargs):
+        sweeps.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(cont, "sweep", counted)
+    cfg = mesh_solve_config(0.3)
+    cfg["subdivision_levels"] = [1, 2]  # the outer datum is not constant: no oracle
+    code, report, _ = run_cli(tmp_path, "convergence", cfg)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and report is None
+    assert "field 'subdivision_levels': Richardson estimate needs 3 levels" in err
+    assert sweeps == []
+
+
 def _with_radii(cfg, command, radii):
     cfg = json.loads(json.dumps(cfg))
     cfg["command"] = command
@@ -502,8 +520,8 @@ def _with_radii(cfg, command, radii):
     (_with_radii(base_config(4), "sweep", [0.1]), "not admissible"),
     (_with_radii(bem_sweep_config(), "sweep", [0.2]), "is inside the hole"),
     (_with_radii(mesh_solve_config(0.3), "solve", [0.97]), "from a surface"),
-    (_with_radii(dict(mesh_solve_config(0.3), subdivision_levels=[1, 2]), "convergence", [0.97]),
-     "from a surface"),
+    (_with_radii(dict(mesh_solve_config(0.3), subdivision_levels=[1, 2, 3]), "convergence",
+                 [0.97]), "from a surface"),
 ])
 def test_refused_targets_exit_2_naming_targets(tmp_path, capsys, config, refusal):
     code, report, _ = run_cli(tmp_path, config["command"], config)
@@ -592,6 +610,7 @@ def test_config_errors_exit_2_naming_the_field(tmp_path, capsys):
         (edited(sphere_cfg, ("data", "zonal", "outer"), {"-1": ["1"]}),
          "'data.zonal.outer.-1'"),
         (edited(sphere_cfg, ("data", "zonal", "inner", "70"), ["1"]), "'data.zonal.inner.70'"),
+        (edited(sphere_cfg, ("data", "zonal", "inner", "0"), []), "field 'data.zonal.inner.0': "),
         (edited(mesh_cfg, ("data", "cartesian", "inner", 0, "coeffs"), "1"),
          "'data.cartesian.inner[0].coeffs'"),
         # a key the block does not read, or both ways of giving targets

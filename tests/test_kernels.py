@@ -255,3 +255,58 @@ def test_eigenvalue_preconditions_and_budget(monkeypatch):
     monkeypatch.setattr(kernels, "_MAX_PANEL_LEVELS", 0)
     with pytest.raises(QuadratureError):
         sphere_single_layer_eigenvalue(3, 0.987654321, 2)
+
+
+def _reference_eigenvalue(n, a, l):
+    # The quadrature with the Gauss rule built at every call, as it was
+    # before the rule became a module constant.
+    from holelab.kernels import _eigenvalue_integrand
+
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+
+    def integrate(panels):
+        edges = np.linspace(0.0, pi, panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        theta = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+        w = (half[:, None] * weights[None, :]).ravel()
+        return float(np.dot(w, _eigenvalue_integrand(n, a, l, theta)))
+
+    panels = max(2, l // 2)
+    value = integrate(panels)
+    for _ in range(14):
+        panels *= 2
+        refined = integrate(panels)
+        if abs(refined - value) / max(abs(refined), 1e-300) <= 1e-13:
+            return refined
+        value = refined
+    raise AssertionError(f"reference did not converge for n={n}, a={a}, l={l}")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_eigenvalues_equal_the_per_call_rule_bit_for_bit(n):
+    for a in (0.37, 1.0, 1.3, 2.0):
+        for l in range(17):
+            got = sphere_single_layer_eigenvalue(n, a, l)
+            assert got.hex() == _reference_eigenvalue(n, a, l).hex(), (a, l)
+
+
+def test_eigenvalue_miss_builds_no_gauss_rule(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda deg: calls.append(deg) or leggauss(deg))
+    sphere_single_layer_eigenvalue.cache_clear()
+    sphere_single_layer_eigenvalue(5, 0.37, 7)
+    sphere_single_layer_eigenvalue(3, 1.3, 0)
+    assert sphere_single_layer_eigenvalue.cache_info().misses == 2
+    assert calls == []
+
+
+def test_shared_gauss_rule_is_read_only():
+    import holelab.kernels as kernels
+
+    for array in (kernels._GL_NODES, kernels._GL_WEIGHTS):
+        assert array.shape == (16,)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
