@@ -102,51 +102,44 @@ def eps_polynomial(coeffs) -> tuple:
     return tuple(c.tolist())
 
 
+def eps_polyval(coeffs: tuple, eps: float) -> float:
+    """An ``eps_polynomial`` at eps, by polyval's Horner recurrence in floats (same bits)."""
+    eps = float(eps)
+    acc = coeffs[-1] + eps * 0
+    for k in range(len(coeffs) - 2, -1, -1):
+        acc = coeffs[k] + acc * eps
+    return acc
+
+
 @dataclass(frozen=True)
 class ZonalDataFamily:
     """Zonal Dirichlet data: per mode l, a polynomial in eps (ascending coeffs).
 
     ``inner`` gives the datum on the unit-scale inner sphere (the value of
-    u(eps*q)); ``outer`` the datum on the outer sphere.
+    u(eps*q)); ``outer`` the datum on the outer sphere.  Each mode's
+    coefficients are converted once, to an ``eps_polynomial``.
     """
 
     inner: dict = field(default_factory=dict)
     outer: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for side in (self.inner, self.outer):
+        for name in ("inner", "outer"):
+            side = getattr(self, name)
             for l in side:
                 if l < 0:
                     raise ValueError(f"mode degrees must be >= 0, got {l}")
-        self._polys  # checks and converts every mode's coefficients, once
-
-    @cached_property
-    def _polys(self) -> tuple[dict, dict]:
-        """The inner and outer modes' coefficients, each an ``eps_polynomial``."""
-        return tuple({l: eps_polynomial(coeffs) for l, coeffs in side.items()}
-                     for side in (self.inner, self.outer))
+            object.__setattr__(self, name, {l: eps_polynomial(c) for l, c in side.items()})
 
     @property
     def max_degree(self) -> int:
         return max([*self.inner.keys(), *self.outer.keys()], default=0)
 
-    @staticmethod
-    def _coeff(polys: dict, l: int, eps: float) -> float:
-        c = polys.get(l)
-        if c is None:
-            return 0.0
-        # polyval's Horner recurrence in Python floats, so the same bits
-        eps = float(eps)
-        acc = c[-1] + eps * 0
-        for k in range(len(c) - 2, -1, -1):
-            acc = c[k] + acc * eps
-        return acc
-
     def inner_coeff(self, l: int, eps: float) -> float:
-        return self._coeff(self._polys[0], l, eps)
+        return eps_polyval(self.inner[l], eps) if l in self.inner else 0.0
 
     def outer_coeff(self, l: int, eps: float) -> float:
-        return self._coeff(self._polys[1], l, eps)
+        return eps_polyval(self.outer[l], eps) if l in self.outer else 0.0
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 from scipy.linalg.blas import dgemm, dgemv
 
-from .annulus import MACROSCOPIC, MICROSCOPIC, DomainError, coupling_sign
+from .annulus import MACROSCOPIC, MICROSCOPIC, DomainError, coupling_sign, eps_polynomial, eps_polyval
 from .mesh import (
     GeometryPair,
     MeshError,
@@ -128,20 +128,26 @@ class CartesianDataFamily:
     """Boundary data as space polynomials with polynomial-in-eps coefficients.
 
     Each term is (exponents, coeffs): exponents is a 3-tuple of monomial
-    powers, coeffs the ascending eps-polynomial of that monomial.  ``inner``
-    is evaluated in the rescaled variable (points of the unit-scale hole
-    mesh), ``outer`` at physical points of the outer surface.
+    powers, coeffs the ascending eps-polynomial of that monomial, converted
+    once to an ``eps_polynomial``.  ``inner`` is evaluated in the rescaled
+    variable (points of the unit-scale hole mesh), ``outer`` at physical
+    points of the outer surface.
     """
 
     inner: tuple = ()
     outer: tuple = ()
+
+    def __post_init__(self):
+        for name in ("inner", "outer"):
+            object.__setattr__(self, name, tuple((tuple(exponents), eps_polynomial(coeffs))
+                                                 for exponents, coeffs in getattr(self, name)))
 
     @staticmethod
     def _eval(terms, points: np.ndarray, eps: float) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(len(points))
         for exponents, coeffs in terms:
-            coeff = float(np.polynomial.polynomial.polyval(eps, np.asarray(coeffs, float)))
+            coeff = eps_polyval(coeffs, eps)
             mono = np.ones(len(points))
             for axis, power in enumerate(exponents):
                 if power:

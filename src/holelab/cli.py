@@ -54,15 +54,17 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
 
 
-def _require(cfg: dict, field: str, kind=None):
-    if field not in cfg:
-        raise ConfigError(f"field {field!r}: missing")
-    value = cfg[field]
+def _require(cfg: dict, path: str, kind=None):
+    """The entry of ``cfg`` under the last key of the dotted ``path``; a refusal names ``path``."""
+    key = path.rpartition(".")[2]
+    if key not in cfg:
+        raise ConfigError(f"field {path!r}: missing")
+    value = cfg[key]
     # bool is an int subclass, but no field takes true/false
     if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
-        raise ConfigError(f"field {field!r}: wrong type {type(value).__name__}")
+        raise ConfigError(f"field {path!r}: wrong type {type(value).__name__}")
     if isinstance(value, float) and not math.isfinite(value):  # JSON NaN, Infinity
-        raise ConfigError(f"field {field!r}: {value!r} is not finite")
+        raise ConfigError(f"field {path!r}: {value!r} is not finite")
     return value
 
 
@@ -75,9 +77,9 @@ def _refused_as(field: str, *errors):
         raise ConfigError(f"field {field!r}: {exc}") from None
 
 
-def _optional(cfg: dict, field: str, default, kind):
-    """cfg[field] checked as in _require when present, else default."""
-    return _require(cfg, field, kind) if field in cfg else default
+def _optional(cfg: dict, path: str, default, kind):
+    """The entry under ``path`` checked as in _require when present, else default."""
+    return _require(cfg, path, kind) if path.rpartition(".")[2] in cfg else default
 
 
 def _known_keys(cfg: dict) -> None:
@@ -125,9 +127,10 @@ def _integers(value, field: str) -> list[int]:
     if not isinstance(value, list):
         raise ConfigError(f"field {field!r}: expected a list of integers")
     for i, x in enumerate(value):
+        name = f"{field}[{i}]"
         if isinstance(x, bool) or not isinstance(x, int):
-            name = f"{field}[{i}]"
             raise ConfigError(f"field {name!r}: {x!r} is not an integer")
+        _non_negative(x, name)
     return list(value)
 
 
@@ -172,8 +175,10 @@ def _parse_cartesian(data_cfg: dict) -> CartesianDataFamily:
             exps = term.get("exponents")
             if not (isinstance(exps, list) and len(exps) == 3):
                 raise ConfigError(f"field '{path}.exponents': must have 3 entries")
-            terms.append((tuple(_integers(exps, f"{path}.exponents")),
-                          tuple(_decimals(term.get("coeffs"), f"{path}.coeffs"))))
+            exps = _integers(exps, f"{path}.exponents")
+            coeffs = _decimals(term.get("coeffs"), f"{path}.coeffs")
+            with _refused_as(f"{path}.coeffs", ValueError):
+                terms.append((exps, eps_polynomial(coeffs)))
         return tuple(terms)
 
     return CartesianDataFamily(inner=side("inner"), outer=side("outer"))
@@ -212,7 +217,7 @@ def _parse_problem(cfg: dict, subdivisions: int | None = None):
     """The problem and its data; a mesh pair is built at ``subdivisions``,
     by default the config's ``geometry.subdivisions`` (3 if absent)."""
     geom = _require(cfg, "geometry", dict)
-    kind = _require(geom, "kind", str)
+    kind = _require(geom, "geometry.kind", str)
     n = int(_require(cfg, "dimension", (int,)))
     data_cfg = _require(cfg, "data", dict)
     if kind == "spheres":
@@ -228,12 +233,12 @@ def _parse_problem(cfg: dict, subdivisions: int | None = None):
         if "cartesian" not in data_cfg:
             raise ConfigError("field 'data': mesh geometry requires cartesian data")
         if subdivisions is None:
-            subdivisions = _optional(geom, "subdivisions", 3, int)
+            subdivisions = _optional(geom, "geometry.subdivisions", 3, int)
             with _refused_as("geometry.subdivisions", MeshError):
                 check_subdivisions(subdivisions)
         pair = GeometryPair(
-            _build_mesh(_require(geom, "inner"), subdivisions, "geometry.inner"),
-            _build_mesh(_require(geom, "outer"), subdivisions, "geometry.outer"),
+            _build_mesh(_require(geom, "geometry.inner"), subdivisions, "geometry.inner"),
+            _build_mesh(_require(geom, "geometry.outer"), subdivisions, "geometry.outer"),
         )
         return pair, _parse_cartesian(data_cfg["cartesian"])
     raise ConfigError(f"field 'geometry.kind': unknown kind {kind!r}")
@@ -242,9 +247,9 @@ def _parse_problem(cfg: dict, subdivisions: int | None = None):
 def _parse_grid(cfg: dict, signs: str | None = None) -> np.ndarray:
     """The configured grid on ``signs`` (default: the config's), ascending."""
     grid_cfg = _require(cfg, "grid", dict)
-    eps_min = float(_require(grid_cfg, "eps_min", (int, float)))
-    eps_max = float(_require(grid_cfg, "eps_max", (int, float)))
-    count = int(_require(grid_cfg, "count", int))
+    eps_min = float(_require(grid_cfg, "grid.eps_min", (int, float)))
+    eps_max = float(_require(grid_cfg, "grid.eps_max", (int, float)))
+    count = int(_require(grid_cfg, "grid.count", int))
     config_signs = grid_cfg.get("signs", "both")
     if config_signs not in ("both", "positive", "negative"):
         raise ConfigError(f"field 'grid.signs': unknown value {config_signs!r}")
@@ -256,7 +261,7 @@ def _parse_grid(cfg: dict, signs: str | None = None) -> np.ndarray:
 
 def _parse_targets(cfg: dict, solver: cont.Solver) -> cont.TargetSet:
     tcfg = _require(cfg, "targets", dict)
-    frame = _require(tcfg, "frame", str)
+    frame = _require(tcfg, "targets.frame", str)
     if "points" in tcfg and "radii" in tcfg:
         raise ConfigError("field 'targets': give 'points' or 'radii', not both")
     if "points" in tcfg:
@@ -286,8 +291,8 @@ def _thresholds(cfg: dict, solver: cont.Solver) -> dict:
     raw = cfg.get("thresholds", {})
     for key in out:
         if key in raw:
-            out[key] = _non_negative(float(_require(raw, key, (int, float))),
-                                     f"thresholds.{key}")
+            path = f"thresholds.{key}"
+            out[key] = _non_negative(float(_require(raw, path, (int, float))), path)
     return out
 
 
@@ -365,21 +370,9 @@ def _mark_undefined(payload: dict, keys) -> list[str]:
     return undefined
 
 
-def _check_eps(check, grid, field: str) -> None:
-    """Every eps of ``grid`` through ``check`` before any solve; a refusal names ``field``.
-
-    The negative points are checked too: on a mesh pair admissibility is not
-    symmetric under eps -> -eps.
-    """
-    with _refused_as(field, InadmissibleEpsError, MeshError):
-        for eps in grid:
-            check(float(eps))
-
-
 def _swept(cfg, solver, data, targets, out_dir, grid, field: str) -> cont.SweepResult:
-    """Sweep ``grid``, every point checked first (a refusal names ``field``), and write sweep.csv."""
-    _check_eps(solver.check_eps, grid, field)
-    with _refused_as("targets", DomainError):
+    """Sweep ``grid`` and write sweep.csv; ``sweep`` refuses an eps (naming ``field``) first."""
+    with _refused_as(field, InadmissibleEpsError, MeshError), _refused_as("targets", DomainError):
         result = cont.sweep(solver.problem, data, grid, targets,
                             eval_clearance_factor=_clearance_factor(cfg))
     _write_csv(os.path.join(out_dir, "sweep.csv"), result)
@@ -466,10 +459,11 @@ def _symmetry_command(cfg, solver, data, targets, out_dir):
 
 def _summed_coeffs(terms) -> tuple:
     """The eps-polynomial of a sum of constant terms: their coefficients added."""
-    total = np.zeros(max(len(coeffs) for _, coeffs in terms))
+    total = [0.0] * max(len(coeffs) for _, coeffs in terms)
     for _, coeffs in terms:
-        total[: len(coeffs)] += coeffs
-    return tuple(float(c) for c in total)
+        for k, c in enumerate(coeffs):
+            total[k] += c
+    return tuple(total)
 
 
 def _observed_orders(errors: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -485,11 +479,12 @@ def _convergence_levels(cfg: dict) -> list[int]:
     geometry from builtin generators.
     """
     geom = _require(cfg, "geometry", dict)
-    if _require(geom, "kind", str) != "meshes":
+    if _require(geom, "geometry.kind", str) != "meshes":
         raise ConfigError("field 'geometry': convergence study needs mesh geometry")
-    if "path" in _require(geom, "inner", dict) or "path" in _require(geom, "outer", dict):
+    inner, outer = _require(geom, "geometry.inner", dict), _require(geom, "geometry.outer", dict)
+    if "path" in inner or "path" in outer:
         raise ConfigError("field 'geometry': convergence study needs builtin generators")
-    base = _optional(geom, "subdivisions", 2, int)
+    base = _optional(geom, "geometry.subdivisions", 2, int)
     with _refused_as("geometry.subdivisions", MeshError):
         check_subdivisions(base)
     levels = _integers(cfg.get("subdivision_levels", [base, base + 1, base + 2]),
@@ -499,6 +494,8 @@ def _convergence_levels(cfg: dict) -> list[int]:
             check_subdivisions(s)
     if len(levels) < 2:
         raise ConfigError("field 'subdivision_levels': need at least two levels")
+    if len(set(levels)) < len(levels):
+        raise ConfigError("field 'subdivision_levels': a level may appear only once")
     return levels
 
 
@@ -513,15 +510,14 @@ def _convergence_command(cfg, solver, data, targets, out_dir, levels):
     eps = float(_require(cfg, "eps", (int, float)))
     clearance = _clearance_factor(cfg)
     pairs = [solver.problem] + [_parse_problem(cfg, s)[0] for s in levels[1:]]
-    for pair in pairs:
-        _check_eps(pair.require_admissible, [eps], "eps")
+    with _refused_as("eps", MeshError):
+        for pair in pairs:
+            pair.require_admissible(eps)
 
     spheres = (
         inner_spec.get("builtin") == "icosphere" and outer_spec.get("builtin") == "icosphere"
     )
-    constant_data = all(exp == (0, 0, 0) for exp, _ in data.inner) and all(
-        exp == (0, 0, 0) for exp, _ in data.outer
-    )
+    constant_data = all(exp == (0, 0, 0) for exp, _ in data.inner + data.outer)
     use_oracle = spheres and constant_data
     if not use_oracle and len(levels) < 3:
         raise ConfigError("field 'subdivision_levels': Richardson estimate needs 3 levels")

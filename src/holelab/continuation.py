@@ -208,15 +208,20 @@ def sweep(problem, data, grid, targets: TargetSet, *,
           eval_clearance_factor: float = bem_mod.EVAL_CLEARANCE_FACTOR) -> SweepResult:
     """One solve per eps, by the problem's solver (see ``solver_for``).
 
-    The grid may hold both signs; a signed sweep of a mesh pair builds the
-    eps-independent self blocks only once (see ``bem.solve_grid``).
+    The grid must be strictly increasing (GridError) and may hold both signs;
+    a signed sweep of a mesh pair builds the eps-independent self blocks only
+    once (see ``bem.solve_grid``).  Every eps, the negative ones too (a mesh
+    hole's admissibility is not symmetric under eps -> -eps), goes through
+    ``Solver.check_eps`` before any target is checked or any eps solved: eps
+    = 0 or an inadmissible eps raises InadmissibleEpsError on spheres and a
+    MeshError on meshes, never a target's DomainError.
     """
     grid = np.asarray(grid, dtype=float)
-    if np.any(grid == 0.0):
-        raise GridError("sweep grids must not contain eps = 0")
     if np.any(np.diff(grid) <= 0):
         raise GridError("sweep grid must be strictly increasing")
     solver = solver_for(problem)
+    for eps in grid:
+        solver.check_eps(float(eps))
     values = np.empty((len(grid), len(targets)))
     conds = np.empty(len(grid))
     for i, (row, cond) in enumerate(
@@ -324,23 +329,16 @@ def fit_series(sweep_result: SweepResult, degree: int, basis: str = "full") -> P
         resid = np.max(np.abs(v_b @ c_b - y), axis=0)
         fits[b] = (coeffs, resid)
 
-    full_resid = fits["full"][1]
     if basis == "auto":
         amp = {b: _mirror_amplification(t, degree, b) for b in _BASES}
-        coeffs = np.empty((y.shape[1], degree + 1))
-        resid = np.empty(y.shape[1])
-        labels = []
-        for j in range(y.shape[1]):
-            best = min(_BASES, key=lambda b: fits[b][1][j] * (1.0 + amp[b]))
-            coeffs[j] = fits[best][0][j]
-            resid[j] = fits[best][1][j]
-            labels.append(best)
-        labels = tuple(labels)
+        labels = tuple(min(_BASES, key=lambda b: fits[b][1][j] * (1.0 + amp[b]))
+                       for j in range(y.shape[1]))
     else:
-        coeffs, resid = fits[basis]
         labels = (basis,) * y.shape[1]
+    coeffs = np.array([fits[b][0][j] for j, b in enumerate(labels)])
+    resid = np.array([fits[b][1][j] for j, b in enumerate(labels)])
     return PowerSeriesFit(
-        eps_scale, degree, coeffs, resid, labels, full_resid,
+        eps_scale, degree, coeffs, resid, labels, fits["full"][1],
         grid.copy(), y.copy(), sweep_result.frame, cond,
     )
 
@@ -458,7 +456,6 @@ def zonal_symmetry_hypothesis(data: ZonalDataFamily, zeta: int) -> dict:
 
     def ok(side: dict, requires) -> bool:
         for l, coeffs in side.items():
-            coeffs = np.asarray(coeffs, dtype=float)
             for j, c in enumerate(coeffs):
                 if c != 0.0 and not requires(l, j):
                     return False

@@ -9,7 +9,7 @@ import scipy.linalg
 from math import factorial, pi
 
 from holelab.annulus import (DomainError, SphereProblem, ZonalDataFamily, closed_form_annulus,
-                             eval_solution, solve_modes)
+                             eps_polyval, eval_solution, solve_modes)
 from holelab import bem
 from holelab.bem import (
     NEAR_FIELD_FACTOR,
@@ -30,6 +30,7 @@ from holelab.bem import (
     single_layer_matrix,
     solve,
 )
+from holelab.continuation import default_grid
 from holelab.mesh import AdmissibilityError, GeometryPair, ellipsoid, icosphere, scale_signed
 
 HOLE_EPS_DATA = CartesianDataFamily(inner=(((0, 0, 0), (0.0, 1.0)),))
@@ -191,6 +192,42 @@ def test_on_surface_row_sum_subdivision3():
     m = icosphere(1.0, 3)
     v = single_layer_matrix(m.centroids, m, self_mesh=True) @ np.ones(m.n_triangles)
     assert np.max(np.abs(v + 1.0)) < 0.02
+
+
+# ---------------------------------------------------------------------------
+# Cartesian data: each term's eps-polynomial converted once
+# ---------------------------------------------------------------------------
+
+def test_cartesian_data_equal_polyval_bit_for_bit():
+    rng = np.random.default_rng(29)
+    grid = [float(e) for e in default_grid()]
+    eps_values = [0.0, -0.0, 1.0, -1.0, *grid, *(-e for e in grid)]
+    points = rng.normal(size=(4, 3))
+    for _ in range(200):
+        k = int(rng.integers(1, 7))
+        c = [float(x) for x in rng.normal(size=k) * 10.0 ** rng.integers(-3, 4, size=k)]
+        c[int(rng.integers(k))] = int(rng.integers(-5, 6))
+        c[int(rng.integers(k))] = -0.0
+        exponents = tuple(int(p) for p in rng.integers(0, 3, size=3))
+        data = CartesianDataFamily(outer=((exponents, c),))
+        ((_, converted),) = data.outer
+        mono = np.ones(len(points))
+        for axis, power in enumerate(exponents):
+            if power:
+                mono = mono * points[:, axis] ** power
+        for eps in eps_values:
+            want = float(np.polynomial.polynomial.polyval(eps, np.asarray(c, dtype=float)))
+            assert eps_polyval(converted, eps).hex() == want.hex(), (c, eps)
+            got = data.eval_outer(points, eps).tolist()
+            assert [v.hex() for v in got] == [(0.0 + want * m).hex() for m in mono], (c, eps)
+
+
+@pytest.mark.parametrize("coeffs", [(), [], [[1.0, 2.0]], 3.0])
+def test_cartesian_data_refuses_empty_or_non_1d_coefficients(coeffs):
+    with pytest.raises(ValueError, match="non-empty 1-D"):
+        CartesianDataFamily(inner=(((0, 0, 0), coeffs),))
+    with pytest.raises(ValueError, match="non-empty 1-D"):
+        CartesianDataFamily(inner=(((0, 0, 0), (1.0,)),), outer=(((0, 0, 1), coeffs),))
 
 
 # ---------------------------------------------------------------------------

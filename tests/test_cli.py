@@ -383,7 +383,7 @@ def test_fit_parameters_checked_before_any_solve(tmp_path, monkeypatch, capsys, 
 
 
 class SweepReached(Exception):
-    """Raised by a patched sweep: the grid check let the run through."""
+    """Raised by a patched step after sweep's eps check: the check let the run through."""
 
 
 def shifted_icosphere_off(path, z):
@@ -407,10 +407,11 @@ def shifted_icosphere_off(path, z):
 ])
 def test_mesh_grid_checked_before_any_solve(tmp_path, monkeypatch, capsys, geometry, command,
                                             signs, refused):
-    def no_sweep(*args, **kwargs):
+    def no_solve(*args, **kwargs):
         raise SweepReached
 
-    monkeypatch.setattr(cont, "sweep", no_sweep)
+    monkeypatch.setattr(cont, "validate_targets", no_solve)
+    monkeypatch.setattr(cont.bem_mod, "GridField", no_solve)
     cfg = bem_sweep_config()
     cfg["geometry"]["subdivisions"] = 1
     cfg["zeta"] = 1
@@ -452,10 +453,11 @@ def mesh_solve_config(eps):
     ("convergence", "meshes", 0.999),
 ])
 def test_eps_checked_before_any_solve(tmp_path, monkeypatch, capsys, command, geometry, eps):
-    def no_sweep(*args, **kwargs):
+    def no_solve(*args, **kwargs):
         raise SweepReached
 
-    monkeypatch.setattr(cont, "sweep", no_sweep)
+    monkeypatch.setattr(cont, "validate_targets", no_solve)
+    monkeypatch.setattr(cont.bem_mod, "GridField", no_solve)
     if geometry == "spheres":
         cfg = base_config(3)
         cfg["eps"] = eps
@@ -505,6 +507,24 @@ def test_convergence_refuses_two_richardson_levels_before_solving(tmp_path, monk
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG and report is None
     assert "field 'subdivision_levels': Richardson estimate needs 3 levels" in err
+    assert sweeps == []
+
+
+def test_convergence_refuses_a_repeated_level_before_solving(tmp_path, monkeypatch, capsys):
+    sweeps = []
+    sweep = cont.sweep
+
+    def counted(*args, **kwargs):
+        sweeps.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(cont, "sweep", counted)
+    cfg = bem_convergence_config()  # constant data: two levels would be enough
+    cfg["subdivision_levels"] = [1, 1]
+    code, report, _ = run_cli(tmp_path, "convergence", cfg)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and report is None
+    assert "field 'subdivision_levels': a level may appear only once" in err
     assert sweeps == []
 
 
@@ -571,9 +591,9 @@ def test_config_errors_exit_2_naming_the_field(tmp_path, capsys):
         (missing_off, "geometry.inner.path"),
         (bad_term, "data.cartesian.outer[0]"),
         (bool_dimension, "'dimension'"),
-        (text_subdivisions, "'subdivisions'"),
+        (text_subdivisions, "'geometry.subdivisions'"),
         (nan_coeff, "data.cartesian.inner[0].coeffs[0]"),
-        (text_threshold, "'atol'"),
+        (text_threshold, "'thresholds.atol'"),
         (edited(mesh_cfg, ("geometry", "inner", "radius"), "x"), "'geometry.inner.radius'"),
         (edited(mesh_cfg, ("geometry", "outer"),
                 {"builtin": "ellipsoid", "semi_axes": [1.0, "x", 1.0]}),
@@ -592,8 +612,8 @@ def test_config_errors_exit_2_naming_the_field(tmp_path, capsys):
         (edited(sphere_cfg, ("eps",), float("nan")), "'eps'"),
         (edited(sphere_cfg, ("eps",), float("inf")), "'eps'"),
         (edited(edited(base_config(4), ("command",), "continuation"), ("grid", "eps_max"),
-                float("inf")), "'eps_max'"),
-        (edited(base_config(4), ("thresholds",), {"atol": float("nan")}), "'atol'"),
+                float("inf")), "'grid.eps_max'"),
+        (edited(base_config(4), ("thresholds",), {"atol": float("nan")}), "'thresholds.atol'"),
         (edited(mesh_cfg, ("geometry", "inner", "radius"), -1), "'geometry.inner.radius'"),
         (edited(mesh_cfg, ("geometry", "outer"),
                 {"builtin": "ellipsoid", "semi_axes": [1.0, 0.0, 1.0]}),
@@ -613,6 +633,10 @@ def test_config_errors_exit_2_naming_the_field(tmp_path, capsys):
         (edited(sphere_cfg, ("data", "zonal", "inner", "0"), []), "field 'data.zonal.inner.0': "),
         (edited(mesh_cfg, ("data", "cartesian", "inner", 0, "coeffs"), "1"),
          "'data.cartesian.inner[0].coeffs'"),
+        (edited(mesh_cfg, ("data", "cartesian", "inner", 0, "coeffs"), []),
+         "field 'data.cartesian.inner[0].coeffs': "),
+        (edited(mesh_cfg, ("data", "cartesian", "inner", 0, "exponents"), [-1, 0, 0]),
+         "field 'data.cartesian.inner[0].exponents[0]': "),
         # a key the block does not read, or both ways of giving targets
         (edited(edited(base_config(4), ("command",), "fit"), ("fit",), {"degre": 4}), "'fit'"),
         (edited(edited(base_config(4), ("command",), "sweep"), ("grid", "sign"), "positive"),
@@ -661,6 +685,8 @@ def test_config_errors_exit_2_naming_the_field(tmp_path, capsys):
         (edited(levels_cfg, ("geometry", "inner"), {"path": str(tmp_path / "inner.off")}),
          "field 'geometry': convergence study needs builtin"),
         (edited(levels_cfg, ("subdivision_levels",), [1]), "'subdivision_levels'"),
+        (edited(levels_cfg, ("subdivision_levels",), [1, 2, 1]),
+         "field 'subdivision_levels': a level may appear only once"),
         (edited(edited(levels_cfg, ("subdivision_levels",), [1, 2]),
                 ("data", "cartesian", "inner", 0, "exponents"), [0, 0, 1]),
          "field 'subdivision_levels': Richardson"),

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holelab.annulus import SphereProblem, ZonalDataFamily, closed_form_annulus
+from holelab import continuation as cont
+from holelab.annulus import (InadmissibleEpsError, SphereProblem, ZonalDataFamily,
+                             closed_form_annulus)
+from holelab.bem import CartesianDataFamily
 from holelab.continuation import (
     BREAKS,
     CONTINUES,
@@ -22,6 +25,7 @@ from holelab.continuation import (
 )
 from holelab.continuation import test_continuation as continuation_verdict
 from holelab.continuation import test_symmetry as symmetry_measure
+from holelab.mesh import AdmissibilityError, GeometryPair, MeshError, icosphere
 
 
 HOLE_EPS_DATA = ZonalDataFamily(inner={0: (0.0, 1.0)})   # value eps on the hole
@@ -58,6 +62,34 @@ def test_sweep_grid_validation():
         sweep(prob, HOLE_EPS_DATA, np.array([0.1, 0.0, 0.2]), targets)
     with pytest.raises(GridError):
         sweep(prob, HOLE_EPS_DATA, np.array([0.2, 0.1]), targets)
+
+
+class TargetsReached(Exception):
+    """Raised by a patched target check: sweep let the grid through."""
+
+
+@pytest.mark.parametrize("geometry, grid, error", [
+    # |eps| r_i = 1.5 reaches past the outer sphere, where the target at 0.7 is in the hole
+    ("spheres", [0.1, 0.2, 0.5, 1.5], InadmissibleEpsError),
+    ("spheres", [0.0], InadmissibleEpsError),
+    # clearance 9.3e-4 at eps = 0.999, below 0.02; the target at 0.6 is in the hole there
+    ("meshes", [0.3, 0.999], AdmissibilityError),
+    ("meshes", [-0.3, 0.0], MeshError),
+])
+def test_sweep_checks_every_eps_before_any_target(monkeypatch, geometry, grid, error):
+    def reached(*args, **kwargs):
+        raise TargetsReached
+
+    monkeypatch.setattr(cont, "validate_targets", reached)
+    monkeypatch.setattr(cont.bem_mod, "GridField", reached)
+    if geometry == "spheres":
+        problem, data = SphereProblem(3), HOLE_EPS_DATA
+    else:
+        problem = GeometryPair(icosphere(1.0, 1), icosphere(1.0, 1))
+        data = CartesianDataFamily(inner=(((0, 0, 0), (0.0, 1.0)),))
+    targets = TargetSet("macroscopic", [[0.0, 0.0, 0.7 if geometry == "spheres" else 0.6]])
+    with pytest.raises(error):
+        sweep(problem, data, np.array(grid), targets)
 
 
 def test_target_validation():
