@@ -28,7 +28,8 @@ from math import copysign
 
 import numpy as np
 
-from .kernels import check_dimension, sphere_single_layer_eigenvalue, zonal_table
+from .kernels import (MAX_GEGENBAUER_DEGREE, check_dimension, sphere_single_layer_eigenvalue,
+                      zonal_table)
 
 MODE_CONDITION_LIMIT = 1e12
 
@@ -127,8 +128,9 @@ class ZonalDataFamily:
         for name in ("inner", "outer"):
             side = getattr(self, name)
             for l in side:
-                if l < 0:
-                    raise ValueError(f"mode degrees must be >= 0, got {l}")
+                if not (isinstance(l, (int, np.integer)) and 0 <= l <= MAX_GEGENBAUER_DEGREE):
+                    raise ValueError(f"mode degrees must be integers in "
+                                     f"[0, {MAX_GEGENBAUER_DEGREE}], got {l!r}")
             object.__setattr__(self, name, {l: eps_polynomial(c) for l, c in side.items()})
 
     @property
@@ -406,8 +408,7 @@ def closed_form_annulus(n: int, eps: float, r: float) -> float:
     The sign of the value at fixed r flips with the sign of eps when n is
     odd and does not when n is even.
     """
-    if n < 3:
-        raise ValueError(f"dimension must be >= 3, got n={n}")
+    check_dimension(n)
     ae = abs(eps)
     if not 0.0 < ae < 1.0:
         raise ValueError(f"need 0 < |eps| < 1, got eps={eps}")

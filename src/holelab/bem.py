@@ -128,10 +128,10 @@ class CartesianDataFamily:
     """Boundary data as space polynomials with polynomial-in-eps coefficients.
 
     Each term is (exponents, coeffs): exponents is a 3-tuple of monomial
-    powers, coeffs the ascending eps-polynomial of that monomial, converted
-    once to an ``eps_polynomial``.  ``inner`` is evaluated in the rescaled
-    variable (points of the unit-scale hole mesh), ``outer`` at physical
-    points of the outer surface.
+    powers, integers >= 0, coeffs the ascending eps-polynomial of that
+    monomial, converted once to an ``eps_polynomial``.  ``inner`` is
+    evaluated in the rescaled variable (points of the unit-scale hole mesh),
+    ``outer`` at physical points of the outer surface.
     """
 
     inner: tuple = ()
@@ -139,8 +139,13 @@ class CartesianDataFamily:
 
     def __post_init__(self):
         for name in ("inner", "outer"):
-            object.__setattr__(self, name, tuple((tuple(exponents), eps_polynomial(coeffs))
-                                                 for exponents, coeffs in getattr(self, name)))
+            terms = tuple((tuple(exponents), eps_polynomial(coeffs))
+                          for exponents, coeffs in getattr(self, name))
+            for exponents, _ in terms:
+                if len(exponents) != 3 or not all(isinstance(p, (int, np.integer)) and p >= 0
+                                                  for p in exponents):
+                    raise ValueError(f"exponents must be three integers >= 0, got {exponents}")
+            object.__setattr__(self, name, terms)
 
     @staticmethod
     def _eval(terms, points: np.ndarray, eps: float) -> np.ndarray:
@@ -175,15 +180,14 @@ class DensityPair:
     residual: float
 
 
-def _triangle_quad(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # corners (T,3,3) -> quadrature points (T,7,3) and weights*areas (T,7)
+def _triangle_quad(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
+    # quadrature points (T,7,3) and weights*areas (T,7) of the mesh's triangles;
     # barycentric combination summed in the order einsum("qb,tbc->tqc") uses
+    corners = mesh.corner_array()
     pts = _TRI_BARY[:, 0, None] * corners[:, None, 0]
     pts += _TRI_BARY[:, 1, None] * corners[:, None, 1]
     pts += _TRI_BARY[:, 2, None] * corners[:, None, 2]
-    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-    areas = 0.5 * np.linalg.norm(cross, axis=1)
-    return pts, _TRI_W[None, :] * areas[:, None]
+    return pts, _TRI_W[None, :] * mesh.areas[:, None]
 
 
 def _usable_cpus() -> int:
@@ -355,9 +359,8 @@ def single_layer_matrix(targets, mesh: TriMesh, *, self_mesh: bool = False,
     is returned.  Both passes split their work over the usable CPUs.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    matrix = _kernel_sums(targets, *_triangle_quad(mesh), out)
     corners = mesh.corner_array()
-    pts, wts = _triangle_quad(corners)
-    matrix = _kernel_sums(targets, pts, wts, out)
     p_idx, t_idx = _near_pairs(targets, mesh)
 
     def near(pieces) -> None:
@@ -381,7 +384,6 @@ class AssembledSystem:
     seen from the outer surface.
     """
 
-    pair: GeometryPair
     eps: float
     sign: float
     matrix: np.ndarray
@@ -454,8 +456,6 @@ def assemble(pair: GeometryPair, data: CartesianDataFamily, eps: float,
     are copied into the system matrix, the coupling blocks written in place
     into their views of it.
     """
-    if eps == 0:
-        raise AssemblyError("eps = 0 is not a perforated geometry")
     pair.require_admissible(eps)
     sign_asm = coupling_sign(eps, DIM) if sign is None else float(sign)
     if blocks is None:
@@ -474,7 +474,7 @@ def assemble(pair: GeometryPair, data: CartesianDataFamily, eps: float,
     k_oi = single_layer_matrix(outer.centroids, hole, out=matrix[n_i:, :n_i])
     k_oi /= eps**2
     k_oi *= eps ** (DIM - 2)
-    return AssembledSystem(pair, eps, sign_asm, matrix, data.rhs(pair, eps), n_i)
+    return AssembledSystem(eps, sign_asm, matrix, data.rhs(pair, eps), n_i)
 
 
 def _abs_col_sums(matrix: np.ndarray) -> np.ndarray:
@@ -587,7 +587,7 @@ def _onenormest(matmat, rmatmat, n: int, count: int) -> np.ndarray:
 
 
 def _checked_solve(matvec, apply, apply_t, norm_1: np.ndarray, rhs: np.ndarray,
-                   label: str, hint: str = "", truncation=None):
+                   label: str, hint: str, truncation=None):
     """Solve a batch of systems through exact inverse applies, each with both guards.
 
     Column j of ``rhs`` (N, B) is the right-hand side of system j.
@@ -718,7 +718,7 @@ def expansion_degree(pair: GeometryPair, eps: float) -> int | None:
     # with a relative slack, so that rounding of the centroids cannot decide
     if not pair.ball_clearance(eps) >= NEAR_FIELD_FACTOR * diameter * (1.0 + 1e-9):
         return None
-    rho = abs(eps) * pair.inner_radius / pair.origin_distance
+    rho = abs(eps) * pair.inner.bounding_radius / pair.origin_distance
     cap = _EXPANSION_RANK_FRACTION * min(pair.inner.n_triangles, pair.outer.n_triangles)
     degree = 0
     while (degree + 1) ** 2 <= cap:
@@ -733,7 +733,7 @@ def _moments(mesh: TriMesh, harmonics, size: int) -> np.ndarray:
 
     Summed in triangle chunks, so no (size, 7T) array is ever held.
     """
-    pts, wts = _triangle_quad(mesh.corner_array())
+    pts, wts = _triangle_quad(mesh)
     n_t, n_q = wts.shape
     out = np.empty((size, n_t))
     chunk = max(1, _HARMONIC_CHUNK_BYTES // (8 * size * n_q))
@@ -771,7 +771,7 @@ class CouplingExpansion:
     def __init__(self, pair: GeometryPair, blocks: SelfBlocks, degree: int):
         self.pair, self.blocks, self.degree = pair, blocks, degree
         size = (degree + 1) ** 2
-        self.radius, self.distance = pair.inner_radius, pair.origin_distance
+        self.radius, self.distance = pair.inner.bounding_radius, pair.origin_distance
         # degree k of each row
         self.row_degrees = np.repeat(np.arange(degree + 1), 2 * np.arange(degree + 1) + 1)
         for name, (_, rcond) in (("inner", blocks.inner_lu), ("outer", blocks.outer_lu)):
@@ -910,39 +910,31 @@ class CouplingExpansion:
     def solve(self, data: CartesianDataFamily, eps_list, degrees):
         """Densities at each eps through the expansion cut after its degree.
 
-        The eps are solved in lockstep (see ``operators``); yields one
+        The eps are solved in lockstep (see ``operators``), in groups taken
+        in order: a group starts at the next eps and takes the eps after it
+        while its capacitance factors stay within twice the bytes of G_i and
+        G_o, and one group's factors are held at a time.  Yields one
         DensityPair per eps in order, and raises SolverError at the first eps
         whose system fails a guard, once the ones before it are yielded.
         """
-        rhs = np.stack([data.rhs(self.pair, eps) for eps in eps_list], axis=1)
-        matvec, apply, apply_t, norm_1, truncation = self.operators(eps_list, degrees)
+        budget = 2 * (self.g_i.nbytes + self.g_o.nbytes)
+        t_bytes = [self.g_i.itemsize * (p + 1) ** 4 for p in degrees]
         n_i = self.pair.inner.n_triangles
-        for x, cond, residual in _checked_solve(
-                matvec, apply, apply_t, norm_1, rhs, "system",
-                "; check admissibility and the coupling sign", truncation):
-            yield DensityPair(x[:n_i], x[n_i:], cond, residual)
-
-
-def _lockstep_solves(data: CartesianDataFamily, expansion: CouplingExpansion,
-                     certified: list):
-    """``expansion.solve`` over the certified (eps, degree) pairs, group by group.
-
-    A group starts at the next eps and takes the eps after it while its
-    capacitance factors stay within twice the bytes of G_i and G_o.  One
-    group's factors are held at a time.
-    """
-    budget = 2 * (expansion.g_i.nbytes + expansion.g_o.nbytes)
-    start = 0
-    while start < len(certified):
-        group, held = [], 0
-        for eps, degree in certified[start:]:
-            t_bytes = expansion.g_i.itemsize * (degree + 1) ** 4
-            if group and held + t_bytes > budget:
-                break
-            group.append((eps, degree))
-            held += t_bytes
-        yield from expansion.solve(data, *zip(*group))
-        start += len(group)
+        start = 0
+        while start < len(eps_list):
+            stop = start + 1
+            while stop < len(eps_list) and sum(t_bytes[start : stop + 1]) <= budget:
+                stop += 1
+            group = eps_list[start:stop]
+            rhs = np.stack([data.rhs(self.pair, eps) for eps in group], axis=1)
+            matvec, apply, apply_t, norm_1, truncation = self.operators(group, degrees[start:stop])
+            for x, cond, residual in _checked_solve(
+                    matvec, apply, apply_t, norm_1, rhs, "system",
+                    "; check admissibility and the coupling sign", truncation):
+                yield DensityPair(x[:n_i], x[n_i:], cond, residual)
+            # released before the next group's operators are built
+            del rhs, matvec, apply, apply_t, truncation
+            start = stop
 
 
 def solve_grid(pair: GeometryPair, data: CartesianDataFamily, grid):
@@ -953,9 +945,9 @@ def solve_grid(pair: GeometryPair, data: CartesianDataFamily, grid):
     included, is solved through one ``CouplingExpansion``, built to the
     largest such degree around V_ii and V_oo, each built and factored once.
     The certified eps are solved in lockstep, in groups taken in grid order
-    (``_lockstep_solves``): each step of their condition estimates, and
-    their solve, is one multi-column call per self-block solve and basis
-    product, and only the capacitance solves go per eps.  Each eps keeps its
+    (``CouplingExpansion.solve``): each step of their condition estimates,
+    and their solve, is one multi-column call per self-block solve and
+    basis product, and only the capacitance solves go per eps.  Each eps keeps its
     own guards: the first eps in grid order that fails raises, and no later
     point is yielded.
     Any other eps is assembled and solved by ``solve``, one dense LU of the
@@ -971,15 +963,10 @@ def solve_grid(pair: GeometryPair, data: CartesianDataFamily, grid):
     blocks = self_blocks(pair) if certified or len(grid) > 1 else None
     if certified:
         expansion = CouplingExpansion(pair, blocks, max(p for _, p in certified))
-        lockstep = _lockstep_solves(data, expansion, certified)
+        lockstep = expansion.solve(data, *zip(*certified))
     for eps, degree in zip(grid, degrees):
-        if degree is None:
-            system = assemble(pair, data, eps, blocks=blocks)
-            dens = solve(system)
-            del system  # its matrix is not kept alive through the next assembly
-        else:
-            dens = next(lockstep)
-        yield dens
+        # an assembled system is freed once solved, before the next assembly
+        yield solve(assemble(pair, data, eps, blocks=blocks)) if degree is None else next(lockstep)
 
 
 def _nearest(points: np.ndarray, mesh: TriMesh, factor: float) -> tuple:
@@ -1029,7 +1016,8 @@ class GridField:
     the distances are scaled back by |eps|.  A refusal names the first
     target refused in grid order, then point order: outside the outer
     surface or inside the hole first, then the clearance guard, the hole
-    before the outer mesh.  One single-layer matrix per mesh serves the
+    before the outer mesh.  A clearance factor below 0 is refused; 0
+    switches the guard off.  One single-layer matrix per mesh serves the
     whole grid, built once the targets pass; each eps then costs two
     products.
     """
@@ -1037,6 +1025,8 @@ class GridField:
     def __init__(self, pair: GeometryPair, grid, points, frame: str, clearance_factor: float):
         if frame not in (MACROSCOPIC, MICROSCOPIC):
             raise ValueError(f"unknown frame {frame!r}")
+        if not clearance_factor >= 0:
+            raise ValueError(f"clearance factor must be >= 0, got {clearance_factor}")
         self.grid = np.array(grid, dtype=float).reshape(-1)
         if np.any(self.grid == 0):
             raise MeshError("eps = 0 has no hole to evaluate")
@@ -1132,8 +1122,6 @@ class DirectSolution:
 
 
 def direct_solve(pair: GeometryPair, data: CartesianDataFamily, eps: float) -> DirectSolution:
-    if eps == 0:
-        raise AssemblyError("eps = 0 is not a perforated geometry")
     pair.require_admissible(eps)
     hole = scale_signed(pair.inner, eps)
     outer = pair.outer

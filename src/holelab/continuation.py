@@ -57,7 +57,8 @@ CONTINUES = "CONTINUES"
 BREAKS = "BREAKS"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-_BASES = ("full", "even", "odd")
+# Fit bases as (first power, step), in auto's tie-breaking order.
+_BASES = {"full": (0, 1), "even": (0, 2), "odd": (1, 2)}
 
 
 class FitError(ValueError):
@@ -232,18 +233,9 @@ def sweep(problem, data, grid, targets: TargetSet, *,
     return SweepResult(grid, values, targets.frame, conds)
 
 
-def _basis_columns(degree: int, basis: str) -> np.ndarray:
-    if basis == "full":
-        return np.arange(degree + 1)
-    if basis == "even":
-        return np.arange(0, degree + 1, 2)
-    if basis == "odd":
-        return np.arange(1, degree + 1, 2)
-    raise FitError(f"unknown basis {basis!r}")
-
-
 def _design(t: np.ndarray, degree: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
-    cols = _basis_columns(degree, basis)
+    first, step = _BASES[basis]
+    cols = np.arange(first, degree + 1, step)
     return np.vander(t, degree + 1, increasing=True)[:, cols], cols
 
 

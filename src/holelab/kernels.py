@@ -51,8 +51,7 @@ def surface_measure_unit_sphere(n: int) -> float:
 
     Returns 2*pi^(n/2)/Gamma(n/2); e.g. 4*pi for n=3 and 2*pi^2 for n=4.
     """
-    if n < 3:
-        raise ValueError(f"dimension must be >= 3, got n={n}")
+    check_dimension(n)
     return _sphere_area(n)
 
 
@@ -61,8 +60,7 @@ def fundamental_solution(n: int, x) -> float:
 
     Value |x|^(2-n) / ((2-n) * s_n), strictly negative for n >= 3.
     """
-    if n < 3:
-        raise ValueError(f"dimension must be >= 3, got n={n}")
+    check_dimension(n)
     r = float(np.linalg.norm(np.asarray(x, dtype=float)))
     if r == 0.0:
         raise ValueError("fundamental solution is singular at x = 0")
@@ -164,8 +162,7 @@ def sphere_single_layer_eigenvalue(n: int, a: float, l: int) -> float:
     EIGENVALUE_RTOL.
     All eigenvalues are strictly negative and decrease in magnitude as l grows.
     """
-    if n < 3:
-        raise ValueError(f"dimension must be >= 3, got n={n}")
+    check_dimension(n)
     if a <= 0:
         raise ValueError(f"sphere radius must be positive, got a={a}")
     if l < 0:

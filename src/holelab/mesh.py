@@ -45,9 +45,9 @@ _DEGENERATE_REL_AREA = 1e-14
 class TriMesh:
     """Closed, outward-oriented triangle mesh with per-triangle geometry.
 
-    Derived arrays (centroids, unit normals, areas, diameters) and the mean
-    edge length are computed once; all arrays are frozen read-only after
-    construction.
+    Derived arrays (centroids, unit normals, areas, diameters), the mean
+    edge length and the vertices' bounding radius are computed once; all
+    arrays are frozen read-only after construction.
     """
 
     def __init__(self, vertices, triangles):
@@ -80,6 +80,7 @@ class TriMesh:
         edge_lengths = np.linalg.norm(corners - np.roll(corners, -1, axis=1), axis=2)
         self.diameters = edge_lengths.max(axis=1)
         self.mean_edge_length = float(edge_lengths.mean())
+        self.bounding_radius = float(np.linalg.norm(v, axis=1).max())
         self._check_closed()
         self.signed_volume = float(
             np.einsum("ij,ij->", corners[:, 0], cross) / 6.0
@@ -117,9 +118,6 @@ class TriMesh:
         """Triangle corner coordinates, shape (T, 3, 3)."""
         return self.vertices[self.triangles]
 
-    def bounding_radius(self) -> float:
-        return float(np.linalg.norm(self.vertices, axis=1).max())
-
     def contains(self, point) -> bool:
         """Point-in-volume test by summed solid angle (~4*pi inside)."""
         return bool(self.contains_points(point)[0])
@@ -133,7 +131,7 @@ class TriMesh:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         inside = np.zeros(len(points), dtype=bool)
         near = (np.linalg.norm(points, axis=1)
-                <= self.bounding_radius() * (1.0 + _ROUNDING_SLACK))
+                <= self.bounding_radius * (1.0 + _ROUNDING_SLACK))
         inside[near] = np.abs(solid_angle_sums(self, points[near])) > 2.0 * np.pi
         return inside
 
@@ -578,17 +576,16 @@ class GeometryPair:
         self.inner = inner
         self.outer = outer
         self.clearance_min = (
-            DEFAULT_CLEARANCE_FRACTION * outer.bounding_radius()
+            DEFAULT_CLEARANCE_FRACTION * outer.bounding_radius
             if clearance_min is None
             else float(clearance_min)
         )
-        self.inner_radius = inner.bounding_radius()
         self.origin_distance = point_to_mesh_distance((0.0, 0.0, 0.0), outer)
         self._reports: dict[float, ClearanceReport] = {}
 
     def ball_clearance(self, eps: float) -> float:
         """Certified lower bound d0 - |eps|*R_i on the clearance, less rounding slack."""
-        reach = abs(eps) * self.inner_radius
+        reach = abs(eps) * self.inner.bounding_radius
         return self.origin_distance - reach - _ROUNDING_SLACK * (self.origin_distance + reach)
 
     def admissibility(self, eps: float) -> ClearanceReport:

@@ -20,7 +20,7 @@ from holelab.annulus import (
     solve_modes,
 )
 from holelab.continuation import default_grid
-from holelab.kernels import MAX_DIMENSION, sphere_single_layer_eigenvalue
+from holelab.kernels import MAX_DIMENSION, MAX_GEGENBAUER_DEGREE, sphere_single_layer_eigenvalue
 
 HOLE_EPS_DATA = ZonalDataFamily(inner={0: (0.0, 1.0)})  # value eps on the hole, 0 outside
 
@@ -87,6 +87,16 @@ def test_zonal_data_refuses_empty_or_non_1d_coefficients(coeffs):
         ZonalDataFamily(inner={0: coeffs})
     with pytest.raises(ValueError, match="non-empty 1-D"):
         ZonalDataFamily(inner={0: (1.0,)}, outer={2: coeffs})
+
+
+@pytest.mark.parametrize("mode", [-1, MAX_GEGENBAUER_DEGREE + 1, 1.5])
+def test_zonal_data_refuses_a_mode_outside_the_gegenbauer_range(mode):
+    # refused when made, not at the first solve (in the eigenvalue quadrature
+    # above 64, a TypeError for 1.5)
+    for sides in ({"inner": {mode: (1.0,)}}, {"outer": {mode: (1.0,)}}):
+        with pytest.raises(ValueError, match=f"in \\[0, {MAX_GEGENBAUER_DEGREE}\\], got {mode}"):
+            ZonalDataFamily(**sides)
+    assert ZonalDataFamily(inner={MAX_GEGENBAUER_DEGREE: (1.0,)}).max_degree == MAX_GEGENBAUER_DEGREE
 
 
 # ---------------------------------------------------------------------------

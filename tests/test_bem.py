@@ -13,7 +13,6 @@ from holelab.annulus import (DomainError, SphereProblem, ZonalDataFamily, closed
 from holelab import bem
 from holelab.bem import (
     NEAR_FIELD_FACTOR,
-    AssemblyError,
     CartesianDataFamily,
     EvaluationTooCloseError,
     SolverError,
@@ -31,7 +30,8 @@ from holelab.bem import (
     solve,
 )
 from holelab.continuation import default_grid
-from holelab.mesh import AdmissibilityError, GeometryPair, ellipsoid, icosphere, scale_signed
+from holelab.mesh import (AdmissibilityError, GeometryPair, MeshError, ellipsoid, icosphere,
+                          scale_signed)
 
 HOLE_EPS_DATA = CartesianDataFamily(inner=(((0, 0, 0), (0.0, 1.0)),))
 
@@ -230,6 +230,17 @@ def test_cartesian_data_refuses_empty_or_non_1d_coefficients(coeffs):
         CartesianDataFamily(inner=(((0, 0, 0), (1.0,)),), outer=(((0, 0, 1), coeffs),))
 
 
+@pytest.mark.parametrize("exponents", [(-1, 0, 0), (0.5, 0, 0), (1, 0), (1, 0, 0, 0)])
+def test_cartesian_data_refuses_exponents_not_three_non_negative_integers(exponents):
+    # a negative or fractional power gives non-finite data only after a
+    # whole grid is solved; a missing or extra axis was silently ignored
+    for side in ("inner", "outer"):
+        with pytest.raises(ValueError, match="three integers >= 0"):
+            CartesianDataFamily(**{side: ((exponents, (1.0,)),)})
+    data = CartesianDataFamily(outer=((np.array([1, 0, 2]), (1.0,)),))
+    assert data.eval_outer([[2.0, 5.0, 3.0]], 0.1).tolist() == [18.0]
+
+
 # ---------------------------------------------------------------------------
 # assembly structure
 # ---------------------------------------------------------------------------
@@ -268,7 +279,7 @@ def test_solve_recovers_manufactured_density(unit_pair_s2):
     rng = np.random.default_rng(8)
     mu = rng.normal(size=system.matrix.shape[0])
     manufactured = system.__class__(
-        system.pair, system.eps, system.sign, system.matrix, system.matrix @ mu,
+        system.eps, system.sign, system.matrix, system.matrix @ mu,
         system.n_inner,
     )
     dens = solve(manufactured)
@@ -281,7 +292,7 @@ def test_solve_recovers_manufactured_density(unit_pair_s2):
 def test_assemble_rejects_inadmissible(unit_pair_s2):
     with pytest.raises(AdmissibilityError):
         assemble(unit_pair_s2, HOLE_EPS_DATA, 0.995)
-    with pytest.raises(AssemblyError):
+    with pytest.raises(MeshError, match="eps = 0"):
         assemble(unit_pair_s2, HOLE_EPS_DATA, 0.0)
 
 
@@ -454,7 +465,7 @@ def test_wrong_sign_inner_residual(unit_pair_s2):
 def _dense_mask_single_layer(targets, mesh):
     """Reference assembly that flags near pairs with the full N x T distance tensor."""
     corners = mesh.corner_array()
-    matrix = _kernel_sums(targets, *_triangle_quad(corners))
+    matrix = _kernel_sums(targets, *_triangle_quad(mesh))
     dist = np.linalg.norm(targets[:, None, :] - mesh.centroids[None, :, :], axis=2)
     p_idx, t_idx = np.nonzero(dist < NEAR_FIELD_FACTOR * mesh.diameters[None, :])
     matrix[p_idx, t_idx] = _triangle_integrals(targets[p_idx], corners[t_idx])
@@ -464,9 +475,14 @@ def _dense_mask_single_layer(targets, mesh):
 def test_quadrature_points_and_kernel_sums_match_einsum_reference():
     m = icosphere(1.0, 2)
     corners = m.corner_array()
-    pts, wts = _triangle_quad(corners)
+    pts, wts = _triangle_quad(m)
     np.testing.assert_allclose(pts, np.einsum("qb,tbc->tqc", _TRI_BARY, corners),
                                rtol=0, atol=1e-15)
+    # the mesh's areas are the half cross-product norms, bit for bit
+    for mesh in (m, scale_signed(m, -0.3), ellipsoid(1.0, 0.6, 0.4, 2)):
+        c = mesh.corner_array()
+        half = 0.5 * np.linalg.norm(np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]), axis=1)
+        assert np.array_equal(_triangle_quad(mesh)[1], _TRI_W[None, :] * half[:, None])
     targets = scale_signed(m, 0.4).centroids
     diff = targets[:, None, :] - pts.reshape(-1, 3)[None]
     r = np.sqrt(np.einsum("ptc,ptc->pt", diff, diff))
@@ -542,7 +558,7 @@ def _kernel_sums_t_major(targets: np.ndarray, pts: np.ndarray, wts: np.ndarray,
 def _single_layer_t_major(targets, mesh):
     """The t-major far field and one whole near-field call, serially."""
     corners = mesh.corner_array()
-    matrix = _kernel_sums_t_major(targets, *_triangle_quad(corners))
+    matrix = _kernel_sums_t_major(targets, *_triangle_quad(mesh))
     p_idx, t_idx = bem._near_pairs(targets, mesh)
     matrix[p_idx, t_idx] = _triangle_integrals(targets[p_idx], corners[t_idx])
     return matrix
@@ -571,7 +587,7 @@ def workers(request, monkeypatch):
 @pytest.mark.parametrize("subdivisions, rows", [(2, 1), (3, 1), (4, 16)])
 def test_kernel_sums_equal_t_major_reference(subdivisions, rows, workers):
     for name, (targets, mesh) in _block_cases(subdivisions, rows).items():
-        pts, wts = _triangle_quad(mesh.corner_array())
+        pts, wts = _triangle_quad(mesh)
         got = _kernel_sums(targets, pts, wts)
         assert np.array_equal(got, _kernel_sums_t_major(targets, pts, wts)), name
         matrix = single_layer_matrix(targets, mesh, self_mesh="self" in name)
@@ -581,7 +597,7 @@ def test_kernel_sums_equal_t_major_reference(subdivisions, rows, workers):
 @pytest.mark.parametrize("n_rows", [1, 7, 13])
 def test_kernel_sums_uneven_chunks_and_ranges(n_rows, workers, monkeypatch):
     mesh = icosphere(1.0, 2)
-    pts, wts = _triangle_quad(mesh.corner_array())
+    pts, wts = _triangle_quad(mesh)
     targets = scale_signed(ellipsoid(1.0, 0.6, 0.4, 2), 0.3).centroids[:n_rows]
     # one whole chunk, and chunks of 3 rows: 13 rows are 4 chunks and a
     # remainder of 1, shared out to the workers
@@ -614,7 +630,7 @@ def test_near_field_chunks_on_workers_equal_one_call(workers, monkeypatch):
     mesh = icosphere(1.0, 3)
     corners = mesh.corner_array()
     p_idx, t_idx = bem._near_pairs(mesh.centroids, mesh)
-    whole = _kernel_sums_t_major(mesh.centroids, *_triangle_quad(corners))
+    whole = _kernel_sums_t_major(mesh.centroids, *_triangle_quad(mesh))
     whole[p_idx, t_idx] = _triangle_integrals(mesh.centroids[p_idx], corners[t_idx])
     # near pairs in uneven chunks of 1000, split over the workers
     monkeypatch.setattr(bem, "_NEAR_CHUNK", 1000)
@@ -815,7 +831,7 @@ def test_expanded_couplings_match_single_layer_blocks(expansions, inner, subdivi
     assert len(bem._near_pairs(pair.outer.centroids, hole)[0]) == 0
     k_io = single_layer_matrix(hole.centroids, pair.outer)
     k_oi = single_layer_matrix(pair.outer.centroids, hole) / eps**2 * eps  # as assemble
-    rho = abs(eps) * pair.inner_radius / pair.origin_distance
+    rho = abs(eps) * pair.inner.bounding_radius / pair.origin_distance
     for degree in (6, 14, 27):
         tau = bem._truncation_bound(rho, degree)
         for got, want in zip(_expanded_couplings(expansion, eps, degree), (k_io, k_oi)):
@@ -825,7 +841,7 @@ def test_expanded_couplings_match_single_layer_blocks(expansions, inner, subdivi
 
 def test_expansion_degree_certifies_or_refuses(expansions):
     pair = expansions("sphere", 3).pair
-    rho = 0.3 * pair.inner_radius / pair.origin_distance
+    rho = 0.3 * pair.inner.bounding_radius / pair.origin_distance
     degree = bem.expansion_degree(pair, -0.3)
     assert degree == bem.expansion_degree(pair, 0.3) == 27
     assert bem._truncation_bound(rho, degree) <= bem.EXPANSION_RTOL
@@ -873,7 +889,7 @@ def test_expanded_operators_are_the_matrix_and_its_inverse(expansions, eps):
     # a batch of two systems at different degrees: the second, cut lower,
     # must not see the rows its padded scales leave out
     batch, degrees = (eps, -eps / 2), (27, 20)
-    rho = abs(batch[1]) * pair.inner_radius / pair.origin_distance
+    rho = abs(batch[1]) * pair.inner.bounding_radius / pair.origin_distance
     assert bem._truncation_bound(rho, degrees[1]) <= bem.EXPANSION_RTOL
     matvec, apply, apply_t, norm_1, _ = expansion.operators(batch, degrees)
     rng = np.random.default_rng(11)
@@ -909,7 +925,7 @@ def test_truncation_bound_enters_the_residual(expansions):
     rhs = np.concatenate([BLOCK_DATA.eval_inner(pair.inner.centroids, eps),
                           BLOCK_DATA.eval_outer(pair.outer.centroids, eps)])
     n_i = pair.inner.n_triangles
-    tau = bem._truncation_bound(eps * pair.inner_radius / pair.origin_distance, degree)
+    tau = bem._truncation_bound(eps * pair.inner.bounding_radius / pair.origin_distance, degree)
     k_io, k_oi = matrix[:n_i, n_i:], matrix[n_i:, :n_i]
     bound = tau * (np.linalg.norm(k_io, np.inf) * np.max(np.abs(x[n_i:]))
                    + np.linalg.norm(k_oi, np.inf) * np.max(np.abs(x[:n_i])))
@@ -1084,19 +1100,19 @@ def _self_factor_solves(monkeypatch, pair, grid):
     blocks = self_blocks(pair)
     monkeypatch.setattr(bem, "self_blocks", lambda p: blocks)
     widths, groups, original = [], [], bem.lu_solve
-    original_solve = bem.CouplingExpansion.solve
+    original_operators = bem.CouplingExpansion.operators
 
     def counting(lu, b, *args, **kwargs):
         if lu is blocks.inner_lu[0]:
             widths.append(1 if b.ndim == 1 else b.shape[1])
         return original(lu, b, *args, **kwargs)
 
-    def counting_solve(self, data, eps_list, degrees):
+    def counting_operators(self, eps_list, degrees):
         groups.append(len(eps_list))
-        return original_solve(self, data, eps_list, degrees)
+        return original_operators(self, eps_list, degrees)
 
     monkeypatch.setattr(bem, "lu_solve", counting)
-    monkeypatch.setattr(bem.CouplingExpansion, "solve", counting_solve)
+    monkeypatch.setattr(bem.CouplingExpansion, "operators", counting_operators)
     assert len(list(bem.solve_grid(pair, BLOCK_DATA, grid))) == len(grid)
     monkeypatch.undo()
     return widths, groups
@@ -1118,6 +1134,23 @@ def test_self_block_solves_do_not_grow_with_the_certified_eps(unit_pair_s3, monk
     # the benchmark's sweep is cut into two groups by the memory bound
     _, groups = _self_factor_solves(monkeypatch, pair, SWEEP_GRID)
     assert groups == [13, 1]
+
+
+def test_one_lockstep_group_is_held_at_a_time(unit_pair_s3, monkeypatch):
+    # a group's right-hand sides and operators, and with them its
+    # capacitance factors, are released before the next group's are built
+    applies, alive = [], []
+    original = bem.CouplingExpansion.operators
+
+    def tracking(self, eps_list, degrees):
+        alive.append([ref() is not None for ref in applies])
+        ops = original(self, eps_list, degrees)
+        applies.append(weakref.ref(ops[1]))
+        return ops
+
+    monkeypatch.setattr(bem.CouplingExpansion, "operators", tracking)
+    assert len(list(bem.solve_grid(unit_pair_s3, BLOCK_DATA, SWEEP_GRID))) == len(SWEEP_GRID)
+    assert alive == [[], [False]]
 
 
 def test_solve_grid_mixes_expanded_and_assembled_points(unit_pair_s2, monkeypatch):
@@ -1456,3 +1489,22 @@ def test_grid_refuses_the_first_target_before_any_self_block(unit_pair_s3, monke
         sweep(pair, BLOCK_DATA, grid, TargetSet(frame, points))
     assert str(err.value) == messages[first]
     assert built == [] and factored == []
+
+
+def test_sweep_refuses_a_negative_clearance_factor_before_any_block(monkeypatch):
+    from holelab.continuation import TargetSet, sweep
+
+    pair = GeometryPair(icosphere(1.0, 1), icosphere(1.0, 1))
+    # 0.0467 from the outer surface: the guard at the default factor refuses it
+    targets = TargetSet("macroscopic", np.array([[0.0, 0.0, 0.95]]))
+    with pytest.raises(EvaluationTooCloseError):
+        sweep(pair, BLOCK_DATA, [0.3], targets)
+    built, original = [], bem.single_layer_matrix
+    monkeypatch.setattr(bem, "single_layer_matrix",
+                        lambda *a, **k: built.append(1) or original(*a, **k))
+    with pytest.raises(ValueError, match="clearance factor must be >= 0, got -1.0"):
+        sweep(pair, BLOCK_DATA, [0.3], targets, eval_clearance_factor=-1.0)
+    assert built == []
+    # a factor of 0 still switches the guard off
+    result = sweep(pair, BLOCK_DATA, [0.3], targets, eval_clearance_factor=0.0)
+    assert np.all(np.isfinite(result.values)) and built

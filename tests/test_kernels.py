@@ -92,14 +92,29 @@ def test_surface_measure_rejects_low_dimension():
 
 
 def test_dimension_range_is_where_the_sphere_area_is_finite():
+    import holelab.kernels as kernels
     check_dimension(3)
     check_dimension(MAX_DIMENSION)
     assert 0.0 < surface_measure_unit_sphere(MAX_DIMENSION) < np.inf
     with pytest.raises(OverflowError):
-        surface_measure_unit_sphere(MAX_DIMENSION + 1)
+        kernels._sphere_area(MAX_DIMENSION + 1)
     for n in (2, MAX_DIMENSION + 1):
         with pytest.raises(ValueError, match=f"got n={n}"):
             check_dimension(n)
+
+
+def test_every_dimension_taker_refuses_one_past_the_range():
+    # the overflow of gamma(n/2) from n = 344 on is refused by check_dimension,
+    # not met inside the computation
+    from holelab.annulus import closed_form_annulus
+
+    n = MAX_DIMENSION + 1
+    for call in (lambda: surface_measure_unit_sphere(n),
+                 lambda: fundamental_solution(n, [1.0] + [0.0] * (n - 1)),
+                 lambda: sphere_single_layer_eigenvalue(n, 1.0, 0),
+                 lambda: closed_form_annulus(n, 0.1, 0.5)):
+        with pytest.raises(ValueError, match=f"<= {MAX_DIMENSION}, got n={n}"):
+            call()
 
 
 def test_fundamental_solution_values():

@@ -391,7 +391,7 @@ def test_ball_bound_decides_small_holes_without_containment_tests(monkeypatch):
         rep = pair.admissibility(eps)
         assert rep.ok and rep.decided_by == "ball"
         assert rep.clearance == pair.ball_clearance(eps)
-        assert rep.clearance <= pair.origin_distance - abs(eps) * pair.inner_radius
+        assert rep.clearance <= pair.origin_distance - abs(eps) * pair.inner.bounding_radius
 
 
 axes = st.floats(0.3, 2.0)
