@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import copysign
+from math import copysign, isfinite, sqrt
 
 import numpy as np
 
@@ -73,8 +73,10 @@ class SphereProblem:
 
     def __post_init__(self):
         check_dimension(self.n)
-        if self.r_i <= 0 or self.r_o <= 0:
-            raise ValueError("sphere radii must be positive")
+        for name in ("r_i", "r_o"):
+            value = getattr(self, name)
+            if not (value > 0 and isfinite(value)):
+                raise ValueError(f"sphere radii must be positive and finite, got {name}={value}")
 
     @cached_property
     def axis(self) -> tuple:
@@ -164,9 +166,11 @@ class ModalSolution:
     def max_degree(self) -> int:
         return len(self.a_coeffs) - 1
 
-    def radial_profile(self, l: int, r: float) -> float:
+    def radial_profiles(self, r: float) -> list:
+        """a_coeffs[l]*r^l + b_coeffs[l]*r^(2-n-l) for l = 0..L, in Python floats."""
         n = self.problem.n
-        return self.a_coeffs[l] * r**l + self.b_coeffs[l] * r ** (2 - n - l)
+        return [a * r**l + b * r ** (2 - n - l)
+                for l, (a, b) in enumerate(zip(self.a_coeffs.tolist(), self.b_coeffs.tolist()))]
 
 
 @dataclass(frozen=True)
@@ -189,9 +193,9 @@ class LimitSolution:
         r = float(np.linalg.norm(x))
         if r > prob.r_o * (1 + _DOMAIN_RTOL):
             raise DomainError(f"|point| = {r:g} outside the outer ball of radius {prob.r_o:g}")
-        return _zonal_sum(prob, x, [
+        return _zonal_sum(prob, x, r, [
             sphere_single_layer_eigenvalue(prob.n, prob.r_o, l) * m * (r / prob.r_o) ** l
-            for l, m in enumerate(self.mu_outer)])
+            for l, m in enumerate(self.mu_outer)], {})
 
     def microscopic(self, point) -> float:
         prob = self.problem
@@ -203,7 +207,7 @@ class LimitSolution:
                   * (prob.r_i / r) ** (l + prob.n - 2.0) for l, m in enumerate(self.mu_inner)]
         # the outer field's value at 0 is constant, so it joins mode 0 (zonal_0 = 1)
         radial[0] += sphere_single_layer_eigenvalue(prob.n, prob.r_o, 0) * float(self.mu_outer[0])
-        return _zonal_sum(prob, x, radial)
+        return _zonal_sum(prob, x, r, radial, {})
 
 
 def _mode_rhs(data: ZonalDataFamily, l: int, eps: float) -> tuple[float, float]:
@@ -333,43 +337,66 @@ def solve_limit_system(prob: SphereProblem, data: ZonalDataFamily) -> LimitSolut
     return LimitSolution(prob, mu_i, mu_o)
 
 
-def eval_solution(sol: ModalSolution, point, frame: str = MACROSCOPIC) -> float:
-    """Evaluate the modal field at a point of the closed perforated domain.
+def eval_points(sol: ModalSolution, points, frame: str, tables: dict) -> np.ndarray:
+    """Evaluate the modal field at each row of ``points``, an (m, n) array.
 
-    In the macroscopic frame the point is a physical location x with
-    |eps|*r_i <= |x| <= r_o.  In the microscopic frame the point is a
-    rescaled location q with r_i <= |q| <= r_o/|eps|, evaluated at x = eps*q.
+    In the macroscopic frame a point is a physical location x with
+    |eps|*r_i <= |x| <= r_o.  In the microscopic frame a point is a rescaled
+    location q with r_i <= |q| <= r_o/|eps|, evaluated at x = eps*q.  The
+    first point outside the closed annulus raises DomainError.  ``tables``
+    holds the zonal tables built so far (see ``_zonal_sum``), and new ones
+    are added to it; a sweep passes one dict to every eps, so it builds one
+    table per distinct t: one per macroscopic target, and at most two (t and
+    -t) per microscopic one.  A one-off evaluation passes an empty dict.
     """
     if frame not in _FRAMES:
         raise ValueError(f"frame must be one of {_FRAMES}, got {frame!r}")
     prob = sol.problem
     n = prob.n
-    x = np.asarray(point, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"point must have length n={n}")
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[1] != n:
+        raise ValueError(f"points must be an (m, n={n}) array, got shape {x.shape}")
     if frame == MICROSCOPIC:
         x = sol.eps * x
-    r = float(np.linalg.norm(x))
     lo = abs(sol.eps) * prob.r_i
-    if r < lo * (1 - _DOMAIN_RTOL) or r > prob.r_o * (1 + _DOMAIN_RTOL):
-        raise DomainError(
-            f"point at radius {r:g} ({frame} frame) outside the closed annulus "
-            f"[{lo:g}, {prob.r_o:g}]; distance "
-            f"{max(lo - r, r - prob.r_o):g} past the nearer boundary"
-        )
-    r = min(max(r, lo), prob.r_o)
-    return _zonal_sum(prob, x, [sol.radial_profile(l, r) for l in range(sol.max_degree + 1)])
+    values = np.empty(len(x))
+    for i, p in enumerate(x):
+        norm = sqrt(p.dot(p))  # np.linalg.norm's own arithmetic for a 1-D point
+        if norm < lo * (1 - _DOMAIN_RTOL) or norm > prob.r_o * (1 + _DOMAIN_RTOL):
+            raise DomainError(
+                f"point at radius {norm:g} ({frame} frame) outside the closed annulus "
+                f"[{lo:g}, {prob.r_o:g}]; distance "
+                f"{max(lo - norm, norm - prob.r_o):g} past the nearer boundary"
+            )
+        radial = sol.radial_profiles(min(max(norm, lo), prob.r_o))
+        values[i] = _zonal_sum(prob, p, norm, radial, tables)
+    return values
 
 
-def _zonal_sum(prob: SphereProblem, x: np.ndarray, radial) -> float:
+def eval_solution(sol: ModalSolution, point, frame: str = MACROSCOPIC) -> float:
+    """The modal field at one point of length n: the one-point case of ``eval_points``."""
+    x = np.asarray(point, dtype=float)
+    if x.shape != (sol.problem.n,):
+        raise ValueError(f"point must have length n={sol.problem.n}")
+    return float(eval_points(sol, x[None], frame, {})[0])
+
+
+def _zonal_sum(prob: SphereProblem, x: np.ndarray, norm: float, radial: list,
+               tables: dict) -> float:
     """sum_l radial[l] * zonal_l(t), added in mode order, at the physical point x.
 
-    t is the cosine of the angle between x and the zonal axis, 1 at the origin.
+    t is the cosine of the angle between x (of length ``norm``) and the zonal
+    axis, the last coordinate axis; it is 1 at the origin.  The zonal table
+    of degrees 0..L at t is taken from ``tables``, keyed by (n, L, t), or
+    built and stored there.
     """
-    norm = np.linalg.norm(x)
-    t = 1.0 if norm == 0.0 else float(np.dot(x / norm, prob.axis))
+    n, L = prob.n, len(radial) - 1
+    t = 1.0 if norm == 0.0 else float(x[-1]) / norm
+    table = tables.get((n, L, t))
+    if table is None:
+        table = tables[(n, L, t)] = zonal_table(L, n, t).tolist()
     total = 0.0
-    for f, z in zip(radial, zonal_table(len(radial) - 1, prob.n, t)):
+    for f, z in zip(radial, table):
         total += f * z
     return total
 
@@ -384,15 +411,15 @@ def boundary_residuals(sol: ModalSolution, data: ZonalDataFamily) -> tuple[float
     sign shows an O(1) inner residual here.
     """
     prob = sol.problem
-    n = prob.n
     sgn = copysign(1.0, sol.eps)
-    rho = abs(sol.eps) * prob.r_i
+    inner = sol.radial_profiles(abs(sol.eps) * prob.r_i)
+    outer = sol.radial_profiles(prob.r_o)
     res_i = 0.0
     res_o = 0.0
     for l in range(sol.max_degree + 1):
         bi, bo = _mode_rhs(data, l, sol.eps)
-        res_i = max(res_i, abs(sgn**l * sol.radial_profile(l, rho) - bi))
-        res_o = max(res_o, abs(sol.radial_profile(l, prob.r_o) - bo))
+        res_i = max(res_i, abs(sgn**l * inner[l] - bi))
+        res_o = max(res_o, abs(outer[l] - bo))
     return res_i, res_o
 
 

@@ -988,6 +988,12 @@ def _refuse_too_close(points: np.ndarray, found, factor: float) -> None:
                 )
 
 
+def _check_clearance_factor(clearance_factor: float) -> None:
+    # 0 switches the guard off; a negative or NaN factor is refused
+    if not clearance_factor >= 0:
+        raise ValueError(f"clearance factor must be >= 0, got {clearance_factor}")
+
+
 def _clearance_guard(points: np.ndarray, meshes: tuple[TriMesh, ...],
                      clearance_factor: float) -> None:
     _refuse_too_close(points, [_nearest(points, m, clearance_factor) for m in meshes],
@@ -1025,8 +1031,7 @@ class GridField:
     def __init__(self, pair: GeometryPair, grid, points, frame: str, clearance_factor: float):
         if frame not in (MACROSCOPIC, MICROSCOPIC):
             raise ValueError(f"unknown frame {frame!r}")
-        if not clearance_factor >= 0:
-            raise ValueError(f"clearance factor must be >= 0, got {clearance_factor}")
+        _check_clearance_factor(clearance_factor)
         self.grid = np.array(grid, dtype=float).reshape(-1)
         if np.any(self.grid == 0):
             raise MeshError("eps = 0 has no hole to evaluate")
@@ -1110,6 +1115,7 @@ class DirectSolution:
 
     def eval(self, points, clearance_factor: float = EVAL_CLEARANCE_FACTOR) -> np.ndarray:
         """The field at physical points, refused as ``GridField`` refuses them."""
+        _check_clearance_factor(clearance_factor)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         _refuse_outside(pts, ~self.outer.contains_points(pts), self.hole.contains_points(pts))
         if clearance_factor > 0:

@@ -34,7 +34,7 @@ from .annulus import (
     SphereProblem,
     ZonalDataFamily,
     eps_polynomial,
-    eval_solution,
+    eval_points,
     solve_densities,
 )
 from .kernels import MAX_GEGENBAUER_DEGREE, check_dimension
@@ -556,9 +556,7 @@ def _convergence_command(cfg, solver, data, targets, out_dir, levels):
             outer={0: _summed_coeffs(data.outer)} if data.outer else {},
         )
         sol = solve_densities(prob, zonal, eps)
-        oracle = np.array(
-            [eval_solution(sol, p, targets.frame) for p in targets.points]
-        )
+        oracle = eval_points(sol, targets.points, targets.frame, {})
         with np.errstate(divide="ignore", invalid="ignore"):
             errors = np.max(np.abs(values - oracle[None, :]) / np.abs(oracle[None, :]), axis=1)
         orders = _observed_orders(errors, edges)

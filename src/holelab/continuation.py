@@ -38,7 +38,7 @@ from .annulus import (
     DomainError,
     SphereProblem,
     ZonalDataFamily,
-    eval_solution,
+    eval_points,
     solve_densities,
     solve_limit_system,
 )
@@ -169,9 +169,10 @@ class Solver:
 
 def _spectral_grid(problem: SphereProblem, data, grid, targets, clearance_factor):
     validate_targets(problem, targets, grid)
+    tables = {}  # the zonal table of each distinct t, built once per sweep
     for eps in grid:
         sol = solve_densities(problem, data, eps)
-        yield [eval_solution(sol, p, targets.frame) for p in targets.points], sol.cond
+        yield eval_points(sol, targets.points, targets.frame, tables), sol.cond
 
 
 def _bem_grid(pair: GeometryPair, data, grid, targets, clearance_factor):

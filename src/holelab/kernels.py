@@ -3,13 +3,14 @@
 Fundamental solution of the Laplace operator in R^n (n >= 3), unit-sphere
 surface measures, Gegenbauer (ultraspherical) polynomials for zonal
 expansions, and the modal eigenvalues of the single-layer operator on a
-sphere.  Everything here is a pure function of its inputs.
+sphere, integrated once per (n, l) on the unit sphere and scaled by the
+radius.  Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gamma, pi
+from math import gamma, isfinite, pi
 
 import numpy as np
 
@@ -111,8 +112,15 @@ def gegenbauer(l: int, nu: float, t):
 
 
 def gegenbauer_at_one(l: int, nu: float) -> float:
-    """C_l^(nu)(1) = binomial(l + 2*nu - 1, l), always positive."""
-    return float(gegenbauer(l, nu, 1.0))
+    """C_l^(nu)(1) = binomial(l + 2*nu - 1, l), always positive.
+
+    The recurrence at t = 1 in Python floats, as in ``zonal_table``; the
+    same bits as ``gegenbauer(l, nu, 1.0)``.
+    """
+    _check_gegenbauer(l, nu, 1.0)
+    for c in _gegenbauer_rows(l, nu, 1.0, 1.0):
+        pass  # only the last row, C_l(1), is kept
+    return c
 
 
 def zonal(l: int, n: int, t):
@@ -140,15 +148,15 @@ def zonal_table(L: int, n: int, t: float) -> np.ndarray:
                                              _gegenbauer_rows(L, nu, 1.0, 1.0))])
 
 
-def _eigenvalue_integrand(n: int, a: float, l: int, theta):
-    # Polar-angle reduction of the on-sphere single layer applied to the
-    # degree-l zonal density, evaluated at the pole.  The chord length is
-    # d = 2*a*sin(theta/2); the (sin theta)^(n-2) area factor cancels the
+def _eigenvalue_integrand(n: int, l: int, theta):
+    # Polar-angle reduction of the single layer on the unit sphere applied to
+    # the degree-l zonal density, evaluated at the pole.  The chord length is
+    # d = 2*sin(theta/2); the (sin theta)^(n-2) area factor cancels the
     # kernel singularity so the integrand is bounded at theta = 0.
-    d = 2.0 * a * np.sin(0.5 * theta)
+    d = 2.0 * np.sin(0.5 * theta)
     kern = fundamental_solution_radial(n, d)
     ring = _sphere_area(n - 1) * np.sin(theta) ** (n - 2)
-    return kern * zonal(l, n, np.cos(theta)) * a ** (n - 1) * ring
+    return kern * zonal(l, n, np.cos(theta)) * ring
 
 
 @lru_cache(maxsize=4096)
@@ -157,16 +165,22 @@ def sphere_single_layer_eigenvalue(n: int, a: float, l: int) -> float:
 
     The single layer of the zonal density of degree l on the radius-a sphere,
     evaluated on the sphere, equals this value times the same zonal function.
-    Computed by panel-doubled Gauss-Legendre quadrature of the polar-angle
-    reduction; refinement stops when the relative change drops below
-    EIGENVALUE_RTOL.
+    The kernel scales as a^(2-n) and the area as a^(n-1), so the eigenvalue
+    is linear in the radius: only the unit sphere is integrated, once per
+    (n, l), and any other radius returns a times the cached unit value.  The
+    unit value comes from panel-doubled Gauss-Legendre quadrature of the
+    polar-angle reduction; refinement stops when the relative change drops
+    below EIGENVALUE_RTOL.  A radius that is not positive and finite raises
+    ValueError.
     All eigenvalues are strictly negative and decrease in magnitude as l grows.
     """
     check_dimension(n)
-    if a <= 0:
-        raise ValueError(f"sphere radius must be positive, got a={a}")
+    if not (a > 0 and isfinite(a)):
+        raise ValueError(f"sphere radius must be positive and finite, got a={a}")
     if l < 0:
         raise ValueError(f"degree must be >= 0, got l={l}")
+    if a != 1.0:
+        return a * sphere_single_layer_eigenvalue(n, 1.0, l)
 
     def integrate(panels: int) -> float:
         edges = np.linspace(0.0, pi, panels + 1)
@@ -174,7 +188,7 @@ def sphere_single_layer_eigenvalue(n: int, a: float, l: int) -> float:
         half = 0.5 * (edges[1:] - edges[:-1])
         theta = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
         w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-        return float(np.dot(w, _eigenvalue_integrand(n, a, l, theta)))
+        return float(np.dot(w, _eigenvalue_integrand(n, l, theta)))
 
     panels = max(2, l // 2)
     value = integrate(panels)
@@ -187,6 +201,6 @@ def sphere_single_layer_eigenvalue(n: int, a: float, l: int) -> float:
             return refined
         value = refined
     raise QuadratureError(
-        f"eigenvalue quadrature did not converge for n={n}, a={a}, l={l} "
+        f"eigenvalue quadrature did not converge for n={n}, l={l} on the unit sphere "
         f"(last relative change {change:.2e})"
     )

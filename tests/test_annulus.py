@@ -14,6 +14,7 @@ from holelab.annulus import (
     boundary_residuals,
     closed_form_annulus,
     coupling_sign,
+    eval_points,
     eval_solution,
     solve_densities,
     solve_limit_system,
@@ -466,6 +467,21 @@ def test_eval_domain_errors():
         eval_solution(sol, axis_point(prob, 1.25))
     with pytest.raises(ValueError):
         eval_solution(sol, axis_point(prob, 0.75), "nonsense")
+    with pytest.raises(ValueError, match="length n=3"):
+        eval_solution(sol, [0.0, 0.75])
+    # many points: the first one outside is named, and a flat point is refused
+    points = [axis_point(prob, r) for r in (0.75, 1.25, 0.25)]
+    with pytest.raises(DomainError, match="radius 1.25"):
+        eval_points(sol, points, "macroscopic", {})
+    with pytest.raises(ValueError, match=r"\(m, n=3\)"):
+        eval_points(sol, axis_point(prob, 0.75), "macroscopic", {})
+
+
+@pytest.mark.parametrize("field,value", [("r_i", np.inf), ("r_o", np.inf),
+                                         ("r_i", np.nan), ("r_o", np.nan), ("r_o", -np.inf)])
+def test_problem_refuses_a_non_finite_radius(field, value):
+    with pytest.raises(ValueError, match=f"positive and finite, got {field}="):
+        SphereProblem(3, **{field: value})
 
 
 # ---------------------------------------------------------------------------

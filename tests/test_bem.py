@@ -1508,3 +1508,18 @@ def test_sweep_refuses_a_negative_clearance_factor_before_any_block(monkeypatch)
     # a factor of 0 still switches the guard off
     result = sweep(pair, BLOCK_DATA, [0.3], targets, eval_clearance_factor=0.0)
     assert np.all(np.isfinite(result.values)) and built
+
+
+@pytest.mark.parametrize("factor", [-1.0, float("nan")])
+def test_direct_solution_refuses_a_bad_clearance_factor_as_the_grid_field_does(factor):
+    pair = GeometryPair(icosphere(1.0, 1), icosphere(1.0, 1))
+    direct = direct_solve(pair, HOLE_EPS_DATA, 0.3)
+    point = [[0.0, 0.0, 0.95]]  # 0.0467 from the outer surface
+    with pytest.raises(ValueError) as want:
+        bem.GridField(pair, [0.3], point, "macroscopic", factor)
+    with pytest.raises(ValueError) as got:
+        direct.eval(point, clearance_factor=factor)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("clearance factor must be >= 0")
+    # a factor of 0 still switches the guard off
+    assert np.isfinite(direct.eval(point, clearance_factor=0.0)).all()

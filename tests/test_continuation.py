@@ -392,6 +392,46 @@ def test_frames_consistent_along_sweep():
         assert eval_solution(sol, eps * q, "macroscopic") == pytest.approx(value, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("frame", ["macroscopic", "microscopic"])
+def test_spectral_sweep_equals_per_point_evaluation_bit_for_bit(n, frame):
+    from holelab.annulus import eval_solution, solve_densities
+    prob = SphereProblem(n, 1.0, 1.7)
+    data = ZonalDataFamily(inner={0: (0.5, 1.0), 3: (0.0, -0.7)},
+                           outer={1: (0.3,), 2: (0.0, 0.0, 1.1)})
+    rng = np.random.default_rng(n)
+    radii = (0.6, 1.1) if frame == "macroscopic" else (1.5, 4.0)
+    off_axis = [r * v / np.linalg.norm(v) for r, v in zip(radii, rng.normal(size=(2, n)))]
+    points = np.array([*(r * np.asarray(prob.axis) for r in radii), *off_axis])
+    grid = make_grid(0.05, 0.3, 6)
+    for signed in (-grid[::-1], grid):
+        result = sweep(prob, data, signed, TargetSet(frame, points))
+        for eps, row in zip(signed, result.values):
+            sol = solve_densities(prob, data, eps)
+            want = np.array([eval_solution(sol, p, frame) for p in points])
+            assert row.tobytes() == want.tobytes(), eps
+
+
+@pytest.mark.parametrize("frame,radius,cosines", [
+    ("macroscopic", 0.6, [1.0, -1.0, 0.8]),  # each target keeps its cosine at every eps
+    ("microscopic", 2.0, [1.0, -1.0]),       # eps*q on the axis: cosine sgn(eps)*(+-1)
+])
+def test_spectral_sweep_builds_one_zonal_table_per_distinct_cosine(monkeypatch, frame, radius,
+                                                                   cosines):
+    import holelab.annulus as annulus
+    built = []
+    table = annulus.zonal_table
+    monkeypatch.setattr(annulus, "zonal_table",
+                        lambda L, n, t: built.append(t) or table(L, n, t))
+    prob = SphereProblem(3)
+    directions = {1.0: [0.0, 0.0, 1.0], -1.0: [0.0, 0.0, -1.0], 0.8: [0.6, 0.0, 0.8]}
+    points = radius * np.array([directions[c] for c in cosines])
+    grid = make_grid(0.05, 0.3, 11)
+    sweep(prob, HOLE_EPS_DATA, np.concatenate([-grid[::-1], grid]), TargetSet(frame, points))
+    assert sorted(built) == pytest.approx(sorted(cosines), abs=1e-15)
+    assert len(built) == len(cosines)
+
+
 # ---------------------------------------------------------------------------
 # BEM sweeps share the eps-independent self blocks
 # ---------------------------------------------------------------------------

@@ -172,6 +172,17 @@ def test_gegenbauer_preconditions():
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 40])
+def test_gegenbauer_at_one_equals_the_array_recurrence_bit_for_bit(n):
+    nu = (n - 2) / 2.0
+    for l in range(MAX_GEGENBAUER_DEGREE + 1):
+        got = gegenbauer_at_one(l, nu)
+        assert type(got) is float
+        assert got.hex() == float(gegenbauer(l, nu, 1.0)).hex(), l
+    with pytest.raises(ValueError, match="got l=65"):
+        gegenbauer_at_one(MAX_GEGENBAUER_DEGREE + 1, nu)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 40])
 def test_zonal_table_rows_equal_zonal_bit_for_bit(n):
     rng = np.random.default_rng(n)
     ts = [1.0, -1.0, 0.0, *rng.uniform(-1, 1, 20)]
@@ -265,18 +276,36 @@ def test_eigenvalue_preconditions_and_budget(monkeypatch):
     with pytest.raises(ValueError):
         sphere_single_layer_eigenvalue(2, 1.0, 0)
     # Exhausting the refinement budget is reported as QuadratureError,
-    # distinct from the precondition failures above.
+    # distinct from the precondition failures above.  The cache is cleared
+    # first: any cached unit value of (3, 2) would answer without a quadrature.
     import holelab.kernels as kernels
+    sphere_single_layer_eigenvalue.cache_clear()
     monkeypatch.setattr(kernels, "_MAX_PANEL_LEVELS", 0)
     with pytest.raises(QuadratureError):
         sphere_single_layer_eigenvalue(3, 0.987654321, 2)
 
 
-def _reference_eigenvalue(n, a, l):
-    # The quadrature with the Gauss rule built at every call, as it was
-    # before the rule became a module constant.
-    from holelab.kernels import _eigenvalue_integrand
+@pytest.mark.parametrize("a", [np.inf, -np.inf, np.nan])
+def test_eigenvalue_refuses_a_non_finite_radius(a):
+    sphere_single_layer_eigenvalue.cache_clear()
+    with pytest.raises(ValueError, match="positive and finite"):
+        sphere_single_layer_eigenvalue(3, a, 2)
+    assert sphere_single_layer_eigenvalue.cache_info().currsize == 0
 
+
+def _eigenvalue_integrand_at_radius(n, a, l, theta):
+    # The polar-angle reduction on the radius-a sphere itself: the chord
+    # 2*a*sin(theta/2) and the area factor a^(n-1) stay in.
+    from holelab.kernels import _sphere_area
+
+    d = 2.0 * a * np.sin(0.5 * theta)
+    ring = _sphere_area(n - 1) * np.sin(theta) ** (n - 2)
+    return fundamental_solution_radial(n, d) * zonal(l, n, np.cos(theta)) * a ** (n - 1) * ring
+
+
+def _reference_eigenvalue(n, a, l):
+    # The quadrature at radius a itself, as it ran before radii were scaled
+    # from the unit sphere, with the Gauss rule built at every call.
     nodes, weights = np.polynomial.legendre.leggauss(16)
 
     def integrate(panels):
@@ -285,7 +314,7 @@ def _reference_eigenvalue(n, a, l):
         half = 0.5 * (edges[1:] - edges[:-1])
         theta = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
         w = (half[:, None] * weights[None, :]).ravel()
-        return float(np.dot(w, _eigenvalue_integrand(n, a, l, theta)))
+        return float(np.dot(w, _eigenvalue_integrand_at_radius(n, a, l, theta)))
 
     panels = max(2, l // 2)
     value = integrate(panels)
@@ -300,10 +329,14 @@ def _reference_eigenvalue(n, a, l):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_eigenvalues_equal_the_per_call_rule_bit_for_bit(n):
-    for a in (0.37, 1.0, 1.3, 2.0):
-        for l in range(17):
+    # Each radius is the radius times the unit-sphere quadrature, bit for bit,
+    # and within 1e-14 of the quadrature taken at that radius itself.
+    for l in range(17):
+        unit = _reference_eigenvalue(n, 1.0, l)
+        for a in (0.37, 1.0, 1.3, 2.0):
             got = sphere_single_layer_eigenvalue(n, a, l)
-            assert got.hex() == _reference_eigenvalue(n, a, l).hex(), (a, l)
+            assert got.hex() == (a * unit).hex(), (a, l)
+            assert got == pytest.approx(_reference_eigenvalue(n, a, l), rel=1e-14, abs=0), (a, l)
 
 
 def test_eigenvalue_miss_builds_no_gauss_rule(monkeypatch):
@@ -314,8 +347,35 @@ def test_eigenvalue_miss_builds_no_gauss_rule(monkeypatch):
     sphere_single_layer_eigenvalue.cache_clear()
     sphere_single_layer_eigenvalue(5, 0.37, 7)
     sphere_single_layer_eigenvalue(3, 1.3, 0)
-    assert sphere_single_layer_eigenvalue.cache_info().misses == 2
+    # each radius other than 1 adds its own entry and the unit entry it scales
+    assert sphere_single_layer_eigenvalue.cache_info().misses == 4
     assert calls == []
+
+
+def test_eigenvalue_integrates_once_per_dimension_and_degree(monkeypatch):
+    import holelab.kernels as kernels
+
+    integrated = []
+    integrand = kernels._eigenvalue_integrand
+    monkeypatch.setattr(kernels, "_eigenvalue_integrand",
+                        lambda n, l, theta: integrated.append((n, l)) or integrand(n, l, theta))
+    sphere_single_layer_eigenvalue.cache_clear()
+    sphere_single_layer_eigenvalue(4, 1.0, 3)
+    levels = len(integrated)  # the panel levels of one quadrature
+    assert levels >= 2 and set(integrated) == {(4, 3)}
+    for a in (0.37, 1.3, 2.0):
+        sphere_single_layer_eigenvalue(4, a, 3)
+    assert len(integrated) == levels
+    # a radius other than 1 first: its unit value is integrated then, and reused
+    sphere_single_layer_eigenvalue(4, 0.5, 5)
+    seen = len(integrated)
+    assert seen > levels and set(integrated[levels:]) == {(4, 5)}
+    sphere_single_layer_eigenvalue(4, 1.0, 5)
+    assert len(integrated) == seen
+    # cache_clear leaves no unit value behind: the next radius integrates again
+    sphere_single_layer_eigenvalue.cache_clear()
+    sphere_single_layer_eigenvalue(4, 2.0, 3)
+    assert integrated[seen:] == [(4, 3)] * levels
 
 
 def test_shared_gauss_rule_is_read_only():
