@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import copysign, isfinite, sqrt
+from math import copysign, inf, isfinite, sqrt
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class SphereProblem:
     def check_eps(self, eps: float) -> None:
         if eps == 0.0:
             raise InadmissibleEpsError("eps = 0 is handled by solve_limit_system only")
-        if abs(eps) * self.r_i >= self.r_o:
+        if not abs(eps) * self.r_i < self.r_o:  # a NaN eps fails this too
             raise InadmissibleEpsError(
                 f"|eps|*r_i = {abs(eps) * self.r_i:g} must be < r_o = {self.r_o:g}"
             )
@@ -210,29 +210,37 @@ class LimitSolution:
         return _zonal_sum(prob, x, r, radial, {})
 
 
-def _mode_rhs(data: ZonalDataFamily, l: int, eps: float) -> tuple[float, float]:
-    return data.inner_coeff(l, eps), data.outer_coeff(l, eps)
+def _solve_mode(l: int, a: float, b: float, c: float, d: float,
+                f: float, g: float) -> tuple[float, float, float]:
+    """Guard and solve mode l's system [[a, b], [c, d]] (x, y) = (f, g), in floats.
 
-
-def _solve_mode_systems(systems: list, rhs: list) -> tuple[np.ndarray, float]:
-    """Guard and solve the 2x2 systems of modes 0..L in one batched call each.
-
-    Returns the (L+1, 2) solutions and the worst condition (at least 1).
-    The first mode over MODE_CONDITION_LIMIT raises NearSingularModeError
-    before any system is solved.
+    Returns x, y and the 2-norm condition s_max^2/|det|, with s_max^2 =
+    (F + sqrt((F - 2|det|)(F + 2|det|)))/2, F the squared Frobenius norm and
+    F - 2|det| a sum of squares, which does not cancel; a determinant whose
+    products cancel to under half the larger is recomputed exactly.  A
+    condition over MODE_CONDITION_LIMIT, or NaN, raises NearSingularModeError.
+    Elimination pivots on the row whose diagonal product, ad or bc, is larger:
+    each row's componentwise backward error then stays within a few units of
+    roundoff, which partial pivoting does not give when |a| = |c|.
     """
-    M = np.array(systems)
-    sv = np.linalg.svd(M, compute_uv=False)
-    with np.errstate(divide="ignore"):
-        cond = np.where(sv[:, 1] == 0, np.inf, sv[:, 0] / sv[:, 1])
-    over = np.flatnonzero(cond > MODE_CONDITION_LIMIT)
-    if over.size:
-        l = over[0]
+    ad, bc = a * d, b * c
+    det = ad - bc
+    if abs(det) < 0.5 * max(abs(ad), abs(bc)):
+        (na, da), (nb, db), (nc, dc), (nd, dd) = (v.as_integer_ratio() for v in (a, b, c, d))
+        det = (na * nd * db * dc - nb * nc * da * dd) / (da * db * dc * dd)  # rounded once
+    gap = (a - d) ** 2 + (b + c) ** 2 if det >= 0 else (a + d) ** 2 + (b - c) ** 2
+    frob = a * a + b * b + c * c + d * d
+    cond = (frob + sqrt(gap * (frob + 2 * abs(det)))) / (2 * abs(det)) if det else inf
+    if not cond <= MODE_CONDITION_LIMIT:
         raise NearSingularModeError(
-            f"mode {l} system condition {cond[l]:.3e} exceeds {MODE_CONDITION_LIMIT:.0e} "
+            f"mode {l} system condition {cond:.3e} exceeds {MODE_CONDITION_LIMIT:.0e} "
             "(hole nearly touching the outer sphere?)"
         )
-    return np.linalg.solve(M, np.array(rhs)[..., None])[..., 0], max(1.0, cond.max())
+    if abs(bc) > abs(ad):
+        a, b, c, d, f, g = c, d, a, b, g, f
+    m = c / a
+    y = (g - m * f) / (d - m * b)
+    return (f - b * y) / a, y, cond
 
 
 def solve_modes(prob: SphereProblem, data: ZonalDataFamily, eps: float) -> ModalSolution:
@@ -247,22 +255,19 @@ def solve_modes(prob: SphereProblem, data: ZonalDataFamily, eps: float) -> Modal
     its condition stays near 1 unless the hole nearly touches the outer sphere.
     """
     prob.check_eps(eps)
+    eps = float(eps)  # arithmetic on a numpy scalar eps is slower
     n = prob.n
     sgn = copysign(1.0, eps)
     rho = abs(eps) * prob.r_i
     t = rho / prob.r_o
-    L = data.max_degree
-    systems, rhs = [], []
-    for l in range(L + 1):
-        bi, bo = _mode_rhs(data, l, eps)
-        systems.append([[t**l, 1.0], [1.0, t ** (l + n - 2)]])
-        rhs.append([sgn**l * bi, bo])
-    sol, worst = _solve_mode_systems(systems, rhs)
-    a = np.zeros(L + 1)
-    b = np.zeros(L + 1)
-    for l, (alpha, beta) in enumerate(sol):
-        a[l], b[l] = alpha / prob.r_o**l, beta * rho ** (l + n - 2)
-    return ModalSolution(prob, eps, a, b, worst)
+    a, b, worst = [], [], 1.0
+    for l in range(data.max_degree + 1):
+        bi, bo = data.inner_coeff(l, eps), data.outer_coeff(l, eps)
+        alpha, beta, cond = _solve_mode(l, t**l, 1.0, 1.0, t ** (l + n - 2), sgn**l * bi, bo)
+        a.append(alpha / prob.r_o**l)
+        b.append(beta * rho ** (l + n - 2))
+        worst = max(worst, cond)
+    return ModalSolution(prob, eps, np.array(a), np.array(b), worst)
 
 
 def solve_densities(
@@ -281,38 +286,32 @@ def solve_densities(
     experiments; the field reconstruction always uses the physical sign rule.
     """
     prob.check_eps(eps)
+    eps = float(eps)  # arithmetic on a numpy scalar eps is slower
     n = prob.n
     nu = (n - 2) / 2.0
     sgn = copysign(1.0, eps)
     sign_true = coupling_sign(eps, n)
     sign_asm = sign_true if sign is None else float(sign)
     rho = abs(eps) * prob.r_i
-    L = data.max_degree
-    lams, systems, rhs = [], [], []
-    for l in range(L + 1):
-        bi, bo = _mode_rhs(data, l, eps)
+    a, b, mu_i, mu_o, worst = [], [], [], [], 1.0
+    for l in range(data.max_degree + 1):
+        bi, bo = data.inner_coeff(l, eps), data.outer_coeff(l, eps)
         lam_i = sphere_single_layer_eigenvalue(n, prob.r_i, l)
         lam_o = sphere_single_layer_eigenvalue(n, prob.r_o, l)
         s_l = sgn**l
-        lams.append((lam_i, lam_o, s_l))
         # Row 1: trace on the unit-scale inner sphere; the outer layer is
         # sampled at the rescaled points eps*x.  Row 2: trace on the outer
         # sphere; the rescaled inner layer decays from the hole.
-        systems.append(
-            [
-                [sign_asm * lam_i, lam_o * (eps * prob.r_i / prob.r_o) ** l],
-                [sign_asm * s_l * lam_i * (rho / prob.r_o) ** (l + 2 * nu), lam_o],
-            ]
-        )
-        rhs.append([bi, bo])
-    sol, worst = _solve_mode_systems(systems, rhs)
-    mu_i, mu_o = sol.T.copy()
-    a = np.zeros(L + 1)
-    b = np.zeros(L + 1)
-    for l, (lam_i, lam_o, s_l) in enumerate(lams):
-        a[l] = lam_o * mu_o[l] / prob.r_o**l
-        b[l] = sign_true * s_l * lam_i * rho ** (l + 2 * nu) * mu_i[l]
-    return ModalSolution(prob, eps, a, b, worst, mu_i, mu_o)
+        m_i, m_o, cond = _solve_mode(
+            l, sign_asm * lam_i, lam_o * (eps * prob.r_i / prob.r_o) ** l,
+            sign_asm * s_l * lam_i * (rho / prob.r_o) ** (l + 2 * nu), lam_o, bi, bo)
+        mu_i.append(m_i)
+        mu_o.append(m_o)
+        a.append(lam_o * m_o / prob.r_o**l)
+        b.append(sign_true * s_l * lam_i * rho ** (l + 2 * nu) * m_i)
+        worst = max(worst, cond)
+    return ModalSolution(prob, eps, np.array(a), np.array(b), worst,
+                         np.array(mu_i), np.array(mu_o))
 
 
 def solve_limit_system(prob: SphereProblem, data: ZonalDataFamily) -> LimitSolution:
@@ -417,7 +416,7 @@ def boundary_residuals(sol: ModalSolution, data: ZonalDataFamily) -> tuple[float
     res_i = 0.0
     res_o = 0.0
     for l in range(sol.max_degree + 1):
-        bi, bo = _mode_rhs(data, l, sol.eps)
+        bi, bo = data.inner_coeff(l, sol.eps), data.outer_coeff(l, sol.eps)
         res_i = max(res_i, abs(sgn**l * inner[l] - bi))
         res_o = max(res_o, abs(outer[l] - bo))
     return res_i, res_o

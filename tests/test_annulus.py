@@ -1,9 +1,14 @@
-from math import copysign
+from contextlib import contextmanager
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from math import copysign, inf, nan
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from holelab import annulus
 from holelab.annulus import (
     MODE_CONDITION_LIMIT,
     DomainError,
@@ -20,7 +25,7 @@ from holelab.annulus import (
     solve_limit_system,
     solve_modes,
 )
-from holelab.continuation import default_grid
+from holelab.continuation import TargetSet, default_grid, sweep
 from holelab.kernels import MAX_DIMENSION, MAX_GEGENBAUER_DEGREE, sphere_single_layer_eigenvalue
 
 HOLE_EPS_DATA = ZonalDataFamily(inner={0: (0.0, 1.0)})  # value eps on the hole, 0 outside
@@ -162,7 +167,7 @@ def test_near_touching_reported():
 
 
 # ---------------------------------------------------------------------------
-# the batched modal solve against a per-mode reference loop
+# the per-mode 2x2 kernel against LAPACK and a 60-digit reference
 # ---------------------------------------------------------------------------
 
 def _reference_solve_2x2(M, rhs, l):
@@ -177,7 +182,7 @@ def _reference_solve_2x2(M, rhs, l):
 
 
 def _reference_solve_modes(prob, data, eps):
-    # one 2x2 guard and solve per mode, in mode order
+    # one LAPACK 2x2 guard and solve per mode, in mode order
     n = prob.n
     sgn = copysign(1.0, eps)
     rho = abs(eps) * prob.r_i
@@ -224,12 +229,53 @@ def _reference_solve_densities(prob, data, eps, sign=None):
     return a, b, mu_i, mu_o, worst
 
 
-def _bits(values):
-    return np.asarray(values, dtype=float).tobytes()
+def _decimal_condition(a, b, c, d):
+    """The 2-norm condition of [[a, b], [c, d]] in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b, c, d = (Decimal(v) for v in (a, b, c, d))  # exact
+        det = abs(a * d - b * c)
+        if det == 0:
+            return inf
+        frob = a * a + b * b + c * c + d * d
+        return float((frob + ((frob - 2 * det) * (frob + 2 * det)).sqrt()) / (2 * det))
+
+
+def _backward_error(a, b, c, d, f, g, x, y):
+    """Componentwise backward error of (x, y), from the exact residual (Oettli-Prager)."""
+    a, b, c, d, f, g, x, y = (Fraction(v) for v in (a, b, c, d, f, g, x, y))
+    worst = Fraction(0)
+    for p, q, r in ((a, b, f), (c, d, g)):
+        res = abs(r - p * x - q * y)
+        if res:
+            worst = max(worst, res / (abs(p * x) + abs(q * y) + abs(r)))
+    return float(worst)
+
+
+@contextmanager
+def _recorded_modes():
+    """Yields the list of per-mode kernel calls made inside the block:
+    ((l, a, b, c, d, f, g), (x, y, cond), or None for the call that raised)."""
+    calls, kernel = [], annulus._solve_mode
+
+    def record(*args):
+        calls.append((args, None))
+        calls[-1] = (args, kernel(*args))
+        return calls[-1][1]
+
+    with mock.patch.object(annulus, "_solve_mode", record):
+        yield calls
+
+
+def _normwise(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_batched_modal_solves_match_per_mode_loop(seed):
+    # the scalar kernel against one LAPACK svd and solve per mode: the values
+    # within 1e-14 normwise, the condition within 1e-13 where it is <= 1e8
     rng = np.random.default_rng(1000 + seed)
     n = int(rng.integers(3, 9))
     prob = SphereProblem(n, float(rng.uniform(0.5, 1.5)), float(rng.uniform(1.0, 2.0)))
@@ -240,40 +286,97 @@ def test_batched_modal_solves_match_per_mode_loop(seed):
     )
     a, b, cond = _reference_solve_modes(prob, data, eps)
     sol = solve_modes(prob, data, eps)
-    assert _bits([*sol.a_coeffs, *sol.b_coeffs, sol.cond]) == _bits([*a, *b, cond])
+    assert _normwise([*sol.a_coeffs, *sol.b_coeffs], [*a, *b]) <= 1e-14
+    assert cond > 1e8 or abs(sol.cond - cond) <= 1e-13 * cond
     for sign in (None, -coupling_sign(eps, n)):
         a, b, mu_i, mu_o, cond = _reference_solve_densities(prob, data, eps, sign)
         sol = solve_densities(prob, data, eps, sign)
-        got = [*sol.a_coeffs, *sol.b_coeffs, *sol.mu_inner, *sol.mu_outer, sol.cond]
-        assert _bits(got) == _bits([*a, *b, *mu_i, *mu_o, cond])
+        got = [*sol.a_coeffs, *sol.b_coeffs, *sol.mu_inner, *sol.mu_outer]
+        assert _normwise(got, [*a, *b, *mu_i, *mu_o]) <= 1e-14
+        assert cond > 1e8 or abs(sol.cond - cond) <= 1e-13 * cond
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 8), r_i=st.floats(0.5, 1.5), r_o=st.floats(1.0, 2.0),
+       L=st.integers(0, MAX_GEGENBAUER_DEGREE),
+       gap=st.sampled_from([1e-11, 1e-9, 1e-6, 1e-3]) | st.floats(1e-3, 0.99),
+       negative=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=3, r_i=1.0, r_o=1.0, L=8, gap=1e-12, negative=False, seed=0)
+@example(n=8, r_i=1.0, r_o=1.0, L=64, gap=0.99, negative=True, seed=1)
+def test_mode_kernel_condition_and_backward_error(n, r_i, r_o, L, gap, negative, seed):
+    # |eps| = (1 - gap) r_o/r_i, down to near touching: every system either
+    # solver builds has its condition within 1e-12 of the 60-digit value, and
+    # a componentwise backward error of at most 4 units of roundoff.  Mode 0
+    # always has inner data, and for odd seeds no outer data: solve_modes'
+    # mode-0 system [[1, 1], [1, t^(n-2)]] then needs the right pivot.
+    rng = np.random.default_rng(seed)
+    prob = SphereProblem(n, r_i, r_o)
+    eps = (1.0 - gap) * r_o / r_i * (-1.0 if negative else 1.0)
+    inner = {0, *rng.choice(L + 1, min(L + 1, 3), replace=False).tolist()}
+    outer = set(rng.choice(L + 1, min(L + 1, 3), replace=False).tolist())
+    if seed % 2:
+        outer.discard(0)
+    data = ZonalDataFamily(inner={l: tuple(rng.uniform(-1, 1, 3)) for l in inner},
+                           outer={l: tuple(rng.uniform(-1, 1, 2)) for l in outer})
+    u = 2.0**-53
+    for solve in (solve_modes, solve_densities):
+        with _recorded_modes() as calls:
+            try:
+                solve(prob, data, eps)
+            except NearSingularModeError:
+                (_, *system), result = calls[-1]
+                assert result is None and _decimal_condition(*system[:4]) > MODE_CONDITION_LIMIT
+        for (l, *system), result in calls:
+            if result is None:
+                continue
+            x, y, cond = result
+            want = _decimal_condition(*system[:4])
+            assert abs(cond - want) <= 1e-12 * want, (solve.__name__, l)
+            assert _backward_error(*system, x, y) <= 4 * u, (solve.__name__, l)
 
 
 @pytest.mark.parametrize("solve", [solve_modes, solve_densities])
 def test_near_touching_names_the_first_failing_mode(solve):
-    # every mode is near singular; the batched guard names the one the
-    # per-mode loop stops at, with the same message
+    # every mode is near singular; the guard stops at mode 0 and reports the
+    # 60-digit condition of the system it was handed, to the message's digits
     prob = SphereProblem(4, 1.0, 1.0)
     data = ZonalDataFamily(inner={l: (1.0,) for l in range(5)}, outer={2: (1.0,)})
-    eps = 1.0 - 1e-14
-    reference = {solve_modes: _reference_solve_modes,
-                 solve_densities: _reference_solve_densities}[solve]
-    with pytest.raises(NearSingularModeError) as want:
-        reference(prob, data, eps)
-    with pytest.raises(NearSingularModeError) as got:
-        solve(prob, data, eps)
-    assert str(got.value) == str(want.value)
-    assert str(got.value).startswith("mode 0 ")
+    with _recorded_modes() as calls, pytest.raises(NearSingularModeError) as got:
+        solve(prob, data, 1.0 - 1e-14)
+    [((l, *system), result)] = calls
+    want = _decimal_condition(*system[:4])
+    assert l == 0 and result is None and f"{want:.3e}" == "2.002e+14"
+    assert str(got.value) == (f"mode 0 system condition {want:.3e} exceeds "
+                              f"{MODE_CONDITION_LIMIT:.0e} (hole nearly touching the outer sphere?)")
 
 
 def test_mode_guard_names_the_lowest_mode_and_reports_the_worst():
-    from holelab.annulus import _solve_mode_systems
-
-    eye, rank_one = [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]
+    _solve_mode = annulus._solve_mode
+    eye, rank_one = (1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 0.0)
     with pytest.raises(NearSingularModeError, match=r"^mode 2 system condition inf "):
-        _solve_mode_systems([eye, eye, rank_one, eye, rank_one], [[1.0, 0.0]] * 5)
-    sol, worst = _solve_mode_systems([eye, [[2.0, 0.0], [0.0, 0.5]], eye], [[1.0, 1.0]] * 3)
-    assert worst == 4.0
-    assert sol.tolist() == [[1.0, 1.0], [0.5, 2.0], [1.0, 1.0]]
+        for l, system in enumerate([eye, eye, rank_one, eye, rank_one]):
+            _solve_mode(l, *system, 1.0, 0.0)
+    assert _decimal_condition(*rank_one) == inf
+    with pytest.raises(NearSingularModeError, match=r"^mode 3 system condition nan "):
+        _solve_mode(3, nan, 0.0, 0.0, 1.0, 1.0, 1.0)
+    assert _decimal_condition(2.0, 0.0, 0.0, 0.5) == 4.0
+    assert _solve_mode(1, 2.0, 0.0, 0.0, 0.5, 1.0, 1.0) == (0.5, 2.0, 4.0)
+    # a solution's condition is its worst mode's, and never less than 1
+    with _recorded_modes() as calls:
+        sol = solve_densities(SphereProblem(3), ZonalDataFamily(inner={4: (1.0,)}), 0.5)
+    assert len(calls) == 5 and sol.cond == max(1.0, *(cond for _, (_, _, cond) in calls))
+
+
+def test_nan_eps_is_refused_where_the_library_takes_it():
+    prob = SphereProblem(3)
+    with pytest.raises(InadmissibleEpsError, match=r"\|eps\|\*r_i = nan must be < r_o"):
+        prob.check_eps(nan)
+    for solve in (solve_modes, solve_densities):
+        with pytest.raises(InadmissibleEpsError, match="nan"):
+            solve(prob, HOLE_EPS_DATA, nan)
+    targets = TargetSet("macroscopic", np.array([axis_point(prob, 0.95)]))
+    with pytest.raises(InadmissibleEpsError, match="nan"):
+        sweep(prob, HOLE_EPS_DATA, [0.1, nan], targets)
 
 
 # ---------------------------------------------------------------------------
